@@ -92,6 +92,7 @@ from .stability import (
     ProbeResult,
     StabilityConfig,
     StabilityReport,
+    bound,
     cap_weights,
     closed_form_bounds,
     codomain_norm,
@@ -102,7 +103,6 @@ from .stability import (
     hyers_iterate,
     iterate_gap_bound,
     phi_cap,
-    phi_cap_enumerated,
     phi_component,
     phi_tilde,
     point_norm,

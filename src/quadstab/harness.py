@@ -175,7 +175,18 @@ SCENARIO_SCHEMA = {
         "probes": _PROBES_SCHEMA,
         "theta": {"type": "number", "minimum": 0},
         "K_sweep": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
-        "grid": {"type": "object"},
+        "grid": {
+            "type": "object",
+            "properties": {
+                "n": {"type": "array", "items": {"type": "integer", "minimum": 3}, "minItems": 1},
+                "r": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                      "minItems": 1},
+                "norm_x": {"type": "array", "items": {"type": "number", "minimum": 0},
+                           "minItems": 1},
+                "epsilon": {"type": "number", "minimum": 0},
+                "series_tol": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
     },
     "allOf": [
         {"if": {"properties": {"kind": {"const": "stability"}}, "required": ["kind"]},
@@ -342,6 +353,12 @@ class RunResult:
     csv_path: str | None = None
 
 
+def _rejected(name: str, probe: str, q_estimate: str, err: DivergenceError) -> ResultRow:
+    status = (STATUS_REJECTED_OPEN_PROBLEM if isinstance(err, OpenProblemError)
+              else STATUS_REJECTED_DIVERGENT)
+    return ResultRow(name, probe, None, q_estimate, None, None, None, 0, status)
+
+
 def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
     failed = [r for r in rows if r.status == STATUS_FAIL]
     rejected = [r for r in rows if r.status.startswith("rejected-")]
@@ -391,12 +408,9 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
             warnings.simplefilter("always")
             report = stabilize(f, phi, cfg)
         caught = [str(w.message) for w in wlist]
-    except OpenProblemError as e:
-        row = ResultRow(name, "-", None, "", None, None, None, 0, STATUS_REJECTED_OPEN_PROBLEM)
-        return [row], {"text": f"rejected: {e}", "control": _control_summary(phi)}
     except DivergenceError as e:
-        row = ResultRow(name, "-", None, "", None, None, None, 0, STATUS_REJECTED_DIVERGENT)
-        return [row], {"text": f"rejected: {e}", "control": _control_summary(phi)}
+        return [_rejected(name, "-", "", e)], {"text": f"rejected: {e}",
+                                               "control": _control_summary(phi)}
     rows = [
         ResultRow(
             scenario=name,
@@ -543,12 +557,8 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
             entry["bound"] = bound
             rows.append(ResultRow(name, _fmt(K), None, f"denominator={_fmt(denom)}",
                                   None, bound, None, 0, STATUS_PASS))
-        except OpenProblemError:
-            rows.append(ResultRow(name, _fmt(K), None, f"denominator={_fmt(denom)}",
-                                  None, None, None, 0, STATUS_REJECTED_OPEN_PROBLEM))
-        except DivergenceError:
-            rows.append(ResultRow(name, _fmt(K), None, f"denominator={_fmt(denom)}",
-                                  None, None, None, 0, STATUS_REJECTED_DIVERGENT))
+        except DivergenceError as e:
+            rows.append(_rejected(name, _fmt(K), f"denominator={_fmt(denom)}", e))
         sweep.append(entry)
     denoms = [e["denominator"] for e in sweep]
     crossing = (min(denoms) <= 0.0) and (max(denoms) > 0.0)
@@ -569,8 +579,13 @@ def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
         for r in grid.get("r", [0.5, 1.0, 1.5, 2.5, 3.0, 4.0]):
             direction = "forward" if r < 2.0 else "backward"
             for norm_x in grid.get("norm_x", [0.5, 1.0, 2.0]):
-                b_quasi = closed_form_bounds(n, "power", direction, norm_x=norm_x,
-                                             K=1.0, epsilon=epsilon, r=r)
+                label = f"n={n}|r={_fmt(float(r))}|x={_fmt(float(norm_x))}"
+                try:
+                    b_quasi = closed_form_bounds(n, "power", direction, norm_x=norm_x,
+                                                 K=1.0, epsilon=epsilon, r=r)
+                except DivergenceError as e:  # the dead zone r = 2
+                    rows.append(_rejected(name, label, "", e))
+                    continue
                 b_p = closed_form_bounds(n, "power", direction, norm_x=norm_x,
                                          p=1.0, epsilon=epsilon, r=r)
                 phi = power(epsilon, r)
@@ -585,8 +600,7 @@ def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
                 rel = max(abs(b_quasi - b_p), abs(s_quasi - s_p)) / scale
                 worst = max(worst, rel)
                 rows.append(ResultRow(
-                    name, f"n={n}|r={_fmt(float(r))}|x={_fmt(float(norm_x))}", float(norm_x),
-                    _fmt(b_quasi), rel, tol, tol - rel, 0,
+                    name, label, float(norm_x), _fmt(b_quasi), rel, tol, tol - rel, 0,
                     STATUS_PASS if rel <= tol else STATUS_FAIL,
                 ))
     return rows, {"text": f"worst relative disagreement {worst:.3e}", "worst": worst}
@@ -609,22 +623,28 @@ def _resolve_outdir(outdir: str | None) -> str:
     return os.environ.get(OUTDIR_ENV, ".")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text through a temporary file in the target directory, then rename it."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(path: str, rows: list[ResultRow]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_HEADERS)
     for row in rows:
         writer.writerow(row.csv_fields())
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, buf.getvalue())
 
 
 def run_scenario(config: dict, outdir: str | None = None, write_csv: bool = True) -> RunResult:
@@ -652,16 +672,7 @@ def emit_plotdata(rows: list[ResultRow], path: str | None = None) -> str:
     lines += [f"{_fmt(r.norm_x)},{_fmt(r.deviation)},{_fmt(r.bound)}" for r in usable]
     text = "\n".join(lines) + "\n"
     if path is not None:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(path, text)
     return text
 
 

@@ -4,10 +4,12 @@ Given a mapping f whose twisted residual is dominated by a control
 function, the direct method manufactures the nearby exact solution as the
 limit of rescaled dilated iterates, with an a-priori error bound assembled
 from the control function.  This module provides the control-function
-derived quantities, the truncated-series and closed-form bounds for the
-quasi-norm (modulus K) and p-norm settings, the forward/backward iteration
-schemes, and the experiment driver that checks empirical deviations against
-the guaranteed bounds.
+derived quantities, one bound engine `bound` (closed form or truncated
+series, quasi-norm modulus K or p-norm exponent p, forward or backward) with
+thin wrappers `series_bound_{forward,backward}{,_p}`, `closed_form_bounds`
+and `probe_bound`, the forward/backward iteration schemes, and the
+experiment driver that checks empirical deviations against the guaranteed
+bounds.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -161,28 +163,15 @@ def phi_cap(phi: ControlFunction, n: int, x) -> float:
     )
 
 
-def phi_cap_enumerated(phi: ControlFunction, n: int, x) -> float:
-    """phi_cap by literal slot enumeration, ignoring closed-form shortcuts."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    x = np.asarray(x)
-    zero = np.zeros_like(x)
-
-    def component(i, pt):
-        return phi.evaluate([pt if j == i else zero for j in range(1, n + 1)])
-
-    comps = [component(i, x) for i in range(1, n + 1)]
-    tilde = min(comps[i] + comps[i + 1] for i in range(n - 1))
-    weights = cap_weights(n)
-    return min(component(i, -x) + weights[i - 1] * tilde for i in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
-# convergence regimes
+# the bound engine
 
 
 def power_regime(n: int, K: float, r: float) -> str:
-    """Which scheme converges for a power budget: forward, backward, or dead_zone."""
+    """Which scheme converges for a power budget: forward, backward, or dead_zone.
+
+    A constant budget is the r = 0 case.
+    """
     lam = n - 1.0
     if K * lam ** (r - 2.0) < 1.0:
         return "forward"
@@ -199,10 +188,6 @@ def _require_regime(requested: str, actual: str, detail: str):
     raise DivergenceError(
         f"the {requested} series diverges for these parameters", diagnosis=f"use the {actual} scheme; {detail}"
     )
-
-
-# ---------------------------------------------------------------------------
-# series bounds (quasi-norm, modulus K)
 
 
 def _truncate_geometric(first_term: float, ratio: float, series_tol: float, transform) -> float:
@@ -245,141 +230,97 @@ def _truncate_monitored(term_at, series_tol: float, transform) -> float:
     raise DivergenceError("series truncation cap reached", diagnosis="slow convergence")
 
 
-def series_bound_forward(phi: ControlFunction, n: int, K: float, x,
-                         series_tol: float = 1e-12) -> float:
-    """K/(n-1)^2 * sum_{i>=0} K^i Phi((n-1)^i x) / (n-1)^{2i}, truncated."""
-    if n < 3 or K < 1.0 or series_tol <= 0:
-        raise ValueError("need n >= 3, K >= 1, series_tol > 0")
-    lam = float(n - 1)
-    x = np.asarray(x)
-    pref = K / lam**2
-    linear = lambda s: pref * s
-    cap0 = phi_cap(phi, n, x)
-    if phi.variant == "power":
-        _require_regime("forward", power_regime(n, K, phi.r),
-                        f"K*(n-1)^(r-2) = {K * lam ** (phi.r - 2.0)}")
-        if cap0 == 0.0:
-            return 0.0
-        return _truncate_geometric(cap0, K * lam ** (phi.r - 2.0), series_tol, linear)
-    if phi.variant == "constant":
-        if K >= lam**2:
-            raise OpenProblemError(f"constant budget needs K < (n-1)^2, got K={K}")
-        return _truncate_geometric(cap0, K / lam**2, series_tol, linear)
+def _degree(phi: ControlFunction) -> float:
+    """Homogeneity degree of Phi: r for a power budget, 0 for a constant one."""
+    return phi.r if phi.variant == "power" else 0.0
 
-    def term_at(i):
+
+def _term(phi: ControlFunction, n: int, x, i: int, direction: str) -> float:
+    """The series term a_i, i >= 0, before its K^(i+1) weight.
+
+    forward   a_i = Phi((n-1)^i x) / (n-1)^{2i}
+    backward  a_i = (n-1)^{2(i+1)} Phi(x / (n-1)^{i+1})
+    """
+    lam = float(n - 1)
+    if direction == "forward":
         scale = lam**i
         if scale > SCALE_GUARD:
             raise DivergenceError("argument scale overflow before convergence")
-        return K**i * phi_cap(phi, n, x * scale) / lam ** (2 * i)
+        return phi_cap(phi, n, x * scale) / scale**2
+    scale = lam ** (i + 1)
+    return scale**2 * phi_cap(phi, n, x / scale)
 
-    return _truncate_monitored(term_at, series_tol, linear)
+
+def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float = 1.0,
+          p: float = 1.0, series_tol: float | None = None) -> float:
+    """The a-priori error bound (n-1)^-2 [sum_{i>=0} (K^(i+1) a_i)^p]^(1/p), a_i as in _term.
+
+    K > 1 is the quasi-norm route (modulus K) and p < 1 the p-norm route;
+    both are this one series, and K = 1, p = 1 is the normed bound.  With
+    series_tol None, power and constant budgets give the closed form
+    (n+2) K eps ||x||^r / (n [(n-1)^{2p} - K^p (n-1)^{rp}]^{1/p}), a constant
+    budget being r = 0 with eps = theta, and the two powers of (n-1) swapped
+    for the backward scheme.  With series_tol set, the series is truncated
+    once the bound itself is within series_tol; custom controls are always
+    summed that way, under empirical ratio monitoring.
+
+    Raises OpenProblemError in the dead zone, and DivergenceError when the
+    requested scheme diverges (always for a constant budget run backward).
+    """
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be forward or backward")
+    if K < 1.0 or not 0.0 < p <= 1.0 or (K > 1.0 and p < 1.0):
+        raise ValueError("need K >= 1 and 0 < p <= 1, and not both K > 1 and p < 1")
+    if series_tol is not None and series_tol <= 0:
+        raise ValueError("series_tol must be positive")
+    lam = float(n - 1)
+    x = np.asarray(x)
+    pref = 1.0 / lam**2
+    root = lambda s: pref * s ** (1.0 / p)
+    if phi.variant == "custom":
+        if series_tol is None:
+            raise ValueError("a custom control has no closed form; pass series_tol")
+        return _truncate_monitored(lambda i: (K ** (i + 1) * _term(phi, n, x, i, direction)) ** p,
+                                   series_tol, root)
+    if phi.variant == "constant" and direction == "backward":
+        raise DivergenceError("no backward scheme for a constant budget")
+    r = _degree(phi)
+    _require_regime(direction, power_regime(n, K, r),
+                    f"dead zone is -log_(n-1) K <= r-2 <= log_(n-1) K at K={K}, r={r}, p={p}")
+    if series_tol is None:
+        amp, norm_x = (phi.epsilon, phi._norm(x)) if phi.variant == "power" else (phi.theta, 1.0)
+        a, b = lam ** (2.0 * p), lam ** (r * p)
+        if direction == "backward":
+            a, b = b, a
+        return (n + 2) * K * amp * norm_x**r / (n * (a - K**p * b) ** (1.0 / p))
+    ratio = K**p * lam ** (((r - 2.0) if direction == "forward" else (2.0 - r)) * p)
+    return _truncate_geometric((K * _term(phi, n, x, 0, direction)) ** p, ratio, series_tol, root)
+
+
+def series_bound_forward(phi: ControlFunction, n: int, K: float, x,
+                         series_tol: float = 1e-12) -> float:
+    """K/(n-1)^2 * sum_{i>=0} K^i Phi((n-1)^i x) / (n-1)^{2i}, truncated."""
+    return bound(phi, n, x, "forward", K=K, series_tol=series_tol)
 
 
 def series_bound_backward(phi: ControlFunction, n: int, K: float, x,
                           series_tol: float = 1e-12) -> float:
     """1/(n-1)^2 * sum_{i>=1} K^i (n-1)^{2i} Phi(x / (n-1)^i), truncated."""
-    if n < 3 or K < 1.0 or series_tol <= 0:
-        raise ValueError("need n >= 3, K >= 1, series_tol > 0")
-    lam = float(n - 1)
-    x = np.asarray(x)
-    pref = 1.0 / lam**2
-    linear = lambda s: pref * s
-    if phi.variant == "power":
-        _require_regime("backward", power_regime(n, K, phi.r),
-                        f"K*(n-1)^(2-r) = {K * lam ** (2.0 - phi.r)}")
-        first = K * lam**2 * phi_cap(phi, n, x / lam)
-        if first == 0.0:
-            return 0.0
-        return _truncate_geometric(first, K * lam ** (2.0 - phi.r), series_tol, linear)
-    if phi.variant == "constant":
-        raise DivergenceError(
-            "no backward scheme for a constant budget",
-            diagnosis=f"series ratio K*(n-1)^2 = {K * lam**2} >= 1",
-        )
-
-    def term_at(i):
-        scale = lam ** (i + 1)
-        return K ** (i + 1) * scale**2 * phi_cap(phi, n, x / scale)
-
-    return _truncate_monitored(term_at, series_tol, linear)
-
-
-# ---------------------------------------------------------------------------
-# series bounds (p-norm)
-
-
-def _check_p(p: float):
-    if not 0.0 < p <= 1.0:
-        raise ValueError("need 0 < p <= 1")
+    return bound(phi, n, x, "backward", K=K, series_tol=series_tol)
 
 
 def series_bound_forward_p(phi: ControlFunction, n: int, p: float, x,
                            series_tol: float = 1e-12) -> float:
     """1/(n-1)^2 * [ sum_{i>=0} Phi((n-1)^i x)^p / (n-1)^{2ip} ]^{1/p}, truncated."""
-    if n < 3 or series_tol <= 0:
-        raise ValueError("need n >= 3 and series_tol > 0")
-    _check_p(p)
-    lam = float(n - 1)
-    x = np.asarray(x)
-    pref = 1.0 / lam**2
-    root = lambda s: pref * s ** (1.0 / p)
-    cap0 = phi_cap(phi, n, x)
-    if phi.variant == "power":
-        if phi.r == 2.0:
-            raise OpenProblemError("power budget with r = 2 admits no scheme")
-        if phi.r > 2.0:
-            raise DivergenceError("forward p-series diverges for r > 2",
-                                  diagnosis="use the backward scheme")
-        sigma = lam ** ((phi.r - 2.0) * p)
-    elif phi.variant == "constant":
-        sigma = lam ** (-2.0 * p)
-    else:
-        def term_at(i):
-            scale = lam**i
-            if scale > SCALE_GUARD:
-                raise DivergenceError("argument scale overflow before convergence")
-            return (phi_cap(phi, n, x * scale) / lam ** (2 * i)) ** p
-
-        return _truncate_monitored(term_at, series_tol, root)
-    if cap0 == 0.0:
-        return 0.0
-    return _truncate_geometric(cap0**p, sigma, series_tol, root)
+    return bound(phi, n, x, "forward", p=p, series_tol=series_tol)
 
 
 def series_bound_backward_p(phi: ControlFunction, n: int, p: float, x,
                             series_tol: float = 1e-12) -> float:
     """1/(n-1)^2 * [ sum_{i>=1} (n-1)^{2ip} Phi(x / (n-1)^i)^p ]^{1/p}, truncated."""
-    if n < 3 or series_tol <= 0:
-        raise ValueError("need n >= 3 and series_tol > 0")
-    _check_p(p)
-    lam = float(n - 1)
-    x = np.asarray(x)
-    pref = 1.0 / lam**2
-    root = lambda s: pref * s ** (1.0 / p)
-    if phi.variant == "power":
-        if phi.r == 2.0:
-            raise OpenProblemError("power budget with r = 2 admits no scheme")
-        if phi.r < 2.0:
-            raise DivergenceError("backward p-series diverges for r < 2",
-                                  diagnosis="use the forward scheme")
-        sigma = lam ** ((2.0 - phi.r) * p)
-        first = (lam**2 * phi_cap(phi, n, x / lam)) ** p
-        if first == 0.0:
-            return 0.0
-        return _truncate_geometric(first, sigma, series_tol, root)
-    if phi.variant == "constant":
-        raise DivergenceError("no backward scheme for a constant budget",
-                              diagnosis=f"series ratio (n-1)^(2p) = {lam ** (2 * p)} >= 1")
-
-    def term_at(i):
-        scale = lam ** (i + 1)
-        return (scale**2 * phi_cap(phi, n, x / scale)) ** p
-
-    return _truncate_monitored(term_at, series_tol, root)
-
-
-# ---------------------------------------------------------------------------
-# closed forms
+    return bound(phi, n, x, "backward", p=p, series_tol=series_tol)
 
 
 def closed_form_bounds(n: int, variant: str, direction: str, norm_x: float = 1.0,
@@ -394,117 +335,33 @@ def closed_form_bounds(n: int, variant: str, direction: str, norm_x: float = 1.0
     """
     if (K is None) == (p is None):
         raise ValueError("pass exactly one of K (quasi-norm) or p (p-norm)")
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
-    lam = float(n - 1)
-    if K is not None:
-        if K < 1.0:
-            raise ValueError("K must be >= 1")
-        if variant == "power":
-            if epsilon is None or r is None:
-                raise ValueError("power budget needs epsilon and r")
-            regime = power_regime(n, K, r)
-            _require_regime(direction, regime,
-                            f"dead zone is -log_(n-1) K <= r-2 <= log_(n-1) K at K={K}, r={r}")
-            if direction == "forward":
-                return (n + 2) * K * epsilon * norm_x**r / (n * (lam**2 - K * lam**r))
-            return (n + 2) * K * epsilon * norm_x**r / (n * (lam**r - K * lam**2))
-        if variant == "constant":
-            if theta is None:
-                raise ValueError("constant budget needs theta")
-            if direction == "backward":
-                raise DivergenceError("no backward scheme for a constant budget")
-            if K >= lam**2:
-                raise OpenProblemError(
-                    f"constant budget needs K < (n-1)^2; K={K}, (n-1)^2={lam**2}")
-            return (n + 2) * K * theta / (n * (lam**2 - K))
-        raise ValueError(f"unknown budget variant {variant!r}")
-    _check_p(p)
     if variant == "power":
         if epsilon is None or r is None:
             raise ValueError("power budget needs epsilon and r")
-        if r == 2.0:
-            raise OpenProblemError("power budget with r = 2 admits no scheme")
-        if direction == "forward":
-            if r > 2.0:
-                raise DivergenceError("forward p-series diverges for r > 2",
-                                      diagnosis="use the backward scheme")
-            return (n + 2) * epsilon * norm_x**r / (n * (lam ** (2 * p) - lam ** (r * p)) ** (1.0 / p))
-        if r < 2.0:
-            raise DivergenceError("backward p-series diverges for r < 2",
-                                  diagnosis="use the forward scheme")
-        return (n + 2) * epsilon * norm_x**r / (n * (lam ** (r * p) - lam ** (2 * p)) ** (1.0 / p))
-    if variant == "constant":
+        # the control's norm is norm_x everywhere, so no domain point is needed
+        phi = power(epsilon, r, norm=lambda _: norm_x)
+    elif variant == "constant":
         if theta is None:
             raise ValueError("constant budget needs theta")
-        if direction == "backward":
-            raise DivergenceError("no backward scheme for a constant budget")
-        return (n + 2) * theta / (n * (lam ** (2 * p) - 1.0) ** (1.0 / p))
-    raise ValueError(f"unknown budget variant {variant!r}")
-
-
-# ---------------------------------------------------------------------------
-# iterate gap bounds
+        phi = constant(theta)
+    else:
+        raise ValueError(f"unknown budget variant {variant!r}")
+    return bound(phi, n, None, direction, K=1.0 if K is None else K, p=1.0 if p is None else p)
 
 
 def iterate_gap_bound(phi: ControlFunction, n: int, K: float, x, l: int, m: int,
                       direction: str = "forward") -> float:
     """A-priori bound on the distance between the l-th and m-th rescaled iterates.
 
-    Forward: K^(1-l)/(n-1)^2 * sum_{i=l}^{m-2} K^i Phi((n-1)^i x)/(n-1)^{2i}
-             + K^(m-1-l)/(n-1)^2 * Phi((n-1)^{m-1} x)/(n-1)^{2(m-1)}.
+    (n-1)^-2 [sum_{i=l}^{m-2} K^(i+1-l) a_i + K^(m-1-l) a_{m-1}], a_i as in _term.
     """
     if not 0 <= l < m:
         raise ValueError("need 0 <= l < m")
-    lam = float(n - 1)
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be forward or backward")
     x = np.asarray(x)
-    if direction == "forward":
-        total = 0.0
-        for i in range(l, m - 1):
-            total += K ** (i + 1 - l) * phi_cap(phi, n, x * lam**i) / lam ** (2 * i + 2)
-        total += K ** (m - 1 - l) * phi_cap(phi, n, x * lam ** (m - 1)) / lam ** (2 * m)
-        return total
-    if direction == "backward":
-        total = 0.0
-        for i in range(1, m - l):
-            total += K**i * lam ** (2 * i + 2 * l - 2) * phi_cap(phi, n, x / lam ** (i + l))
-        total += K ** (m - l - 1) * lam ** (2 * m - 2) * phi_cap(phi, n, x / lam**m)
-        return total
-    raise ValueError("direction must be forward or backward")
-
-
-def _tail_bound(phi: ControlFunction, n: int, K: float, p: float | None, x, m: int,
-                direction: str, bound_mode: str) -> float | None:
-    """Guaranteed remaining distance to the limit after iterate m, when analytic."""
-    lam = float(n - 1)
-    if phi.variant not in ("power", "constant"):
-        return None
-    if bound_mode == "quasi":
-        if direction == "forward":
-            ratio = K * lam ** (phi.r - 2.0) if phi.variant == "power" else K / lam**2
-            if ratio >= 1.0:
-                return None
-            first = K * phi_cap(phi, n, x * lam**m) / lam ** (2 * m + 2)
-            return first / (1.0 - ratio)
-        ratio = K * lam ** (2.0 - phi.r) if phi.variant == "power" else K * lam**2
-        if ratio >= 1.0:
-            return None
-        first = K * lam ** (2 * m) * phi_cap(phi, n, x / lam ** (m + 1))
-        return first / (1.0 - ratio)
-    # p-mode tails
-    if direction == "forward":
-        sigma = lam ** ((phi.r - 2.0) * p) if phi.variant == "power" else lam ** (-2.0 * p)
-        if sigma >= 1.0:
-            return None
-        first = (phi_cap(phi, n, x * lam**m) / lam ** (2 * m)) ** p
-        return (first / (1.0 - sigma)) ** (1.0 / p) / lam**2
-    if phi.variant != "power" or phi.r <= 2.0:
-        return None
-    sigma = lam ** ((2.0 - phi.r) * p)
-    first = (lam ** (2 * m + 2) * phi_cap(phi, n, x / lam ** (m + 1))) ** p
-    return (first / (1.0 - sigma)) ** (1.0 / p) / lam**2
+    total = sum(K ** (i + 1 - l) * _term(phi, n, x, i, direction) for i in range(l, m - 1))
+    return (total + K ** (m - 1 - l) * _term(phi, n, x, m - 1, direction)) / (n - 1.0) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +422,11 @@ class StabilityConfig:
             raise ValueError("bound_mode must be quasi or p")
 
     @property
-    def p_exponent(self) -> float:
-        return self.norm_spec.p if self.norm_spec.kind == "lp_quasi" else 1.0
+    def route(self) -> tuple[float, float]:
+        """(K, p) for the bound engine: (modulus, 1) in quasi mode, (1, exponent) in p mode."""
+        if self.bound_mode == "quasi":
+            return self.norm_spec.K, 1.0
+        return 1.0, (self.norm_spec.p if self.norm_spec.kind == "lp_quasi" else 1.0)
 
     def domain_norm_fn(self):
         if self.domain_norm is None:
@@ -623,15 +483,8 @@ class StabilityReport:
 
 def probe_bound(phi: ControlFunction, cfg: StabilityConfig, x) -> float:
     """The series bound matching the configured direction and bound mode."""
-    if cfg.bound_mode == "quasi":
-        K = cfg.norm_spec.K
-        if cfg.direction == "forward":
-            return series_bound_forward(phi, cfg.n, K, x, cfg.series_tol)
-        return series_bound_backward(phi, cfg.n, K, x, cfg.series_tol)
-    p = cfg.p_exponent
-    if cfg.direction == "forward":
-        return series_bound_forward_p(phi, cfg.n, p, x, cfg.series_tol)
-    return series_bound_backward_p(phi, cfg.n, p, x, cfg.series_tol)
+    K, p = cfg.route
+    return bound(phi, cfg.n, x, cfg.direction, K=K, p=p, series_tol=cfg.series_tol)
 
 
 def _consistency_warn(f: Mapping, phi: ControlFunction, cfg: StabilityConfig, seed: int = 0):
@@ -668,10 +521,14 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     lam = cfg.n - 1
     dnorm = cfg.domain_norm_fn()
     report = StabilityReport(config=cfg, control=phi)
-    K = cfg.norm_spec.K
-    p = cfg.p_exponent
-    for x, bound in zip(cfg.probes, bounds):
+    K, p = cfg.route
+    # the closed form is homogeneous of degree r in x, so the distance left to
+    # the limit after iterate m is bound(x) * decay**m
+    r = _degree(phi)
+    decay = float(lam) ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
+    for x, b in zip(cfg.probes, bounds):
         x = np.asarray(x)
+        tail0 = None if phi.variant == "custom" else bound(phi, cfg.n, x, cfg.direction, K, p)
         trace = []
         converged = False
         iterations = 0
@@ -684,7 +541,7 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
             trace.append(val)
             if prev is not None:
                 gap = codomain_norm(cfg.norm_spec, val - prev)
-                tail = _tail_bound(phi, cfg.n, K, p, x, m, cfg.direction, cfg.bound_mode)
+                tail = None if tail0 is None else tail0 * decay**m
                 iterations = m
                 if gap < cfg.tol and (tail is None or tail < cfg.tol):
                     converged = True
@@ -692,7 +549,7 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
             prev = val
         q_est = trace[-1]
         deviation = codomain_norm(cfg.norm_spec, trace[0] - q_est)
-        margin = bound - deviation
+        margin = b - deviation
         status = "pass" if (converged and margin >= -cfg.tol) else "fail"
         report.probes.append(ProbeResult(
             probe=x,
@@ -702,7 +559,7 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
             iterations=iterations,
             converged=converged,
             deviation=deviation,
-            bound=bound,
+            bound=b,
             margin=margin,
             tail_bound=tail,
             status=status,

@@ -146,6 +146,23 @@ def test_rejected_divergent_scenario():
     assert res2.exit_code == h.EXIT_EXPECTED_REJECTION
 
 
+def test_bound_equality_grid_validated_and_dead_zone_rejected():
+    cfg = h.preset_config("k1-equals-p1")
+    cfg["grid"]["n"] = [2]
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path.startswith("grid.n")
+    cfg = h.preset_config("k1-equals-p1")
+    cfg["grid"]["r"] = [1.0, 2.0]
+    res = h.run_scenario(cfg, write_csv=False)
+    statuses = {row.probe: row.status for row in res.rows}
+    assert statuses["n=3|r=1.0|x=0.5"] == "pass"
+    assert statuses["n=3|r=2.0|x=0.5"] == "rejected-open-problem"
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    cfg["expected_status"] = "rejected-open-problem"
+    assert h.run_scenario(cfg, write_csv=False).exit_code == h.EXIT_EXPECTED_REJECTION
+
+
 def test_run_scenario_rejects_malformed(tmp_path):
     with pytest.raises(h.ScenarioValidationError):
         h.run_scenario({"name": "x"}, outdir=str(tmp_path))

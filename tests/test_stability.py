@@ -29,6 +29,20 @@ def naive_forward_sum_p(phi, n, p, x, terms=400):
     return total ** (1.0 / p) / lam**2
 
 
+def phi_cap_enumerated(phi, n, x):
+    # reference for phi_cap: literal slot enumeration, ignoring closed-form shortcuts
+    x = np.asarray(x)
+    zero = np.zeros_like(x)
+
+    def component(i, pt):
+        return phi.evaluate([pt if j == i else zero for j in range(1, n + 1)])
+
+    comps = [component(i, x) for i in range(1, n + 1)]
+    tilde = min(comps[i] + comps[i + 1] for i in range(n - 1))
+    weights = qs.cap_weights(n)
+    return min(component(i, -x) + weights[i - 1] * tilde for i in range(1, n + 1))
+
+
 def test_phi_component_values():
     phi = qs.power(2.0, 1.5)
     x = np.array([2.0])
@@ -75,7 +89,7 @@ def test_phi_cap_fast_path_matches_enumeration():
             for _ in range(10):
                 x = rng.uniform(-5, 5, 2)
                 a = qs.phi_cap(phi, n, x)
-                b = qs.phi_cap_enumerated(phi, n, x)
+                b = phi_cap_enumerated(phi, n, x)
                 assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -430,3 +444,60 @@ def test_verify_unitary_covariance_scalar_hat_case():
                              m_max=25, tol=1e-10)
     rep = qs.verify_unitary_covariance(f, 3, cfg, unitary_count=50, seed=1, tol=1e-6)
     assert rep.passed
+
+
+ENGINE_ROUTES = {"K=1": {"K": 1.0}, "K=2": {"K": 2.0}, "p=1/2": {"p": 0.5}}
+
+
+@pytest.mark.parametrize("variant", ["power", "constant"])
+@pytest.mark.parametrize("route", list(ENGINE_ROUTES))
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_bound_engine(direction, route, variant):
+    kw = ENGINE_ROUTES[route]
+    K, p = kw.get("K", 1.0), kw.get("p", 1.0)
+    n, lam, x = 3, 2.0, np.array([1.7])
+    with pytest.raises(ValueError):
+        qs.bound(qs.power(1.0, 1.0), n, x, direction, K=2.0, p=0.5)
+    if variant == "constant" and direction == "backward":
+        # also past K = (n-1)^2, where the forward scheme is in the dead zone
+        for K_bad, p_bad in ((K, p), (5.0, 1.0)):
+            with pytest.raises(qs.DivergenceError) as err:
+                qs.bound(qs.constant(1.0), n, x, direction, K=K_bad, p=p_bad)
+            assert not isinstance(err.value, qs.OpenProblemError)
+        return
+    # r = 0.5 forward and r = 3.5 backward are outside the K = 2 dead zone [1, 3]
+    r = {"power": 0.5 if direction == "forward" else 3.5, "constant": 0.0}[variant]
+    phi = qs.power(0.8, r) if variant == "power" else qs.constant(0.8)
+    closed = qs.bound(phi, n, x, direction, K=K, p=p)
+    assert qs.bound(phi, n, x, direction, K=K, p=p, series_tol=1e-15) == pytest.approx(
+        closed, rel=1e-12)
+
+    # the distance left after iterate m is the series restarted at term m
+    def term(i):
+        if direction == "forward":
+            return qs.phi_cap(phi, n, x * lam**i) / lam ** (2 * i)
+        return lam ** (2 * i + 2) * qs.phi_cap(phi, n, x / lam ** (i + 1))
+
+    degree = r - 2.0 if direction == "forward" else 2.0 - r
+    for m in (1, 4):
+        remainder = sum((K ** (j + 1) * term(m + j)) ** p for j in range(300)) ** (1 / p) / lam**2
+        assert closed * lam ** (degree * m) == pytest.approx(remainder, rel=1e-12)
+
+    # a custom control is summed term by term with ratio monitoring
+    custom = qs.custom_control(phi.evaluate)
+    assert qs.bound(custom, n, x, direction, K=K, p=p, series_tol=1e-14) == pytest.approx(
+        closed, rel=1e-10)
+
+    # stabilize scales the closed form by decay^m instead of re-summing the tail
+    if route == "K=1":
+        f, spec = qs.QuadraticForm([[1.0]]), qs.euclidean(1)
+    else:
+        f = qs.Stack([qs.QuadraticForm([[1.0]]), qs.QuadraticForm([[2.0]])])
+        spec = qs.lp_quasi(0.5, 2)
+    cfg = qs.StabilityConfig(n=n, norm_spec=spec, direction=direction, probes=(x,),
+                             bound_mode="p" if "p" in kw else "quasi")
+    probe = qs.stabilize(f, phi, cfg, check_consistency=False).probes[0]
+    assert probe.converged
+    assert probe.tail_bound == pytest.approx(closed * lam ** (degree * probe.iterations),
+                                             rel=1e-12)
+    assert probe.tail_bound < cfg.tol <= probe.tail_bound / lam ** degree
