@@ -47,6 +47,7 @@ from .mappings import (
     MatrixSineBump,
     MatrixSquare,
     Monomial,
+    NonFiniteResidualError,
     OddGrowth,
     Perturbed,
     QuadraticForm,
@@ -56,7 +57,6 @@ from .mappings import (
     SumMapping,
     Tabulated,
     approximate_remainder,
-    approximate_remainder_sa,
     empirical_sup_residual,
     equation_residual,
     mapping_from_config,
@@ -64,6 +64,7 @@ from .mappings import (
     residual_fe2,
     residual_fe3,
     residual_fe3_0,
+    sample_residuals,
     value_norm,
 )
 from .finite import (

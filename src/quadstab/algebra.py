@@ -177,6 +177,8 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
 
 def hat(a, mode: str = "avg"):
     """Self-adjoint companion of an algebra element: aa*, a*a, or their mean."""
+    if mode not in ("left", "right", "avg"):
+        raise ValueError(f"unknown mode {mode!r}, expected left|right|avg")
     a = np.asarray(a, dtype=complex)
     if a.ndim == 0:
         return float((a * np.conj(a)).real)
@@ -186,9 +188,7 @@ def hat(a, mode: str = "avg"):
         return a @ a.conj().T
     if mode == "right":
         return a.conj().T @ a
-    if mode == "avg":
-        return (a @ a.conj().T + a.conj().T @ a) / 2.0
-    raise ValueError(f"unknown mode {mode!r}, expected left|right|avg")
+    return (a @ a.conj().T + a.conj().T @ a) / 2.0
 
 
 def act(u, x) -> np.ndarray:

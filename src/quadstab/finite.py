@@ -81,22 +81,11 @@ class GroupSpec:
             return int(c @ _powers(self.q, self.d))
         return c @ _powers(self.q, self.d)
 
-    def combine(self, tuples: np.ndarray, weights) -> np.ndarray:
-        """Index of sum_l w_l x_l for each row of element-index tuples."""
-        coords = self.decode_table()[np.asarray(tuples, dtype=np.int64)]
-        return _term_columns(self, coords, weights)
-
     def add(self, i, j):
         return self.encode(self.decode_table()[np.asarray(i)] + self.decode_table()[np.asarray(j)])
 
     def sub(self, i, j):
         return self.encode(self.decode_table()[np.asarray(i)] - self.decode_table()[np.asarray(j)])
-
-    def neg(self, i):
-        return self.encode(-self.decode_table()[np.asarray(i)])
-
-    def scale(self, c: int, i):
-        return self.encode(c * self.decode_table()[np.asarray(i)])
 
 
 @lru_cache(maxsize=None)
@@ -257,11 +246,6 @@ class ConstraintMatrix:
             cols = _term_columns(self.group, coords, w)
             np.add.at(rows, (ar, cols), coeff % q)
         return rows % q
-
-    def toarray(self, max_rows: int = 300_000) -> np.ndarray:
-        if self.n_rows > max_rows:
-            raise ValueError(f"refusing to materialize {self.n_rows} rows")
-        return np.vstack([self.densify(b) for b in self.tuple_batches()])
 
 
 def structured_tuples(group: GroupSpec, arity: int) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Experiment harness: JSON scenario configs, preset registry, CSV results, CLI.
+"""Experiment harness: JSON scenario configs, preset table, CSV results, CLI.
+
+Presets are data: `PRESETS` maps each name to (description, config), and
+`preset_config` returns a deep copy with the name filled in.
 
 Scenario kinds:
   stability       direct-method run with bound audit per probe
@@ -17,6 +20,7 @@ across repeat runs.  Exit codes: 0 all rows pass, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -31,7 +35,7 @@ import jsonschema
 
 from . import algebra, finite
 from .equations import EquationSpec, parse_equation
-from .mappings import Mapping, mapping_from_config
+from .mappings import Mapping, NonFiniteResidualError, mapping_from_config
 from .stability import (
     ControlFunction,
     DivergenceError,
@@ -255,10 +259,18 @@ def _mapping_from_config(cfg: dict, path: str) -> Mapping:
 
 def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
     if isinstance(cfg, list):
-        try:
-            return tuple(np.asarray(p, dtype=float) for p in cfg)
-        except (TypeError, ValueError) as e:
-            raise ScenarioValidationError(path, str(e)) from e
+        zero = domain.zero()
+        probes = []
+        for i, p in enumerate(cfg):
+            try:
+                p = np.asarray(p, dtype=float)
+            except (TypeError, ValueError) as e:
+                raise ScenarioValidationError(f"{path}.{i}", str(e)) from e
+            if p.size != zero.size:
+                raise ScenarioValidationError(f"{path}.{i}", f"probe has {p.size} entries, "
+                                              f"domain points have shape {zero.shape}")
+            probes.append(p.reshape(zero.shape))
+        return tuple(probes)
     rng = np.random.default_rng([int(seed), 161803])
     count = int(cfg["count"])
     box = float(cfg.get("box", 10.0))
@@ -279,17 +291,25 @@ def _control_from_config(cfg: dict, f: Mapping, n: int, norm_spec, domain_norm_s
     cnorm = lambda v: codomain_norm(norm_spec, v)
     trials = int(cfg.get("fit_trials", 400))
     box = float(cfg.get("fit_box", 10.0))
-    if variant == "power":
-        r = float(cfg.get("r", 1.0))
-        eps = cfg.get("epsilon")
-        if eps is None:
-            eps = fit_power_amplitude(f, n, r, trials=trials, seed=seed, box=box,
-                                      domain_norm=dnorm, codomain=cnorm)
-        return power(float(eps), r, norm=dnorm)
-    theta = cfg.get("theta")
-    if theta is None:
-        theta = fit_constant_level(f, n, trials=trials, seed=seed, box=box, codomain=cnorm)
-    return constant(float(theta))
+    r = float(cfg.get("r", 1.0))
+    level = cfg.get("epsilon" if variant == "power" else "theta")
+    if level is None:
+        try:  # a sampled residual that is not finite leaves nothing to fit
+            level = (fit_power_amplitude(f, n, r, trials=trials, seed=seed, box=box,
+                                         domain_norm=dnorm, codomain=cnorm)
+                     if variant == "power" else
+                     fit_constant_level(f, n, trials=trials, seed=seed, box=box, codomain=cnorm))
+        except ValueError as e:
+            raise ScenarioValidationError(path, str(e)) from e
+    return power(float(level), r, norm=dnorm) if variant == "power" else constant(float(level))
+
+
+def _check_codomain_norm(norm_spec, f: Mapping, path: str) -> None:
+    """The codomain norm must measure f's values, checked on f(0) before any run."""
+    try:
+        codomain_norm(norm_spec, f(f.domain.zero()))
+    except ValueError as e:
+        raise ScenarioValidationError(path, str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +404,7 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     domain_norm_spec = (_norm_from_config(config["domain_norm"], "domain_norm")
                         if "domain_norm" in config else None)
     f = _mapping_from_config(config["mapping"], "mapping")
+    _check_codomain_norm(norm_spec, f, "norm.dim")
     st = config["stability"]
     probes = _probes_from_config(st.get("probes", {"count": 20}), seed, f.domain, "stability.probes")
     try:
@@ -522,6 +543,7 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
     st = config.get("stability", {})
     norm_spec = (_norm_from_config(config["norm"], "norm") if "norm" in config
                  else algebra.euclidean(1))
+    _check_codomain_norm(norm_spec, f, "norm.dim")
     cfg = StabilityConfig(
         n=n,
         norm_spec=norm_spec,
@@ -532,8 +554,13 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
         series_tol=float(st.get("series_tol", 1e-12)),
     )
     tol = float(config.get("tol", 1e-6))
-    rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
-                                    seed=seed, tol=tol)
+    try:
+        rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
+                                        seed=seed, tol=tol)
+    except DivergenceError as e:
+        return [_rejected(name, f"{len(probes)} probes", "", e)], {"text": f"rejected: {e}"}
+    except NonFiniteResidualError as e:  # raised while fitting the constant budget
+        raise ScenarioValidationError("mapping", str(e)) from e
     row = ResultRow(name, f"{len(probes)} probes", None, "", rep.max_relative_deviation,
                     tol, tol - rep.max_relative_deviation, rep.iterations_used,
                     STATUS_PASS if rep.passed else STATUS_FAIL)
@@ -677,227 +704,113 @@ def emit_plotdata(rows: list[ResultRow], path: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# preset registry
+# preset table
 
 
-def _preset_oracle_fe2():
+def _fe3_stability(seed, norm, mapping, control, direction, bound_mode, probe_count) -> dict:
+    """Skeleton of the direct-method presets: fe3 with n = 3 on a scalar domain."""
     return {
-        "name": "oracle-fe2-fe1", "kind": "oracle", "seed": 1,
-        "equation_a": {"id": "fe2"}, "equation_b": {"id": "fe1"},
-        "group": {"q": 7, "d": 1},
+        "kind": "stability", "seed": seed, "equation": {"id": "fe3", "n": 3}, "norm": norm,
+        "domain_norm": {"kind": "euclidean", "dim": 1}, "mapping": mapping, "control": control,
+        "stability": {"direction": direction, "m_max": 40, "tol": 1e-9, "series_tol": 1e-13,
+                      "bound_mode": bound_mode, "probes": {"count": probe_count, "box": 10.0}},
     }
 
 
-def _preset_oracle_fe3():
-    return {
-        "name": "oracle-fe3-fe1", "kind": "oracle", "seed": 1,
-        "equation_a": {"id": "fe3", "n": 3}, "equation_b": {"id": "fe1"},
-        "group": {"q": 5, "d": 1},
-    }
+_SQUARE = {"family": "quadratic_form", "coefficients": [[1.0]]}
+_SQUARES = {"family": "stack", "parts": [
+    _SQUARE, {"family": "quadratic_form", "coefficients": [[2.0]]}]}
+_SQUARE_ODD_BUMP = {"family": "perturbed", "base": _SQUARE, "bump": {"family": "odd_growth"},
+                    "amplitude": 0.05}
 
 
-def _preset_oracle_fe3_0():
-    return {
-        "name": "oracle-fe3_0-fe1", "kind": "oracle", "seed": 1,
-        "equation_a": {"id": "fe3_0", "a": 2}, "equation_b": {"id": "fe1"},
-        "group": {"q": 7, "d": 1},
-    }
+def _fitted_power(r: float) -> dict:
+    return {"variant": "power", "epsilon": None, "r": r, "fit_trials": 400}
 
 
-def _preset_fe1_dimension():
-    return {
-        "name": "fe1-dimension", "kind": "dimension", "seed": 1,
-        "equation": {"id": "fe1"}, "group": {"q": 7, "d": 2}, "expected_dim": 3,
-    }
-
-
-def _preset_inner_product_pass():
-    return {
-        "name": "inner-product-pass", "kind": "inner_product", "seed": 3,
-        "norm": {"kind": "euclidean", "dim": 2}, "mode": "b", "param": 2,
-        "trials": 4000, "expect": "pass",
-    }
-
-
-def _preset_inner_product_centroid():
-    return {
-        "name": "inner-product-centroid", "kind": "inner_product", "seed": 3,
-        "norm": {"kind": "euclidean", "dim": 3}, "mode": "c", "param": 3,
-        "trials": 4000, "expect": "pass",
-    }
-
-
-def _preset_inner_product_fail():
-    return {
-        "name": "inner-product-fail", "kind": "inner_product", "seed": 3,
-        "norm": {"kind": "l1", "dim": 2}, "mode": "b", "param": 2,
-        "trials": 4000, "expect": "witness",
-        "witness": {"x": [1.0, 0.0], "y": [0.0, 1.0], "residual": 4.0},
-    }
-
-
-def _preset_power_forward():
-    return {
-        "name": "power-forward", "kind": "stability", "seed": 11,
-        "equation": {"id": "fe3", "n": 3},
-        "norm": {"kind": "euclidean", "dim": 1},
-        "domain_norm": {"kind": "euclidean", "dim": 1},
-        "mapping": {"family": "perturbed",
-                    "base": {"family": "quadratic_form", "coefficients": [[1.0]]},
-                    "bump": {"family": "odd_growth"}, "amplitude": 0.05},
-        "control": {"variant": "power", "epsilon": None, "r": 1.0, "fit_trials": 400},
-        "stability": {"direction": "forward", "m_max": 40, "tol": 1e-9,
-                      "series_tol": 1e-13, "bound_mode": "quasi",
-                      "probes": {"count": 100, "box": 10.0}},
-    }
-
-
-def _preset_power_backward():
-    return {
-        "name": "power-backward", "kind": "stability", "seed": 12,
-        "equation": {"id": "fe3", "n": 3},
-        "norm": {"kind": "euclidean", "dim": 1},
-        "domain_norm": {"kind": "euclidean", "dim": 1},
-        "mapping": {"family": "perturbed",
-                    "base": {"family": "quadratic_form", "coefficients": [[1.0]]},
-                    "bump": {"family": "monomial", "degree": 3}, "amplitude": 0.01},
-        "control": {"variant": "power", "epsilon": None, "r": 3.0, "fit_trials": 400},
-        "stability": {"direction": "backward", "m_max": 40, "tol": 1e-9,
-                      "series_tol": 1e-13, "bound_mode": "quasi",
-                      "probes": {"count": 100, "box": 10.0}},
-    }
-
-
-def _preset_constant_quasinorm():
-    alpha, beta = 0.05, 0.08
-    theta = 12.0 * (np.sqrt(alpha) + np.sqrt(beta)) ** 2
-    return {
-        "name": "constant-quasinorm", "kind": "stability", "seed": 13,
-        "equation": {"id": "fe3", "n": 3},
-        "norm": {"kind": "lp_quasi", "p": 0.5, "dim": 2},
-        "domain_norm": {"kind": "euclidean", "dim": 1},
-        "mapping": {"family": "perturbed",
-                    "base": {"family": "stack", "parts": [
-                        {"family": "quadratic_form", "coefficients": [[1.0]]},
-                        {"family": "quadratic_form", "coefficients": [[2.0]]}]},
-                    "bump": {"family": "stack", "parts": [
-                        {"family": "scaled", "factor": alpha, "inner": {"family": "sine"}},
-                        {"family": "scaled", "factor": beta, "inner": {"family": "cosine"}}]},
-                    "amplitude": 1.0},
-        "control": {"variant": "constant", "theta": float(theta)},
-        "stability": {"direction": "forward", "m_max": 40, "tol": 1e-9,
-                      "series_tol": 1e-13, "bound_mode": "quasi",
-                      "probes": {"count": 60, "box": 10.0}},
-    }
-
-
-def _preset_pnorm_p1():
-    cfg = _preset_power_forward()
-    cfg["name"] = "pnorm-p1"
-    cfg["seed"] = 14
-    cfg["stability"]["bound_mode"] = "p"
-    return cfg
-
-
-def _preset_pnorm_phalf():
-    return {
-        "name": "pnorm-phalf", "kind": "stability", "seed": 15,
-        "equation": {"id": "fe3", "n": 3},
-        "norm": {"kind": "lp_quasi", "p": 0.5, "dim": 2},
-        "domain_norm": {"kind": "euclidean", "dim": 1},
-        "mapping": {"family": "perturbed",
-                    "base": {"family": "stack", "parts": [
-                        {"family": "quadratic_form", "coefficients": [[1.0]]},
-                        {"family": "quadratic_form", "coefficients": [[2.0]]}]},
-                    "bump": {"family": "stack", "parts": [
-                        {"family": "scaled", "factor": 1.0, "inner": {"family": "odd_growth"}},
-                        {"family": "scaled", "factor": -0.5, "inner": {"family": "odd_growth"}}]},
-                    "amplitude": 0.04},
-        "control": {"variant": "power", "epsilon": None, "r": 1.0, "fit_trials": 400},
-        "stability": {"direction": "forward", "m_max": 40, "tol": 1e-9,
-                      "series_tol": 1e-13, "bound_mode": "p",
-                      "probes": {"count": 60, "box": 10.0}},
-    }
-
-
-def _preset_bound_equality():
-    return {
-        "name": "k1-equals-p1", "kind": "bound_equality", "seed": 0,
-        "grid": {"n": [3, 4, 5], "r": [0.5, 1.0, 1.5, 2.5, 3.0, 4.0],
-                 "norm_x": [0.5, 1.0, 2.0], "epsilon": 1.0, "series_tol": 1e-15},
-        "tol": 1e-12,
-    }
-
-
-def _preset_unitary_covariance():
-    return {
-        "name": "unitary-covariance", "kind": "covariance", "seed": 5,
-        "n": 3,
-        "mapping": {"family": "perturbed",
-                    "base": {"family": "matrix_square", "k": 2},
-                    "bump": {"family": "matrix_sine_bump",
-                             "h_real": [[1.0, 0.3], [0.3, -0.5]]},
-                    "amplitude": 0.1},
-        "unitaries": 100, "tol": 1e-6,
-        "probes": {"count": 3, "box": 3.0},
-        "stability": {"m_max": 25, "tol": 1e-10},
-    }
-
-
-def _preset_deadzone():
-    return {
-        "name": "open-problem-deadzone", "kind": "deadzone", "seed": 0,
-        "n": 3, "theta": 1.0, "K_sweep": [3.0, 3.5, 3.9, 4.0, 4.5, 5.0],
-        "expected_status": STATUS_REJECTED_OPEN_PROBLEM,
-    }
-
-
-PRESETS: dict[str, tuple[str, object]] = {
+# name -> (description, config without "name"); preset_config hands out deep copies
+PRESETS: dict[str, tuple[str, dict]] = {
     "oracle-fe2-fe1": (
         "three-point centroid identity and the quadratic equation cut the same space over F_7",
-        _preset_oracle_fe2),
+        {"kind": "oracle", "seed": 1, "equation_a": {"id": "fe2"}, "equation_b": {"id": "fe1"},
+         "group": {"q": 7, "d": 1}}),
     "oracle-fe3-fe1": (
         "n-point centroid equation (n=3) matches the quadratic equation over F_5, dim 1",
-        _preset_oracle_fe3),
+        {"kind": "oracle", "seed": 1, "equation_a": {"id": "fe3", "n": 3},
+         "equation_b": {"id": "fe1"}, "group": {"q": 5, "d": 1}}),
     "oracle-fe3_0-fe1": (
         "shifted two-variable equation (a=2) matches the quadratic equation over F_7",
-        _preset_oracle_fe3_0),
+        {"kind": "oracle", "seed": 1, "equation_a": {"id": "fe3_0", "a": 2},
+         "equation_b": {"id": "fe1"}, "group": {"q": 7, "d": 1}}),
     "fe1-dimension": (
         "quadratic solution space over F_7^2 has dimension d(d+1)/2 = 3",
-        _preset_fe1_dimension),
+        {"kind": "dimension", "seed": 1, "equation": {"id": "fe1"}, "group": {"q": 7, "d": 2},
+         "expected_dim": 3}),
     "inner-product-pass": (
         "Euclidean plane satisfies the shifted squared-norm identity (a=2)",
-        _preset_inner_product_pass),
+        {"kind": "inner_product", "seed": 3, "norm": {"kind": "euclidean", "dim": 2},
+         "mode": "b", "param": 2, "trials": 4000, "expect": "pass"}),
     "inner-product-centroid": (
         "Euclidean 3-space satisfies the centroid squared-norm identity (n=3)",
-        _preset_inner_product_centroid),
+        {"kind": "inner_product", "seed": 3, "norm": {"kind": "euclidean", "dim": 3},
+         "mode": "c", "param": 3, "trials": 4000, "expect": "pass"}),
     "inner-product-fail": (
         "l1 plane violates the shifted identity with witness e1, e2 and residual 4",
-        _preset_inner_product_fail),
+        {"kind": "inner_product", "seed": 3, "norm": {"kind": "l1", "dim": 2}, "mode": "b",
+         "param": 2, "trials": 4000, "expect": "witness",
+         "witness": {"x": [1.0, 0.0], "y": [0.0, 1.0], "residual": 4.0}}),
     "power-forward": (
         "forward scheme with power budget r=1: deviation under (n+2)K eps |x|^r / (n[(n-1)^2-K(n-1)^r])",
-        _preset_power_forward),
+        _fe3_stability(11, {"kind": "euclidean", "dim": 1}, _SQUARE_ODD_BUMP, _fitted_power(1.0),
+                       "forward", "quasi", 100)),
     "power-backward": (
         "backward scheme with power budget r=3: deviation under the mirrored closed form",
-        _preset_power_backward),
+        _fe3_stability(12, {"kind": "euclidean", "dim": 1},
+                       {"family": "perturbed", "base": _SQUARE,
+                        "bump": {"family": "monomial", "degree": 3}, "amplitude": 0.01},
+                       _fitted_power(3.0), "backward", "quasi", 100)),
     "constant-quasinorm": (
         "constant budget in the l^{1/2} quasi-norm plane (K=2): deviation under 5 theta / 3",
-        _preset_constant_quasinorm),
+        _fe3_stability(13, {"kind": "lp_quasi", "p": 0.5, "dim": 2},
+                       {"family": "perturbed", "base": _SQUARES, "amplitude": 1.0,
+                        "bump": {"family": "stack", "parts": [
+                            {"family": "scaled", "factor": 0.05, "inner": {"family": "sine"}},
+                            {"family": "scaled", "factor": 0.08, "inner": {"family": "cosine"}}]}},
+                       {"variant": "constant",
+                        "theta": float(12.0 * (np.sqrt(0.05) + np.sqrt(0.08)) ** 2)},
+                       "forward", "quasi", 60)),
     "pnorm-p1": (
         "p-norm route at p=1 reproduces the K=1 run",
-        _preset_pnorm_p1),
+        _fe3_stability(14, {"kind": "euclidean", "dim": 1}, _SQUARE_ODD_BUMP, _fitted_power(1.0),
+                       "forward", "p", 100)),
     "pnorm-phalf": (
         "p-norm route at p=1/2 in the l^{1/2} plane with power budget r=1",
-        _preset_pnorm_phalf),
+        _fe3_stability(15, {"kind": "lp_quasi", "p": 0.5, "dim": 2},
+                       {"family": "perturbed", "base": _SQUARES, "amplitude": 0.04,
+                        "bump": {"family": "stack", "parts": [
+                            {"family": "scaled", "factor": 1.0, "inner": {"family": "odd_growth"}},
+                            {"family": "scaled", "factor": -0.5,
+                             "inner": {"family": "odd_growth"}}]}},
+                       _fitted_power(1.0), "forward", "p", 60)),
     "k1-equals-p1": (
         "closed forms and series agree between K=1 and p=1 on a parameter grid",
-        _preset_bound_equality),
+        {"kind": "bound_equality", "seed": 0,
+         "grid": {"n": [3, 4, 5], "r": [0.5, 1.0, 1.5, 2.5, 3.0, 4.0],
+                  "norm_x": [0.5, 1.0, 2.0], "epsilon": 1.0, "series_tol": 1e-15},
+         "tol": 1e-12}),
     "unitary-covariance": (
         "stabilized limit of a perturbed matrix square is unitarily covariant on M_2(C)",
-        _preset_unitary_covariance),
+        {"kind": "covariance", "seed": 5, "n": 3,
+         "mapping": {"family": "perturbed", "base": {"family": "matrix_square", "k": 2},
+                     "bump": {"family": "matrix_sine_bump", "h_real": [[1.0, 0.3], [0.3, -0.5]]},
+                     "amplitude": 0.1},
+         "unitaries": 100, "tol": 1e-6, "probes": {"count": 3, "box": 3.0},
+         "stability": {"m_max": 25, "tol": 1e-10}}),
     "open-problem-deadzone": (
         "constant-budget denominator (n-1)^2 - K crosses zero; K >= (n-1)^2 is rejected",
-        _preset_deadzone),
+        {"kind": "deadzone", "seed": 0, "n": 3, "theta": 1.0,
+         "K_sweep": [3.0, 3.5, 3.9, 4.0, 4.5, 5.0],
+         "expected_status": STATUS_REJECTED_OPEN_PROBLEM}),
 }
 
 
@@ -909,7 +822,7 @@ def list_presets() -> list[tuple[str, str]]:
 def preset_config(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; try `quadstab list`")
-    return PRESETS[name][1]()
+    return {"name": name, **copy.deepcopy(PRESETS[name][1])}
 
 
 def run_preset(name: str, outdir: str | None = None, seed: int | None = None,

@@ -4,6 +4,10 @@ Mappings are closed-form families rather than bare callables so experiment
 configurations stay serializable; ``Custom`` is the escape hatch for tests.
 Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
+`approximate_remainder` is the one unitary-twisted residual (conjugation, or
+a self-adjoint companion via `mode`), and `sample_residuals` is the one
+seeded sampler of residuals that the empirical sup, the control fits and the
+consistency check all read.
 """
 
 from __future__ import annotations
@@ -352,8 +356,13 @@ def residual_fe3_0(f, a: int, x, y):
     return equation_residual(f, EquationSpec("fe3_0", a=a), (x, y))
 
 
-def approximate_remainder(f, u, n: int, xs):
-    """Unitary-twisted residual: n sum_{i<j} f(u x_i - u x_j) - sum_i u f(sum_j x_j - n x_i) u*."""
+def approximate_remainder(f, u, n: int, xs, mode: str | None = None):
+    """Unitary-twisted residual: n sum_{i<j} f(u x_i - u x_j) - sum_i u f(sum_j x_j - n x_i) u*.
+
+    With mode "left", "right" or "avg" the single terms are multiplied by the
+    self-adjoint companion hat(u, mode) instead of conjugated; that variant
+    requires ||u|| = 1 (modulus for scalars, spectral norm for matrices).
+    """
     if n < 3:
         raise ValueError("arity n must be >= 3")
     pts = [np.asarray(x) for x in xs]
@@ -364,34 +373,14 @@ def approximate_remainder(f, u, n: int, xs):
         raise ValueError(
             f"algebra dimension mismatch: unitary {u_arr.shape}, module expects k={f.domain.k}"
         )
-    pair_sum = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = np.asarray(f(act(u, pts[i] - pts[j])))
-            pair_sum = val if pair_sum is None else pair_sum + val
-    total = np.sum(np.stack(pts), axis=0)
-    single_sum = None
-    for i in range(n):
-        val = conjugate_value(u, np.asarray(f(total - n * pts[i])))
-        single_sum = val if single_sum is None else single_sum + val
-    return n * pair_sum - single_sum
-
-
-def approximate_remainder_sa(f, u, mode: str, n: int, xs):
-    """Variant that multiplies by the self-adjoint companion of u instead of conjugating.
-
-    Requires ||u|| = 1 (modulus for scalars, spectral norm for matrices).
-    """
-    if n < 3:
-        raise ValueError("arity n must be >= 3")
-    u_arr = np.asarray(u)
-    norm_u = abs(complex(u_arr)) if u_arr.ndim == 0 else float(np.linalg.norm(u_arr, 2))
-    if abs(norm_u - 1.0) > 1e-9:
-        raise ValueError(f"element must have unit norm, got {norm_u}")
-    pts = [np.asarray(x) for x in xs]
-    if len(pts) != n:
-        raise ValueError(f"expected {n} points, got {len(pts)}")
-    u_hat = hat(u_arr, mode)
+    if mode is None:
+        twist = lambda v: conjugate_value(u_arr, v)
+    else:
+        norm_u = abs(complex(u_arr)) if u_arr.ndim == 0 else float(np.linalg.norm(u_arr, 2))
+        if abs(norm_u - 1.0) > 1e-9:
+            raise ValueError(f"element must have unit norm, got {norm_u}")
+        u_hat = hat(u_arr, mode)
+        twist = lambda v: u_hat @ v if np.ndim(u_hat) == 2 else u_hat * v
     pair_sum = None
     for i in range(n):
         for j in range(i + 1, n):
@@ -400,8 +389,7 @@ def approximate_remainder_sa(f, u, mode: str, n: int, xs):
     total = np.sum(np.stack(pts), axis=0)
     single_sum = None
     for i in range(n):
-        raw = np.asarray(f(total - n * pts[i]))
-        val = u_hat @ raw if np.ndim(u_hat) == 2 else u_hat * raw
+        val = twist(np.asarray(f(total - n * pts[i])))
         single_sum = val if single_sum is None else single_sum + val
     return n * pair_sum - single_sum
 
@@ -423,29 +411,42 @@ def draw_unitary(rng: np.random.Generator, domain: Domain):
     return float(rng.choice((-1.0, 1.0)))
 
 
-def empirical_sup_residual(f, eq, sampler=None, trials: int = 1000, seed: int = 0,
-                           norm=None, box: float = 10.0) -> float:
-    """Max residual norm over sampled tuples; fe3 also twists by sampled unitaries.
+class NonFiniteResidualError(ValueError):
+    """A sampled residual is NaN or infinite, so it has no place in a sup."""
 
-    With a fixed seed the sample stream is a prefix chain, so the estimate is
-    monotone nondecreasing in `trials`.
+
+def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
+    """Yield (points, residual) for `trials` sampled tuples; fe3 also twists by a unitary.
+
+    One default_rng(seed) draws, per tuple, eq.arity box points and then, for
+    fe3 only, one unitary.  Fitted controls and preset CSVs depend on this
+    order, and with a fixed seed the samples form a prefix chain in `trials`.
+    Raises NonFiniteResidualError at the first residual that is not finite.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(eq, EquationSpec):
-        raise TypeError("eq must be an EquationSpec")
     rng = np.random.default_rng(seed)
-    norm = norm or value_norm
-    if sampler is None:
-        def sampler(r):
-            return tuple(f.domain.random(r, box=box) for _ in range(eq.arity))
-    sup = 0.0
-    for _ in range(trials):
-        pts = sampler(rng)
+    for t in range(trials):
+        pts = tuple(f.domain.random(rng, box=box) for _ in range(eq.arity))
         if eq.id == "fe3":
-            u = draw_unitary(rng, f.domain)
-            val = approximate_remainder(f, u, eq.n, pts)
+            val = approximate_remainder(f, draw_unitary(rng, f.domain), eq.n, pts)
         else:
             val = equation_residual(f, eq, pts)
+        if not np.isfinite(val).all():
+            raise NonFiniteResidualError(f"non-finite residual at sample {t} (box {box:g})")
+        yield pts, val
+
+
+def empirical_sup_residual(f, eq, trials: int = 1000, seed: int = 0,
+                           norm=None, box: float = 10.0) -> float:
+    """Max residual norm over the tuples of `sample_residuals`.
+
+    With a fixed seed the estimate is monotone nondecreasing in `trials`.
+    """
+    if not isinstance(eq, EquationSpec):
+        raise TypeError("eq must be an EquationSpec")
+    norm = norm or value_norm
+    sup = 0.0
+    for _, val in sample_residuals(f, eq, trials, seed, box):
         sup = max(sup, norm(val))
     return sup

@@ -141,6 +141,8 @@ def test_hat_self_adjoint_psd():
 def test_hat_bad_mode():
     with pytest.raises(ValueError):
         qs.hat(np.eye(2), "sideways")
+    with pytest.raises(ValueError):
+        qs.hat(1.0, "sideways")
 
 
 def test_module_point_validation():

@@ -261,3 +261,82 @@ def test_constant_quasinorm_preset_bound_value():
     for row in res.rows:
         assert row.bound == pytest.approx(expect, rel=1e-9)
         assert row.deviation <= row.bound + 1e-9
+
+
+def test_preset_config_returns_independent_copies():
+    cfg = h.preset_config("power-forward")
+    assert cfg["name"] == "power-forward"
+    cfg["stability"]["probes"]["count"] = 1
+    cfg["mapping"]["base"]["coefficients"][0][0] = 9.0
+    fresh = h.preset_config("power-forward")
+    assert fresh["stability"]["probes"]["count"] == 100
+    assert fresh["mapping"]["base"]["coefficients"] == [[1.0]]
+    assert h.preset_config("pnorm-p1")["mapping"]["base"]["coefficients"] == [[1.0]]
+
+
+def test_non_finite_fit_is_a_control_error(tmp_path):
+    # the odd bump overflows on this box, so no finite epsilon can be fitted
+    cfg = h.preset_config("power-forward")
+    cfg["control"]["fit_box"] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "control"
+    assert "non-finite residual at sample 0" in str(err.value)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+
+
+def test_non_finite_check_with_given_control_warns_and_runs():
+    cfg = h.preset_config("power-forward")
+    cfg["control"] = {"variant": "power", "epsilon": 1.0, "r": 1.0}
+    cfg["mapping"] = {"family": "monomial", "degree": 400}
+    cfg["stability"]["probes"] = {"count": 3, "box": 1.0}
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert len(res.rows) == 3
+    assert any("cannot be checked: non-finite residual" in w for w in res.summary["warnings"])
+
+
+def test_listed_probe_of_wrong_dimension_is_a_validation_error():
+    cfg = h.preset_config("power-forward")
+    cfg["stability"]["probes"] = [[1.0], [1.0, 2.0]]
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "stability.probes.1"
+
+
+def test_covariance_probe_of_wrong_dimension_is_a_validation_error():
+    cfg = h.preset_config("unitary-covariance")
+    cfg["probes"] = [[1.0, 2.0]]
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "probes.0"
+
+
+def test_codomain_norm_of_wrong_dimension_is_a_validation_error():
+    cfg = h.preset_config("power-forward")
+    cfg["norm"] = {"kind": "euclidean", "dim": 2}
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "norm.dim"
+
+
+def test_covariance_with_non_finite_residuals_is_a_mapping_error():
+    cfg = h.preset_config("unitary-covariance")
+    cfg["mapping"] = {"family": "monomial", "degree": 400}
+    cfg["probes"] = {"count": 2, "box": 1.0}
+    with np.errstate(all="ignore"), pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "mapping"
+
+
+def test_backward_covariance_is_rejected_divergent():
+    cfg = h.preset_config("unitary-covariance")
+    cfg["stability"]["direction"] = "backward"
+    res = h.run_scenario(cfg, write_csv=False)
+    assert [r.status for r in res.rows] == ["rejected-divergent"]
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    cfg["expected_status"] = "rejected-divergent"
+    assert h.run_scenario(cfg, write_csv=False).exit_code == h.EXIT_EXPECTED_REJECTION

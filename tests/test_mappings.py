@@ -144,6 +144,11 @@ def test_approximate_remainder_validation():
         qs.approximate_remainder(f, np.eye(3), 3, tuple(np.zeros((1, 2, 2)) for _ in range(3)))
     with pytest.raises(ValueError):
         qs.approximate_remainder(f, np.eye(2), 2, tuple(np.zeros((1, 2, 2)) for _ in range(2)))
+    # the self-adjoint variant needs a unit-norm element
+    xs = tuple(np.zeros((1, 2, 2)) for _ in range(3))
+    assert np.allclose(qs.approximate_remainder(f, np.eye(2), 3, xs, mode="avg"), 0.0)
+    with pytest.raises(ValueError, match="unit norm"):
+        qs.approximate_remainder(f, 2.0 * np.eye(2), 3, xs, mode="avg")
 
 
 def test_approximate_remainder_sa():
@@ -152,18 +157,18 @@ def test_approximate_remainder_sa():
     for theta in rng.uniform(0, 2 * np.pi, 20):
         u = np.exp(1j * theta)
         xs = tuple(rng.uniform(-5, 5, 1) + 0j for _ in range(3))
-        val = qs.approximate_remainder_sa(f, u, "avg", 3, xs)
+        val = qs.approximate_remainder(f, u, 3, xs, mode="avg")
         assert abs(val) <= 1e-9 * (1.0 + sum(abs(x[0]) ** 2 for x in xs))
     # u = 1 reduces to the plain residual
     g = tcube()
     xs = ([1.0], [0.0], [0.0])
-    assert qs.approximate_remainder_sa(g, 1.0, "avg", 3, xs) == pytest.approx(
+    assert qs.approximate_remainder(g, 1.0, 3, xs, mode="avg") == pytest.approx(
         qs.residual_fe3(g, 3, xs))
     # odd cubic: nonzero at u = +1, and exactly zero at u = -1 by oddness
-    assert qs.approximate_remainder_sa(g, 1.0, "avg", 3, xs) == pytest.approx(12.0)
-    assert qs.approximate_remainder_sa(g, -1.0, "avg", 3, xs) == pytest.approx(0.0, abs=1e-12)
+    assert qs.approximate_remainder(g, 1.0, 3, xs, mode="avg") == pytest.approx(12.0)
+    assert qs.approximate_remainder(g, -1.0, 3, xs, mode="avg") == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        qs.approximate_remainder_sa(g, 2.0, "avg", 3, xs)
+        qs.approximate_remainder(g, 2.0, 3, xs, mode="avg")
 
 
 def test_empirical_sup_residual():
@@ -176,6 +181,10 @@ def test_empirical_sup_residual():
     assert 0.0 < sup <= 12.0
     with pytest.raises(ValueError):
         qs.empirical_sup_residual(g, eq, trials=0)
+    # x^2 overflows on this box and the residual is inf - inf: an error, not a sup of 0
+    with pytest.raises(qs.NonFiniteResidualError, match="non-finite residual at sample 0"):
+        with np.errstate(all="ignore"):
+            qs.empirical_sup_residual(f, EquationSpec("fe1"), box=1e200)
 
 
 def test_empirical_sup_monotone_in_trials():

@@ -417,6 +417,10 @@ def test_fit_constant_level():
     f = qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.Sine(), 0.1)
     theta = qs.fit_constant_level(f, 3, trials=300, seed=0)
     assert 0.0 < theta <= 1.2 + 1e-9
+    # the fit and the empirical sup read the same sample stream
+    assert theta == qs.empirical_sup_residual(f, qs.EquationSpec("fe3", n=3), trials=300, seed=0)
+    levels = [qs.fit_constant_level(f, 3, trials=t, seed=4) for t in (1, 10, 50, 200)]
+    assert levels == sorted(levels)
 
 
 def test_verify_unitary_covariance_exact():
