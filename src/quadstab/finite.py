@@ -8,7 +8,9 @@ pair, and repeat substitution tuples) and every remaining row is verified
 against the candidate nullspace, since over a field a row annihilates
 null(B) exactly when it lies in rowspace(B).  Violating rows are folded
 into the basis, so the result equals full elimination of the streamed
-system.
+system.  Each equation's constraints are streamed once; two solution spaces
+are compared as the column spans of their nullspace matrices.  Groups over
+the dense-elimination column cap are refused when the system is built.
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.
@@ -19,6 +21,7 @@ normed spaces, which shares the equation term lists.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -204,13 +207,18 @@ class ConstraintMatrix:
         self.terms, self.arity = equation_terms(eq)
         self.eq = eq if isinstance(eq, EquationSpec) else None
         self.group = group
-        total = group.size**self.arity
+        size = group.size
+        if size > MAX_COLUMNS:
+            raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, group has {size}")
+        total = size**self.arity
         if total <= FULL_STREAM_CAP:
             self.plan = "full"
             self.n_rows = total
         else:
             self.plan = "subsample"
-            self.n_rows = len(structured_tuples(group, self.arity)) + SAMPLE_TUPLES
+            # len(structured_tuples(group, arity)), without building them
+            pairs = 2 * (size - 1) + size * size if self.arity >= 2 else 0
+            self.n_rows = 1 + self.arity * (size - 1) + pairs + SAMPLE_TUPLES
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -349,9 +357,8 @@ def _residual_nonzero(M: ConstraintMatrix, tuples: np.ndarray, candidates: np.nd
     return acc != 0
 
 
-def _stream_nullspace(M: ConstraintMatrix, extra: np.ndarray | None = None):
-    """Exact nullspace of the streamed system; also reports which `extra`
-    columns (candidate function vectors) satisfy every streamed constraint.
+def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
+    """Exact nullspace (as columns) of the streamed system.
 
     Works because over a field a row annihilates null(B) iff it lies in
     rowspace(B): verified rows are provably redundant, violating rows are
@@ -359,46 +366,28 @@ def _stream_nullspace(M: ConstraintMatrix, extra: np.ndarray | None = None):
     """
     size = M.group.size
     q = M.group.q
-    if size > MAX_COLUMNS:
-        raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, group has {size}")
     boot = structured_tuples(M.group, M.arity)
     first = min(boot.shape[0], max(2 * size, 512))
     basis = gf_rref(M.densify(boot[:first]), q)
     null = gf_nullspace(basis, q, size)
-    extra_ok = np.ones(extra.shape[1], dtype=bool) if extra is not None else None
     merge_cap = max(4 * size, 512)
 
-    def absorb(tuples: np.ndarray):
+    def absorb(pending: np.ndarray):
         nonlocal basis, null
-        live = np.nonzero(extra_ok)[0] if extra is not None else np.empty(0, dtype=np.int64)
-        k = null.shape[1]
-        parts = []
-        if k:
-            parts.append(null)
-        if live.size:
-            parts.append(extra[:, live])
-        if not parts:
-            return
-        nz = _residual_nonzero(M, tuples, np.concatenate(parts, axis=1))
-        if live.size:
-            bad_cols = nz[:, k:].any(axis=0)
-            extra_ok[live[bad_cols]] = False
-        if not k:
-            return
-        pending = tuples[nz[:, :k].any(axis=1)]
         while pending.shape[0] and null.shape[1]:
+            pending = pending[_residual_nonzero(M, pending, null).any(axis=1)]
             take = pending[:merge_cap]
+            if not take.shape[0]:
+                return
             basis = gf_rref(np.vstack([basis, M.densify(take)]), q)
             null = gf_nullspace(basis, q, size)
             pending = pending[take.shape[0]:]
-            if pending.shape[0] and null.shape[1]:
-                pending = pending[_residual_nonzero(M, pending, null).any(axis=1)]
 
     for start in range(first, boot.shape[0], _CHUNK):
         absorb(boot[start:start + _CHUNK])
     for batch in M.tuple_batches():
         absorb(batch)
-    return null, extra_ok
+    return null
 
 
 def nullspace_basis(M, q: int | None = None) -> list[np.ndarray]:
@@ -407,13 +396,13 @@ def nullspace_basis(M, q: int | None = None) -> list[np.ndarray]:
     Accepts a ConstraintMatrix, or a dense integer matrix together with q.
     """
     if isinstance(M, ConstraintMatrix):
-        null, _ = _stream_nullspace(M)
-        return [null[:, j].copy() for j in range(null.shape[1])]
-    if q is None:
+        null = _stream_nullspace(M)
+    elif q is None:
         raise ValueError("dense matrices need the modulus q")
-    A = np.asarray(M, dtype=np.int64)
-    R = gf_rref(A, q)
-    null = gf_nullspace(R, q, A.shape[1])
+    else:
+        A = np.asarray(M, dtype=np.int64)
+        R = gf_rref(A, q)
+        null = gf_nullspace(R, q, A.shape[1])
     return [null[:, j].copy() for j in range(null.shape[1])]
 
 
@@ -428,6 +417,13 @@ def constraints_hold(M: ConstraintMatrix, vectors) -> np.ndarray:
         bad = _residual_nonzero(M, batch, cand[:, live]).any(axis=0)
         ok[live[bad]] = False
     return ok
+
+
+def _outside_span(V: np.ndarray, N: np.ndarray, q: int) -> np.ndarray:
+    """Columns of V (entries reduced mod q) outside the column span of N over
+    GF(q): a row v lies in the row space of R = rref(N^T) iff v = v[pivots] @ R."""
+    R = gf_rref(N.T, q)
+    return np.nonzero(((V.T[:, _pivot_columns(R)] @ R - V.T) % q).any(axis=1))[0]
 
 
 @dataclass
@@ -445,24 +441,21 @@ class SpaceComparison:
 def spaces_equal(eqA, eqB, G: GroupSpec) -> SpaceComparison:
     """Do the two equations have the same solution space over the group?
 
-    Checked by equal dimension plus mutual containment; when false, the
-    certificate is a function table solving one equation but not the other.
+    Both nullspaces are exact for their streamed systems, so the spaces are
+    compared as column spans.  When they differ, the certificate is the first
+    basis column of one side outside the other's span: a function table
+    solving one equation but not the other.
     """
     MA = enumerate_constraints(eqA, G)
     MB = enumerate_constraints(eqB, G)
-    nb = nullspace_basis(MB)
-    NB = (np.stack(nb, axis=1) if nb
-          else np.zeros((G.size, 0), dtype=np.int64))
-    NA_mat, nb_ok = _stream_nullspace(MA, extra=NB)
-    dim_a, dim_b = NA_mat.shape[1], NB.shape[1]
-    if nb_ok is not None and not nb_ok.all():
-        j = int(np.nonzero(~nb_ok)[0][0])
-        return SpaceComparison(False, dim_a, dim_b, certificate=NB[:, j].copy(), side="right-only")
-    na_ok = constraints_hold(MB, [NA_mat[:, j] for j in range(dim_a)]) if dim_a else np.ones(0, bool)
-    if not na_ok.all():
-        j = int(np.nonzero(~na_ok)[0][0])
-        return SpaceComparison(False, dim_a, dim_b, certificate=NA_mat[:, j].copy(), side="left-only")
-    return SpaceComparison(dim_a == dim_b, dim_a, dim_b)
+    NB = _stream_nullspace(MB)
+    NA = _stream_nullspace(MA)
+    dims = (NA.shape[1], NB.shape[1])
+    for side, N, V in (("right-only", NA, NB), ("left-only", NB, NA)):
+        outside = _outside_span(V, N, G.q)
+        if outside.size:
+            return SpaceComparison(False, *dims, certificate=V[:, outside[0]].copy(), side=side)
+    return SpaceComparison(True, *dims)
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +577,15 @@ def inner_product_characterization(spec: QuasiNormSpec, mode: str, param: int,
                 pts[1] = eye[j].copy()
                 yield tuple(pts)
 
-    rng = np.random.default_rng(seed)
+    def random_tuples():
+        rng = np.random.default_rng(seed)
+        while True:
+            yield tuple(rng.uniform(-10.0, 10.0, dim) for _ in range(arity))
+
     sup = 0.0
-    count = 0
-    for pts in prelude():
+    for pts in itertools.islice(itertools.chain(prelude(), random_tuples()), trials):
         res, scale = residual_and_scale(pts)
         sup = max(sup, abs(res))
         if abs(res) > tol_factor * scale:
             return CharacterizationResult(False, sup, witness=pts, witness_residual=res)
-        count += 1
-        if count >= trials:
-            break
-    while count < trials:
-        pts = tuple(rng.uniform(-10.0, 10.0, dim) for _ in range(arity))
-        res, scale = residual_and_scale(pts)
-        sup = max(sup, abs(res))
-        if abs(res) > tol_factor * scale:
-            return CharacterizationResult(False, sup, witness=pts, witness_residual=res)
-        count += 1
     return CharacterizationResult(True, sup)

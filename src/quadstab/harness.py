@@ -35,7 +35,7 @@ import jsonschema
 
 from . import algebra, finite
 from .equations import EquationSpec, parse_equation
-from .mappings import Mapping, NonFiniteResidualError, mapping_from_config
+from .mappings import Mapping, NonFiniteResidualError, Tabulated, mapping_from_config
 from .stability import (
     ControlFunction,
     DivergenceError,
@@ -252,9 +252,18 @@ def _equation_from_config(cfg: dict, path: str) -> EquationSpec:
 
 def _mapping_from_config(cfg: dict, path: str) -> Mapping:
     try:
-        return mapping_from_config(cfg)
+        f = mapping_from_config(cfg)
     except (KeyError, ValueError, TypeError) as e:
         raise ScenarioValidationError(path, str(e)) from e
+    # real runs refuse a table over GF(q), also inside a combinator
+    stack = [(path, f)]
+    while stack:
+        at, g = stack.pop(0)
+        if isinstance(g, Tabulated):
+            raise ScenarioValidationError(at, "a tabulated mapping takes values in GF(q), not in a real space")
+        stack += [(f"{at}.{k}", getattr(g, k)) for k in ("base", "bump", "inner") if hasattr(g, k)]
+        stack += [(f"{at}.parts.{i}", h) for i, h in enumerate(getattr(g, "parts", ()))]
+    return f
 
 
 def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
@@ -428,7 +437,7 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
         with warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             report = stabilize(f, phi, cfg)
-        caught = [str(w.message) for w in wlist]
+        caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each message once
     except DivergenceError as e:
         return [_rejected(name, "-", "", e)], {"text": f"rejected: {e}",
                                                "control": _control_summary(phi)}
@@ -472,7 +481,7 @@ def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
     group = _group_from_config(config["group"], "group")
     try:
         cmp = finite.spaces_equal(eq_a, eq_b, group)
-    except finite.InadmissibleGroupError as e:
+    except ValueError as e:  # inadmissible, or over the column cap
         raise ScenarioValidationError("group", str(e)) from e
     status = STATUS_PASS if cmp.equal else STATUS_FAIL
     if cmp.equal:
@@ -491,7 +500,7 @@ def _run_dimension(config: dict) -> tuple[list[ResultRow], dict]:
     expected = int(config["expected_dim"])
     try:
         basis = finite.nullspace_basis(finite.enumerate_constraints(eq, group))
-    except finite.InadmissibleGroupError as e:
+    except ValueError as e:  # inadmissible, or over the column cap
         raise ScenarioValidationError("group", str(e)) from e
     dim = len(basis)
     status = STATUS_PASS if dim == expected else STATUS_FAIL
@@ -915,7 +924,7 @@ def main(argv=None) -> int:
             eq2 = parse_equation(args.eq2)
             group = finite.GroupSpec(args.q, args.d)
             cmp = finite.spaces_equal(eq1, eq2, group)
-        except (ValueError, finite.InadmissibleGroupError) as e:
+        except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_VALIDATION
         if cmp.equal:

@@ -120,6 +120,11 @@ def test_subsample_plan_contract():
     assert np.array_equal(first_a, first_b)
     # small systems stream the full enumeration
     assert qs.enumerate_constraints(EquationSpec("fe3", n=4), GroupSpec(11, 1)).plan == "full"
+    # the planned row count is the structured block's length, other arities too
+    for eq, g in [(EquationSpec("fe2"), GroupSpec(7, 3)), (EquationSpec("fe3", n=5), GroupSpec(31, 1))]:
+        m = qs.enumerate_constraints(eq, g)
+        assert m.plan == "subsample"
+        assert m.n_rows == len(structured_tuples(g, m.arity)) + SAMPLE_TUPLES
 
 
 def test_admissibility():
@@ -346,8 +351,14 @@ def test_constraints_hold():
     assert ok.tolist() == [True, False]
 
 
-def test_columns_cap():
+def test_columns_cap(monkeypatch):
     # dense elimination is capped at 10^4 columns
     g = GroupSpec(101, 2)  # 10201 columns
     with pytest.raises(ValueError, match="capped"):
         qs.nullspace_basis(qs.enumerate_constraints(EquationSpec("fe1"), g))
+    # the cap is checked when the system is built, before any tuple exists
+    def no_tuples(*args):
+        raise AssertionError("substitution tuples built for an over-cap group")
+    monkeypatch.setattr("quadstab.finite.structured_tuples", no_tuples)
+    with pytest.raises(ValueError, match="capped"):
+        qs.ConstraintMatrix(EquationSpec("fe3", n=4), g)

@@ -299,6 +299,19 @@ def test_non_finite_check_with_given_control_warns_and_runs():
     assert any("cannot be checked: non-finite residual" in w for w in res.summary["warnings"])
 
 
+def test_stability_summary_keeps_each_warning_once():
+    # without errstate numpy warns on every overflowing evaluation (over 200
+    # times here); the summary keeps each message once, in first-seen order
+    cfg = h.preset_config("power-forward")
+    cfg["control"] = {"variant": "power", "epsilon": 1.0, "r": 1.0}
+    cfg["mapping"] = {"family": "monomial", "degree": 400}
+    cfg["stability"]["probes"] = {"count": 3, "box": 1.0}
+    warned = h.run_scenario(cfg, write_csv=False).summary["warnings"]
+    assert any("cannot be checked: non-finite residual" in w for w in warned)
+    assert any("overflow" in w for w in warned)
+    assert len(warned) == len(set(warned))
+
+
 def test_listed_probe_of_wrong_dimension_is_a_validation_error():
     cfg = h.preset_config("power-forward")
     cfg["stability"]["probes"] = [[1.0], [1.0, 2.0]]
@@ -340,3 +353,41 @@ def test_backward_covariance_is_rejected_divergent():
     assert res.exit_code == h.EXIT_BOUND_VIOLATION
     cfg["expected_status"] = "rejected-divergent"
     assert h.run_scenario(cfg, write_csv=False).exit_code == h.EXIT_EXPECTED_REJECTION
+
+
+def test_over_cap_group_is_a_group_error_without_building_rows(tmp_path):
+    # 101^2 = 10201 columns is over the dense-elimination cap; the cap is
+    # checked before any constraint row or substitution tuple is built
+    cfg = {"name": "big", "kind": "dimension", "equation": {"id": "fe1"},
+           "group": {"q": 101, "d": 2}, "expected_dim": 3}
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "group"
+    assert "capped" in str(err.value)
+    oracle = {"name": "big-oracle", "kind": "oracle", "equation_a": {"id": "fe2"},
+              "equation_b": {"id": "fe1"}, "group": {"q": 101, "d": 2}}
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(oracle, write_csv=False)
+    assert err.value.path == "group"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("preset,nest,path", [
+    ("power-forward", lambda t: t, "mapping"),
+    ("power-forward", lambda t: {"family": "perturbed", "base": {"family": "monomial", "degree": 2},
+                                 "bump": {"family": "scaled", "inner": t, "factor": 0.1}},
+     "mapping.bump.inner"),
+    ("unitary-covariance", lambda t: {"family": "sum", "parts": [{"family": "sine"}, t]},
+     "mapping.parts.1"),
+], ids=["stability-top", "stability-nested", "covariance-sum"])
+def test_tabulated_mapping_is_refused_by_real_runs(preset, nest, path):
+    # a table over GF(q) has no real values to stabilize, at any depth
+    table = {"family": "tabulated", "table": [0, 1, 4, 4, 1], "q": 5}
+    cfg = h.preset_config(preset)
+    cfg["mapping"] = nest(table)
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == path
+    assert "tabulated" in str(err.value)
