@@ -205,7 +205,6 @@ class ConstraintMatrix:
 
     def __init__(self, eq, group: GroupSpec):
         self.terms, self.arity = equation_terms(eq)
-        self.eq = eq if isinstance(eq, EquationSpec) else None
         self.group = group
         size = group.size
         if size > MAX_COLUMNS:

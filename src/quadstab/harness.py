@@ -15,11 +15,15 @@ Scenario kinds:
 Runs are deterministic given (config, seed); result CSVs are byte-identical
 across repeat runs.  Exit codes: 0 all rows pass, 2 validation error,
 3 bound violation or unexpected failure, 4 expected rejections only.
+Every refusal passes one boundary, `_at(path)`: an error raised while
+building or running what the field at `path` describes exits 2 naming that
+field, and a series that diverges passes through to become a rejected-* row.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import io
@@ -35,7 +39,7 @@ import jsonschema
 
 from . import algebra, finite
 from .equations import EquationSpec, parse_equation
-from .mappings import Mapping, NonFiniteResidualError, Tabulated, mapping_from_config
+from .mappings import Mapping, Tabulated, mapping_from_config
 from .stability import (
     ControlFunction,
     DivergenceError,
@@ -229,32 +233,33 @@ def validate_config(config: dict) -> None:
 # config -> objects
 
 
-def _norm_from_config(cfg: dict, path: str) -> algebra.QuasiNormSpec:
+@contextlib.contextmanager
+def _at(path: str):
+    """Raise ScenarioValidationError(path) for a config error; DivergenceError and
+    OpenProblemError, both ValueErrors, pass through for the runners' rejected-* rows."""
     try:
-        kind = cfg["kind"]
-        if kind == "euclidean":
-            return algebra.euclidean(cfg["dim"])
-        if kind == "l1":
-            return algebra.l1(cfg["dim"])
-        if kind == "lp_quasi":
-            return algebra.lp_quasi(cfg["p"], cfg["dim"])
-        return algebra.weighted(cfg["weights"])
-    except (KeyError, ValueError) as e:
-        raise ScenarioValidationError(path, str(e)) from e
+        yield
+    except (ScenarioValidationError, DivergenceError):
+        raise
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
+        why = (f"value out of floating-point range ({e})" if isinstance(e, OverflowError)
+               else f"missing field {e}" if isinstance(e, KeyError) else str(e))
+        raise ScenarioValidationError(path, why) from e
 
 
-def _equation_from_config(cfg: dict, path: str) -> EquationSpec:
-    try:
-        return EquationSpec(cfg["id"], n=cfg.get("n"), a=cfg.get("a"))
-    except (KeyError, ValueError) as e:
-        raise ScenarioValidationError(path, str(e)) from e
+# norm kind -> spec builder; each is called under _at
+_NORMS = {
+    "euclidean": lambda c: algebra.euclidean(c["dim"]),
+    "l1": lambda c: algebra.l1(c["dim"]),
+    "lp_quasi": lambda c: algebra.lp_quasi(c["p"], c["dim"]),
+    "weighted": lambda c: algebra.weighted(c["weights"]),
+}
 
 
-def _mapping_from_config(cfg: dict, path: str) -> Mapping:
-    try:
+def _mapping_from_config(cfg: dict, path: str) -> tuple[Mapping, object]:
+    """The mapping f and its value f(0), evaluated once per run."""
+    with _at(path):
         f = mapping_from_config(cfg)
-    except (KeyError, ValueError, TypeError) as e:
-        raise ScenarioValidationError(path, str(e)) from e
     # real runs refuse a table over GF(q), also inside a combinator
     stack = [(path, f)]
     while stack:
@@ -263,7 +268,8 @@ def _mapping_from_config(cfg: dict, path: str) -> Mapping:
             raise ScenarioValidationError(at, "a tabulated mapping takes values in GF(q), not in a real space")
         stack += [(f"{at}.{k}", getattr(g, k)) for k in ("base", "bump", "inner") if hasattr(g, k)]
         stack += [(f"{at}.parts.{i}", h) for i, h in enumerate(getattr(g, "parts", ()))]
-    return f
+    with _at(path):
+        return f, f(f.domain.zero())
 
 
 def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
@@ -271,30 +277,20 @@ def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
         zero = domain.zero()
         probes = []
         for i, p in enumerate(cfg):
-            try:
+            with _at(f"{path}.{i}"):
                 p = np.asarray(p, dtype=float)
-            except (TypeError, ValueError) as e:
-                raise ScenarioValidationError(f"{path}.{i}", str(e)) from e
-            if p.size != zero.size:
-                raise ScenarioValidationError(f"{path}.{i}", f"probe has {p.size} entries, "
-                                              f"domain points have shape {zero.shape}")
-            probes.append(p.reshape(zero.shape))
+                if p.size != zero.size:
+                    raise ValueError(f"probe has {p.size} entries, domain points have shape {zero.shape}")
+                probes.append(p.reshape(zero.shape))
         return tuple(probes)
     rng = np.random.default_rng([int(seed), 161803])
-    count = int(cfg["count"])
-    box = float(cfg.get("box", 10.0))
-    return tuple(domain.random(rng, box=box) for _ in range(count))
-
-
-def _group_from_config(cfg: dict, path: str) -> finite.GroupSpec:
-    try:
-        return finite.GroupSpec(int(cfg["q"]), int(cfg["d"]))
-    except (KeyError, ValueError) as e:
-        raise ScenarioValidationError(path, str(e)) from e
+    with _at(path):
+        box = float(cfg.get("box", 10.0))
+        return tuple(domain.random(rng, box=box) for _ in range(int(cfg["count"])))
 
 
 def _control_from_config(cfg: dict, f: Mapping, n: int, norm_spec, domain_norm_spec,
-                         seed: int, path: str) -> ControlFunction:
+                         seed: int) -> ControlFunction:
     variant = cfg["variant"]
     dnorm = (lambda x: algebra.norm_eval(domain_norm_spec, x)) if domain_norm_spec else None
     cnorm = lambda v: codomain_norm(norm_spec, v)
@@ -302,23 +298,24 @@ def _control_from_config(cfg: dict, f: Mapping, n: int, norm_spec, domain_norm_s
     box = float(cfg.get("fit_box", 10.0))
     r = float(cfg.get("r", 1.0))
     level = cfg.get("epsilon" if variant == "power" else "theta")
-    if level is None:
-        try:  # a sampled residual that is not finite leaves nothing to fit
-            level = (fit_power_amplitude(f, n, r, trials=trials, seed=seed, box=box,
-                                         domain_norm=dnorm, codomain=cnorm)
-                     if variant == "power" else
-                     fit_constant_level(f, n, trials=trials, seed=seed, box=box, codomain=cnorm))
-        except ValueError as e:
-            raise ScenarioValidationError(path, str(e)) from e
+    if level is None:  # a sampled residual that is not finite leaves nothing to fit
+        level = (fit_power_amplitude(f, n, r, trials=trials, seed=seed, box=box,
+                                     domain_norm=dnorm, codomain=cnorm)
+                 if variant == "power" else
+                 fit_constant_level(f, n, trials=trials, seed=seed, box=box, codomain=cnorm))
     return power(float(level), r, norm=dnorm) if variant == "power" else constant(float(level))
 
 
-def _check_codomain_norm(norm_spec, f: Mapping, path: str) -> None:
-    """The codomain norm must measure f's values, checked on f(0) before any run."""
-    try:
-        codomain_norm(norm_spec, f(f.domain.zero()))
-    except ValueError as e:
-        raise ScenarioValidationError(path, str(e)) from e
+def _stability_config(config: dict, n: int, norm_spec, probes: tuple, m_max: int, tol: float,
+                      domain_norm=None) -> StabilityConfig:
+    """The `stability` section as a StabilityConfig; m_max and tol default per scenario kind."""
+    st = config.get("stability", {})
+    with _at("stability"):
+        return StabilityConfig(
+            n=n, norm_spec=norm_spec, probes=probes, domain_norm=domain_norm,
+            direction=st.get("direction", "forward"), m_max=int(st.get("m_max", m_max)),
+            tol=float(st.get("tol", tol)), series_tol=float(st.get("series_tol", 1e-12)),
+            bound_mode=st.get("bound_mode", "quasi"))
 
 
 # ---------------------------------------------------------------------------
@@ -406,41 +403,34 @@ def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
 def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
-    eq = _equation_from_config(config["equation"], "equation")
+    with _at("equation"):
+        eq = EquationSpec(config["equation"]["id"], n=config["equation"].get("n"),
+                          a=config["equation"].get("a"))
     if eq.id != "fe3":
         raise ScenarioValidationError("equation.id", "stability scenarios run on fe3")
-    norm_spec = _norm_from_config(config["norm"], "norm")
-    domain_norm_spec = (_norm_from_config(config["domain_norm"], "domain_norm")
-                        if "domain_norm" in config else None)
-    f = _mapping_from_config(config["mapping"], "mapping")
-    _check_codomain_norm(norm_spec, f, "norm.dim")
+    with _at("norm"):
+        norm_spec = _NORMS[config["norm"]["kind"]](config["norm"])
+    with _at("domain_norm"):
+        domain_norm_spec = (_NORMS[config["domain_norm"]["kind"]](config["domain_norm"])
+                            if "domain_norm" in config else None)
+    f, f0 = _mapping_from_config(config["mapping"], "mapping")
+    with _at("norm.dim"):  # the codomain norm must measure f's values
+        codomain_norm(norm_spec, f0)
     st = config["stability"]
+    if st.get("direction") == "backward" and float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
+        raise ScenarioValidationError("stability.direction", "the backward scheme needs f(0) = 0")
     probes = _probes_from_config(st.get("probes", {"count": 20}), seed, f.domain, "stability.probes")
+    cfg = _stability_config(config, eq.n, norm_spec, probes, 40, 1e-9, domain_norm_spec)
+    with _at("control"):
+        phi = _control_from_config(config["control"], f, eq.n, norm_spec, domain_norm_spec, seed)
     try:
-        cfg = StabilityConfig(
-            n=eq.n,
-            norm_spec=norm_spec,
-            direction=st.get("direction", "forward"),
-            m_max=int(st.get("m_max", 40)),
-            tol=float(st.get("tol", 1e-9)),
-            probes=probes,
-            series_tol=float(st.get("series_tol", 1e-12)),
-            bound_mode=st.get("bound_mode", "quasi"),
-            domain_norm=domain_norm_spec,
-        )
-    except ValueError as e:
-        raise ScenarioValidationError("stability", str(e)) from e
-    phi = _control_from_config(config["control"], f, eq.n, norm_spec, domain_norm_spec,
-                               seed, "control")
-    caught: list[str] = []
-    try:
-        with warnings.catch_warnings(record=True) as wlist:
+        with _at("control"), warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
             report = stabilize(f, phi, cfg)
-        caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each message once
     except DivergenceError as e:
         return [_rejected(name, "-", "", e)], {"text": f"rejected: {e}",
                                                "control": _control_summary(phi)}
+    caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each message once
     rows = [
         ResultRow(
             scenario=name,
@@ -476,13 +466,13 @@ def _control_summary(phi: ControlFunction) -> dict:
 
 def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
-    eq_a = _equation_from_config(config["equation_a"], "equation_a")
-    eq_b = _equation_from_config(config["equation_b"], "equation_b")
-    group = _group_from_config(config["group"], "group")
-    try:
-        cmp = finite.spaces_equal(eq_a, eq_b, group)
-    except ValueError as e:  # inadmissible, or over the column cap
-        raise ScenarioValidationError("group", str(e)) from e
+    eqs = []
+    for key in ("equation_a", "equation_b"):
+        with _at(key):
+            eqs.append(EquationSpec(config[key]["id"], n=config[key].get("n"), a=config[key].get("a")))
+    with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
+        cmp = finite.spaces_equal(*eqs, finite.GroupSpec(int(config["group"]["q"]),
+                                                         int(config["group"]["d"])))
     status = STATUS_PASS if cmp.equal else STATUS_FAIL
     if cmp.equal:
         text = f"spaces equal, dim {cmp.dim_left}"
@@ -495,14 +485,13 @@ def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
 
 def _run_dimension(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
-    eq = _equation_from_config(config["equation"], "equation")
-    group = _group_from_config(config["group"], "group")
+    with _at("equation"):
+        eq = EquationSpec(config["equation"]["id"], n=config["equation"].get("n"),
+                          a=config["equation"].get("a"))
     expected = int(config["expected_dim"])
-    try:
-        basis = finite.nullspace_basis(finite.enumerate_constraints(eq, group))
-    except ValueError as e:  # inadmissible, or over the column cap
-        raise ScenarioValidationError("group", str(e)) from e
-    dim = len(basis)
+    with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
+        group = finite.GroupSpec(int(config["group"]["q"]), int(config["group"]["d"]))
+        dim = len(finite.nullspace_basis(finite.enumerate_constraints(eq, group)))
     status = STATUS_PASS if dim == expected else STATUS_FAIL
     row = ResultRow(name, "-", None, f"dim={dim}", None, None, None, 0, status)
     return [row], {"text": f"nullspace dim {dim}, expected {expected}", "dim": dim}
@@ -511,15 +500,14 @@ def _run_dimension(config: dict) -> tuple[list[ResultRow], dict]:
 def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
-    spec = _norm_from_config(config["norm"], "norm")
+    with _at("norm"):
+        spec = _NORMS[config["norm"]["kind"]](config["norm"])
     mode = config["mode"]
     param = int(config["param"])
     trials = int(config.get("trials", 10000))
     expect = config.get("expect", "pass")
-    try:
+    with _at("mode"):
         result = finite.inner_product_characterization(spec, mode, param, trials=trials, seed=seed)
-    except ValueError as e:
-        raise ScenarioValidationError("mode", str(e)) from e
     if expect == "pass":
         ok = result.passed
         text = ("identity holds on all samples" if ok
@@ -529,8 +517,9 @@ def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
         if ok and "witness" in config:
             want = config["witness"]
             wx, wy = result.witness[0], result.witness[1]
-            ok = (np.allclose(wx, want["x"]) and np.allclose(wy, want["y"])
-                  and abs(result.witness_residual - want["residual"]) <= 1e-9)
+            with _at("witness"):
+                ok = (np.allclose(wx, want["x"]) and np.allclose(wy, want["y"])
+                      and abs(result.witness_residual - want["residual"]) <= 1e-9)
         text = (f"witness found, residual {result.witness_residual}" if not result.passed
                 else "expected a witness but the identity held")
     probe = "-"
@@ -546,30 +535,24 @@ def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
 def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
-    f = _mapping_from_config(config["mapping"], "mapping")
+    f, f0 = _mapping_from_config(config["mapping"], "mapping")
     n = int(config["n"])
     probes = _probes_from_config(config["probes"], seed, f.domain, "probes")
-    st = config.get("stability", {})
-    norm_spec = (_norm_from_config(config["norm"], "norm") if "norm" in config
-                 else algebra.euclidean(1))
-    _check_codomain_norm(norm_spec, f, "norm.dim")
-    cfg = StabilityConfig(
-        n=n,
-        norm_spec=norm_spec,
-        direction=st.get("direction", "forward"),
-        m_max=int(st.get("m_max", 25)),
-        tol=float(st.get("tol", 1e-10)),
-        probes=probes,
-        series_tol=float(st.get("series_tol", 1e-12)),
-    )
+    if "probes" in config.get("stability", {}):
+        raise ScenarioValidationError("stability.probes", "covariance reads the top-level probes")
+    with _at("norm"):
+        norm_spec = (_NORMS[config["norm"]["kind"]](config["norm"]) if "norm" in config
+                     else algebra.euclidean(1))
+    with _at("norm.dim"):  # the codomain norm must measure f's values
+        codomain_norm(norm_spec, f0)
+    cfg = _stability_config(config, n, norm_spec, probes, 25, 1e-10)
     tol = float(config.get("tol", 1e-6))
     try:
-        rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
-                                        seed=seed, tol=tol)
+        with _at("mapping"):  # a non-finite residual while fitting the constant budget
+            rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
+                                            seed=seed, tol=tol)
     except DivergenceError as e:
         return [_rejected(name, f"{len(probes)} probes", "", e)], {"text": f"rejected: {e}"}
-    except NonFiniteResidualError as e:  # raised while fitting the constant budget
-        raise ScenarioValidationError("mapping", str(e)) from e
     row = ResultRow(name, f"{len(probes)} probes", None, "", rep.max_relative_deviation,
                     tol, tol - rep.max_relative_deviation, rep.iterations_used,
                     STATUS_PASS if rep.passed else STATUS_FAIL)
@@ -582,11 +565,13 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     n = int(config["n"])
     theta = float(config["theta"])
+    with _at("n"):
+        top = float((n - 1) ** 2)
     rows = []
     sweep = []
     for K in config["K_sweep"]:
         K = float(K)
-        denom = (n - 1) ** 2 - K
+        denom = top - K
         entry = {"K": K, "denominator": denom, "bound": None}
         try:
             bound = closed_form_bounds(n, "constant", "forward", K=K, theta=theta)
@@ -607,38 +592,39 @@ def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     grid = config["grid"]
     tol = float(config.get("tol", 1e-12))
-    epsilon = float(grid.get("epsilon", 1.0))
-    series_tol = float(grid.get("series_tol", 1e-15))
     rows = []
     worst = 0.0
-    for n in grid.get("n", [3, 4, 5]):
-        for r in grid.get("r", [0.5, 1.0, 1.5, 2.5, 3.0, 4.0]):
-            direction = "forward" if r < 2.0 else "backward"
-            for norm_x in grid.get("norm_x", [0.5, 1.0, 2.0]):
-                label = f"n={n}|r={_fmt(float(r))}|x={_fmt(float(norm_x))}"
-                try:
-                    b_quasi = closed_form_bounds(n, "power", direction, norm_x=norm_x,
-                                                 K=1.0, epsilon=epsilon, r=r)
-                except DivergenceError as e:  # the dead zone r = 2
-                    rows.append(_rejected(name, label, "", e))
-                    continue
-                b_p = closed_form_bounds(n, "power", direction, norm_x=norm_x,
-                                         p=1.0, epsilon=epsilon, r=r)
-                phi = power(epsilon, r)
-                x = np.array([norm_x])
-                if direction == "forward":
-                    s_quasi = series_bound_forward(phi, n, 1.0, x, series_tol)
-                    s_p = series_bound_forward_p(phi, n, 1.0, x, series_tol)
-                else:
-                    s_quasi = series_bound_backward(phi, n, 1.0, x, series_tol)
-                    s_p = series_bound_backward_p(phi, n, 1.0, x, series_tol)
-                scale = max(abs(b_quasi), abs(b_p), 1e-300)
-                rel = max(abs(b_quasi - b_p), abs(s_quasi - s_p)) / scale
-                worst = max(worst, rel)
-                rows.append(ResultRow(
-                    name, label, float(norm_x), _fmt(b_quasi), rel, tol, tol - rel, 0,
-                    STATUS_PASS if rel <= tol else STATUS_FAIL,
-                ))
+    with _at("grid"):  # a power or a term out of floating-point range
+        epsilon = float(grid.get("epsilon", 1.0))
+        series_tol = float(grid.get("series_tol", 1e-15))
+        for n in grid.get("n", [3, 4, 5]):
+            for r in grid.get("r", [0.5, 1.0, 1.5, 2.5, 3.0, 4.0]):
+                direction = "forward" if r < 2.0 else "backward"
+                for norm_x in grid.get("norm_x", [0.5, 1.0, 2.0]):
+                    label = f"n={n}|r={_fmt(float(r))}|x={_fmt(float(norm_x))}"
+                    phi = power(epsilon, r)
+                    x = np.array([norm_x])
+                    try:  # the dead zone r = 2, or a series that does not settle
+                        b_quasi = closed_form_bounds(n, "power", direction, norm_x=norm_x,
+                                                     K=1.0, epsilon=epsilon, r=r)
+                        b_p = closed_form_bounds(n, "power", direction, norm_x=norm_x,
+                                                 p=1.0, epsilon=epsilon, r=r)
+                        if direction == "forward":
+                            s_quasi = series_bound_forward(phi, n, 1.0, x, series_tol)
+                            s_p = series_bound_forward_p(phi, n, 1.0, x, series_tol)
+                        else:
+                            s_quasi = series_bound_backward(phi, n, 1.0, x, series_tol)
+                            s_p = series_bound_backward_p(phi, n, 1.0, x, series_tol)
+                    except DivergenceError as e:
+                        rows.append(_rejected(name, label, "", e))
+                        continue
+                    scale = max(abs(b_quasi), abs(b_p), 1e-300)
+                    rel = max(abs(b_quasi - b_p), abs(s_quasi - s_p)) / scale
+                    worst = max(worst, rel)
+                    rows.append(ResultRow(
+                        name, label, float(norm_x), _fmt(b_quasi), rel, tol, tol - rel, 0,
+                        STATUS_PASS if rel <= tol else STATUS_FAIL,
+                    ))
     return rows, {"text": f"worst relative disagreement {worst:.3e}", "worst": worst}
 
 
@@ -886,29 +872,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
+    if args.command in ("run", "preset"):
         try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read config: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            res = run_scenario(config, outdir=args.outdir)
-        except ScenarioValidationError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-        _print_result(res)
-        return res.exit_code
-
-    if args.command == "preset":
-        try:
-            res = run_preset(args.name, outdir=args.outdir, seed=args.seed)
-        except KeyError as e:
-            print(f"error: {e.args[0]}", file=sys.stderr)
-            return EXIT_VALIDATION
-        except ScenarioValidationError as e:
-            print(f"error: {e}", file=sys.stderr)
+            if args.command == "run":
+                with open(args.config) as fh:
+                    config = json.load(fh)
+                res = run_scenario(config, outdir=args.outdir)
+            else:
+                res = run_preset(args.name, outdir=args.outdir, seed=args.seed)
+        except (OSError, json.JSONDecodeError, KeyError, ScenarioValidationError) as e:
+            # an unreadable config or results path, an unknown preset, or a refused config
+            print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
             return EXIT_VALIDATION
         _print_result(res)
         return res.exit_code

@@ -227,7 +227,7 @@ def test_cli_oracle(capsys):
     # inadmissible modulus: q = 5 divides an obstruction factor for n = 4
     assert h.main(["oracle", "fe3:4", "fe1", "--q", "5", "--d", "1"]) == h.EXIT_VALIDATION
     capsys.readouterr()
-    # genuinely different spaces exit with the violation code
+    # a = 0 gives fe1's space back: the comparison exits 0
     assert h.main(["oracle", "fe1", "fe3_0:0", "--q", "5", "--d", "1"]) == 0
 
 
@@ -391,3 +391,77 @@ def test_tabulated_mapping_is_refused_by_real_runs(preset, nest, path):
         h.run_scenario(cfg, write_csv=False)
     assert err.value.path == path
     assert "tabulated" in str(err.value)
+
+
+def _edit(preset, *path_value):
+    """A preset config with each (dotted path, value) pair set."""
+    cfg = h.preset_config(preset)
+    for path, value in path_value:
+        *keys, last = path.split(".")
+        node = cfg
+        for k in keys:
+            node = node[k]
+        node[last] = value
+    return cfg
+
+
+# schema-valid configs that ended in an uncaught exception; each now exits 2 on
+# the named field
+_REFUSED = {
+    "power-r-2000-backward": (_edit("power-forward", ("control", {"variant": "power", "epsilon": 1.0,
+                                                                   "r": 2000.0}),
+                                    ("stability.direction", "backward"),
+                                    ("stability.probes", {"count": 2})), "control"),
+    "grid-large-exponent": (_edit("k1-equals-p1", ("grid.n", [314424]), ("grid.r", [221.3])), "grid"),
+    "backward-cosine": (_edit("power-forward", ("mapping", {"family": "cosine"}),
+                              ("control", {"variant": "power", "epsilon": 1.0, "r": 3.0}),
+                              ("stability.direction", "backward")), "stability.direction"),
+    "witness-empty": (_edit("inner-product-fail", ("witness", {})), "witness"),
+    "witness-x-length": (_edit("inner-product-fail", ("witness.x", [1.0, 0.0, 0.0])), "witness"),
+    "deadzone-huge-n": (_edit("open-problem-deadzone", ("n", 10**400)), "n"),
+    "stability-box": (_edit("power-forward", ("stability.probes", {"count": 2, "box": 1e308})),
+                      "stability.probes"),
+    "covariance-box": (_edit("unitary-covariance", ("probes", {"count": 2, "box": 1e308})), "probes"),
+    "stability-p": (_edit("power-forward", ("norm", {"kind": "lp_quasi", "p": 1e-9, "dim": 1})),
+                    "norm"),
+    "covariance-p": (_edit("unitary-covariance", ("norm", {"kind": "lp_quasi", "p": 1e-9, "dim": 1})),
+                     "norm"),
+    "inner-product-p": (_edit("inner-product-pass", ("norm", {"kind": "lp_quasi", "p": 1e-9, "dim": 2})),
+                        "norm"),
+    "covariance-stability-probes": (_edit("unitary-covariance", ("stability.probes", {"count": 2})),
+                                    "stability.probes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_schema_valid_config_is_refused_on_its_field(name, tmp_path):
+    cfg, path = _REFUSED[name]
+    with np.errstate(all="ignore"), pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == path
+    if isinstance(err.value.__cause__, OverflowError):
+        assert "out of floating-point range" in str(err.value)
+    file = tmp_path / "cfg.json"
+    file.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert h.main(["run", str(file), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+
+
+def test_unsettled_series_in_bound_equality_is_a_rejected_row():
+    cfg = _edit("k1-equals-p1", ("grid.r", [1e-300]), ("grid.norm_x", [1e308]))
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert [r.status for r in res.rows] == ["rejected-divergent"] * 3
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+
+
+def test_covariance_honours_bound_mode():
+    # K = 2^3 = 8 >= (n-1)^2 puts a constant budget in the quasi-norm dead
+    # zone; the p-norm route at p = 1/4 converges
+    quasi = _edit("unitary-covariance", ("norm", {"kind": "lp_quasi", "p": 0.25, "dim": 1}))
+    assert [r.status for r in h.run_scenario(quasi, write_csv=False).rows] == ["rejected-open-problem"]
+    p_mode = _edit("unitary-covariance", ("norm", {"kind": "lp_quasi", "p": 0.25, "dim": 1}),
+                   ("stability.bound_mode", "p"))
+    res = h.run_scenario(p_mode, write_csv=False)
+    assert [r.status for r in res.rows] == ["pass"]
+    assert res.exit_code == h.EXIT_OK
