@@ -8,9 +8,11 @@ pair, and repeat substitution tuples) and every remaining row is verified
 against the candidate nullspace, since over a field a row annihilates
 null(B) exactly when it lies in rowspace(B).  Violating rows are folded
 into the basis, so the result equals full elimination of the streamed
-system.  Each equation's constraints are streamed once; two solution spaces
-are compared as the column spans of their nullspace matrices.  Groups over
-the dense-elimination column cap are refused when the system is built.
+system.  Verification checks at most 2^22 row x candidate entries at a
+time, so the oracle's peak memory does not grow with the candidate count.
+Each equation's constraints are streamed once; two solution spaces are
+compared as the column spans of their nullspace matrices.  Groups over the
+dense-elimination column cap are refused when the system is built.
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.
@@ -35,6 +37,7 @@ FULL_STREAM_CAP = 8_000_000
 SAMPLE_TUPLES = 10**6
 SAMPLE_SEED = 74025
 _CHUNK = 200_000
+_CHECK_BUDGET = 1 << 22  # row x candidate entries per residual check
 
 
 class InadmissibleGroupError(ValueError):
@@ -291,7 +294,11 @@ def enumerate_constraints(eq, G: GroupSpec) -> ConstraintMatrix:
 
 
 def gf_rref(mat: np.ndarray, q: int) -> np.ndarray:
-    """Reduced row-echelon form over GF(q); returns the nonzero rows."""
+    """Reduced row-echelon form over GF(q); returns the nonzero rows.
+
+    In both passes the pivot row of column c is zero left of c, so scaling
+    it and eliminating with it touch only columns c:.
+    """
     A = np.array(mat, dtype=np.int64) % q
     rows, cols = A.shape
     r = 0
@@ -305,20 +312,18 @@ def gf_rref(mat: np.ndarray, q: int) -> np.ndarray:
         p = r + int(nz[0])
         if p != r:
             A[[r, p]] = A[[p, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, q)) % q
-        below = A[r + 1:, c]
-        bnz = np.nonzero(below)[0]
+        A[r, c:] = (A[r, c:] * pow(int(A[r, c]), -1, q)) % q
+        bnz = r + 1 + np.nonzero(A[r + 1:, c])[0]
         if bnz.size:
-            A[r + 1 + bnz] = (A[r + 1 + bnz] - np.outer(below[bnz], A[r])) % q
+            A[bnz, c:] = (A[bnz, c:] - np.outer(A[bnz, c], A[r, c:])) % q
         pivots.append(c)
         r += 1
     R = A[:r]
     for i in range(r - 1, -1, -1):
         c = pivots[i]
-        above = R[:i, c]
-        anz = np.nonzero(above)[0]
+        anz = np.nonzero(R[:i, c])[0]
         if anz.size:
-            R[anz] = (R[anz] - np.outer(above[anz], R[i])) % q
+            R[anz, c:] = (R[anz, c:] - np.outer(R[anz, c], R[i, c:])) % q
     return R
 
 
@@ -340,10 +345,17 @@ def gf_nullspace(R: np.ndarray, q: int, cols: int) -> np.ndarray:
     return N
 
 
+def _check_rows(candidates: int) -> int:
+    """Rows per residual check, so that rows x candidates <= _CHECK_BUDGET."""
+    return max(1, _CHECK_BUDGET // candidates)
+
+
 def _residual_nonzero(M: ConstraintMatrix, tuples: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Boolean matrix: does the row for tuple b fail to annihilate candidate column j?
 
     Sums stay far below int32 range: |coeff| and candidate entries are O(q).
+    Callers pass at most _check_rows(candidates) tuples, which bounds the
+    accumulator and its temporaries.
     """
     q = M.group.q
     cand = np.ascontiguousarray(candidates.astype(np.int32, copy=False))
@@ -361,7 +373,11 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
 
     Works because over a field a row annihilates null(B) iff it lies in
     rowspace(B): verified rows are provably redundant, violating rows are
-    folded into the basis in bounded merges.
+    folded into the basis in bounded merges.  Rows are checked in heads of
+    _check_rows(candidates); violating rows beyond one merge go back to the
+    front of the pending rows.  A dropped row annihilated a nullspace that
+    only shrinks afterwards, so the final row space is that of the whole
+    stream, and its unique RREF makes the basis independent of merge order.
     """
     size = M.group.size
     q = M.group.q
@@ -374,13 +390,15 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
     def absorb(pending: np.ndarray):
         nonlocal basis, null
         while pending.shape[0] and null.shape[1]:
-            pending = pending[_residual_nonzero(M, pending, null).any(axis=1)]
-            take = pending[:merge_cap]
-            if not take.shape[0]:
-                return
-            basis = gf_rref(np.vstack([basis, M.densify(take)]), q)
+            head = pending[:_check_rows(null.shape[1])]
+            pending = pending[head.shape[0]:]
+            bad = head[_residual_nonzero(M, head, null).any(axis=1)]
+            if not bad.shape[0]:
+                continue
+            basis = gf_rref(np.vstack([basis, M.densify(bad[:merge_cap])]), q)
             null = gf_nullspace(basis, q, size)
-            pending = pending[take.shape[0]:]
+            if bad.shape[0] > merge_cap:
+                pending = np.concatenate([bad[merge_cap:], pending])
 
     for start in range(first, boot.shape[0], _CHUNK):
         absorb(boot[start:start + _CHUNK])
@@ -410,11 +428,13 @@ def constraints_hold(M: ConstraintMatrix, vectors) -> np.ndarray:
     cand = np.stack([np.asarray(v, dtype=np.int64) % M.group.q for v in vectors], axis=1)
     ok = np.ones(cand.shape[1], dtype=bool)
     for batch in M.tuple_batches():
-        live = np.nonzero(ok)[0]
-        if live.size == 0:
-            break
-        bad = _residual_nonzero(M, batch, cand[:, live]).any(axis=0)
-        ok[live[bad]] = False
+        while batch.shape[0]:
+            live = np.nonzero(ok)[0]
+            if live.size == 0:
+                return ok
+            head = batch[:_check_rows(live.size)]
+            batch = batch[head.shape[0]:]
+            ok[live[_residual_nonzero(M, head, cand[:, live]).any(axis=0)]] = False
     return ok
 
 

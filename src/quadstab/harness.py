@@ -416,6 +416,9 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     f, f0 = _mapping_from_config(config["mapping"], "mapping")
     with _at("norm.dim"):  # the codomain norm must measure f's values
         codomain_norm(norm_spec, f0)
+    if domain_norm_spec is not None:
+        with _at("domain_norm"):  # the domain norm must measure f's arguments
+            algebra.norm_eval(domain_norm_spec, f.domain.zero())
     st = config["stability"]
     if st.get("direction") == "backward" and float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
         raise ScenarioValidationError("stability.direction", "the backward scheme needs f(0) = 0")
@@ -546,7 +549,8 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
     with _at("norm.dim"):  # the codomain norm must measure f's values
         codomain_norm(norm_spec, f0)
     cfg = _stability_config(config, n, norm_spec, probes, 25, 1e-10)
-    tol = float(config.get("tol", 1e-6))
+    with _at("tol"):
+        tol = float(config.get("tol", 1e-6))
     try:
         with _at("mapping"):  # a non-finite residual while fitting the constant budget
             rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
@@ -564,13 +568,15 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
 def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     n = int(config["n"])
-    theta = float(config["theta"])
+    with _at("theta"):
+        theta = float(config["theta"])
     with _at("n"):
         top = float((n - 1) ** 2)
     rows = []
     sweep = []
-    for K in config["K_sweep"]:
-        K = float(K)
+    for i, K in enumerate(config["K_sweep"]):
+        with _at(f"K_sweep.{i}"):
+            K = float(K)
         denom = top - K
         entry = {"K": K, "denominator": denom, "bound": None}
         try:
@@ -591,7 +597,8 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
 def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     grid = config["grid"]
-    tol = float(config.get("tol", 1e-12))
+    with _at("tol"):
+        tol = float(config.get("tol", 1e-12))
     rows = []
     worst = 0.0
     with _at("grid"):  # a power or a term out of floating-point range

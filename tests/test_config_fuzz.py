@@ -33,6 +33,7 @@ small = st.floats(-3.0, 3.0, allow_nan=False)
 positive = st.one_of(st.floats(1e-6, 10.0), st.sampled_from([1e-300, 1e300, 1e308]))
 exponents = st.one_of(st.floats(0.25, 4.0), st.sampled_from([1e-300, 2.0, 221.3, 2000.0]))
 boxes = st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e200, 1e308]))
+huge = st.just(10**400)  # a JSON integer beyond double range
 
 norms = st.one_of(
     _obj(kind=st.sampled_from(["euclidean", "l1"]), dim=st.integers(1, 3)),
@@ -110,10 +111,10 @@ KINDS = {
                           expect=_maybe(st.sampled_from(["pass", "witness"])),
                           witness=_maybe(witnesses)),
     "covariance": _obj(mapping=mappings, n=st.integers(3, 4), probes=probes,
-                       unitaries=_maybe(st.integers(1, 3)), tol=_maybe(positive),
+                       unitaries=_maybe(st.integers(1, 3)), tol=_maybe(st.one_of(huge, positive)),
                        norm=_maybe(norms), stability=_maybe(sections)),
-    "deadzone": _obj(n=st.one_of(st.integers(3, 6), st.just(10**400)), theta=positive,
-                     K_sweep=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=4)),
+    "deadzone": _obj(n=st.one_of(st.integers(3, 6), huge), theta=st.one_of(positive, huge),
+                     K_sweep=st.lists(st.one_of(st.floats(1.0, 40.0), huge), min_size=1, max_size=4)),
     "bound_equality": _obj(grid=_obj(n=_maybe(st.lists(st.integers(3, 5), min_size=1, max_size=2)),
                                      r=_maybe(st.lists(exponents, min_size=1, max_size=2)),
                                      norm_x=_maybe(st.lists(st.one_of(st.floats(0.0, 3.0),
@@ -122,7 +123,7 @@ KINDS = {
                                      epsilon=_maybe(positive),
                                      # a tiny tolerance costs the full 10^5-term cap per row
                                      series_tol=_maybe(st.floats(1e-15, 1.0))),
-                           tol=_maybe(positive)),
+                           tol=_maybe(st.one_of(positive, huge))),
 }
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,3 +364,91 @@ def test_columns_cap(monkeypatch):
     monkeypatch.setattr("quadstab.finite.structured_tuples", no_tuples)
     with pytest.raises(ValueError, match="capped"):
         qs.ConstraintMatrix(EquationSpec("fe3", n=4), g)
+
+
+# ---------------------------------------------------------------------------
+# bounded verification and column-restricted elimination
+
+FE1_F23_2_BASIS_SHA256 = "05d6d0a4b1ef1f1a1cbf980440c279105e3f16686f090092fa93b099444da751"
+
+
+def _basis_sha256(basis):
+    return hashlib.sha256(np.stack(basis, axis=1).astype(np.int64).tobytes()).hexdigest()
+
+
+def _record_checks(monkeypatch):
+    """Wrap the residual check; the returned list gets rows x candidates per call."""
+    sizes = []
+    inner = qs.finite._residual_nonzero
+
+    def recorded(M, tuples, candidates):
+        sizes.append(tuples.shape[0] * candidates.shape[1])
+        return inner(M, tuples, candidates)
+
+    monkeypatch.setattr("quadstab.finite._residual_nonzero", recorded)
+    return sizes
+
+
+def test_residual_checks_stay_within_the_budget(monkeypatch):
+    budget = qs.finite._CHECK_BUDGET
+    sizes = _record_checks(monkeypatch)
+    m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(23, 2))
+    basis = qs.nullspace_basis(m)
+    assert sizes and max(sizes) <= budget
+    assert _basis_sha256(basis) == FE1_F23_2_BASIS_SHA256
+    # many candidates: combinations of the basis hold, random tables do not
+    rng = np.random.default_rng(3)
+    null = np.stack(basis, axis=1)
+    held = [(null @ rng.integers(0, 23, null.shape[1])) % 23 for _ in range(40)]
+    broken = [rng.integers(0, 23, null.shape[0]) for _ in range(4)]
+    sizes.clear()
+    ok = qs.constraints_hold(m, held + broken)
+    assert ok.tolist() == [True] * 40 + [False] * 4
+    assert sizes and max(sizes) <= budget
+
+
+def test_nullspace_memory_does_not_grow_with_candidates():
+    m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(23, 2))
+    tracemalloc.start()
+    try:
+        qs.nullspace_basis(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+def _reference_rref(mat, q):
+    """Gauss-Jordan over GF(q) that updates whole rows; returns the nonzero rows."""
+    A = np.array(mat, dtype=np.int64) % q
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        nz = [i for i in range(r, rows) if A[i, c]]
+        if not nz:
+            continue
+        A[[r, nz[0]]] = A[[nz[0], r]]
+        A[r] = (A[r] * pow(int(A[r, c]), -1, q)) % q
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[r]) % q
+        r += 1
+        if r == rows:
+            break
+    return A[:r]
+
+
+@pytest.mark.parametrize("q", [5, 23, 31])
+def test_gf_rref_matches_whole_row_reference(q):
+    rng = np.random.default_rng(q)
+    cases = [np.zeros((4, 7), dtype=np.int64)]
+    for rows, cols, rank in [(6, 9, 6), (9, 6, 6), (12, 8, 3), (5, 5, 2), (20, 11, 7), (3, 14, 1)]:
+        # a product of rank-deficient factors, then a few all-zero columns
+        m = (rng.integers(0, q, (rows, rank)) @ rng.integers(0, q, (rank, cols))) % q
+        m[:, rng.choice(cols, size=2, replace=False)] = 0
+        cases.append(m)
+    for m in cases:
+        got = qs.finite.gf_rref(m, q)
+        want = _reference_rref(m, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

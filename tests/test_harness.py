@@ -430,6 +430,17 @@ _REFUSED = {
                         "norm"),
     "covariance-stability-probes": (_edit("unitary-covariance", ("stability.probes", {"count": 2})),
                                     "stability.probes"),
+    # integers beyond double range in number fields
+    "deadzone-huge-theta": (_edit("open-problem-deadzone", ("theta", 10**400)), "theta"),
+    "deadzone-huge-K": (_edit("open-problem-deadzone", ("K_sweep", [4.0, 10**400])), "K_sweep.1"),
+    "bound-equality-huge-tol": (_edit("k1-equals-p1", ("tol", 10**400)), "tol"),
+    "covariance-huge-tol": (_edit("unitary-covariance", ("tol", 10**400)), "tol"),
+    # a domain norm that cannot measure f's arguments, with a fitted and a given epsilon
+    "domain-norm-dim-fitted": (_edit("power-forward", ("domain_norm", {"kind": "euclidean", "dim": 2})),
+                               "domain_norm"),
+    "domain-norm-dim-given": (_edit("power-forward", ("domain_norm", {"kind": "euclidean", "dim": 2}),
+                                    ("control", {"variant": "power", "epsilon": 1.0, "r": 1.0}),
+                                    ("stability.probes", {"count": 2})), "domain_norm"),
 }
 
 
