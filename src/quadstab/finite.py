@@ -38,6 +38,7 @@ SAMPLE_TUPLES = 10**6
 SAMPLE_SEED = 74025
 _CHUNK = 200_000
 _CHECK_BUDGET = 1 << 22  # row x candidate entries per residual check
+_IDENTITY_RTOL = 1e-9  # squared-norm identity residual allowed, relative to its term sizes
 
 
 class InadmissibleGroupError(ValueError):
@@ -207,11 +208,14 @@ class ConstraintMatrix:
     """
 
     def __init__(self, eq, group: GroupSpec):
+        q, d = group.q, group.d
+        # 2^bit_length exceeds the cap, so for q >= 2 this decides q^d > cap without forming q^d
+        if q ** min(d, MAX_COLUMNS.bit_length()) > MAX_COLUMNS:
+            raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, "
+                             f"group has q^d = {q}^{d}")
         self.terms, self.arity = equation_terms(eq)
         self.group = group
         size = group.size
-        if size > MAX_COLUMNS:
-            raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, group has {size}")
         total = size**self.arity
         if total <= FULL_STREAM_CAP:
             self.plan = "full"
@@ -557,8 +561,7 @@ class CharacterizationResult:
 
 
 def inner_product_characterization(spec: QuasiNormSpec, mode: str, param: int,
-                                   trials: int = 10000, seed: int = 0,
-                                   tol_factor: float = 1e-9) -> CharacterizationResult:
+                                   trials: int = 10000, seed: int = 0) -> CharacterizationResult:
     """Probe whether the squared norm satisfies the quadratic identity.
 
     mode "b" uses the two-variable shifted identity with integer a = param
@@ -605,6 +608,6 @@ def inner_product_characterization(spec: QuasiNormSpec, mode: str, param: int,
     for pts in itertools.islice(itertools.chain(prelude(), random_tuples()), trials):
         res, scale = residual_and_scale(pts)
         sup = max(sup, abs(res))
-        if abs(res) > tol_factor * scale:
+        if abs(res) > _IDENTITY_RTOL * scale:
             return CharacterizationResult(False, sup, witness=pts, witness_residual=res)
     return CharacterizationResult(True, sup)

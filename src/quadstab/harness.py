@@ -256,6 +256,19 @@ _NORMS = {
 }
 
 
+def _equation(config: dict, key: str) -> EquationSpec:
+    """The equation section at `key`; every refusal names `key`."""
+    with _at(key):
+        c = config[key]
+        return EquationSpec(c["id"], n=c.get("n"), a=c.get("a"))
+
+
+def _norm(config: dict, key: str) -> algebra.QuasiNormSpec:
+    """The norm section at `key`; every refusal names `key`."""
+    with _at(key):
+        return _NORMS[config[key]["kind"]](config[key])
+
+
 def _mapping_from_config(cfg: dict, path: str) -> tuple[Mapping, object]:
     """The mapping f and its value f(0), evaluated once per run."""
     with _at(path):
@@ -322,30 +335,22 @@ def _stability_config(config: dict, n: int, norm_spec, probes: tuple, m_max: int
 # result rows
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ResultRow:
+    """One CSV row; a column a runner leaves out is written empty (0 for iterations)."""
+
     scenario: str
     probe: str
-    norm_x: float | None
-    q_estimate: str
-    deviation: float | None
-    bound: float | None
-    margin: float | None
-    iterations: int
+    norm_x: float | None = None
+    q_estimate: str = ""
+    deviation: float | None = None
+    bound: float | None = None
+    margin: float | None = None
+    iterations: int = 0
     status: str
 
     def csv_fields(self) -> list[str]:
-        return [
-            self.scenario,
-            self.probe,
-            _fmt(self.norm_x),
-            self.q_estimate,
-            _fmt(self.deviation),
-            _fmt(self.bound),
-            _fmt(self.margin),
-            str(self.iterations),
-            self.status,
-        ]
+        return [_fmt(getattr(self, h)) for h in RESULT_HEADERS]
 
 
 def _fmt(v) -> str:
@@ -379,10 +384,10 @@ class RunResult:
     csv_path: str | None = None
 
 
-def _rejected(name: str, probe: str, q_estimate: str, err: DivergenceError) -> ResultRow:
+def _rejected(name: str, probe: str, err: DivergenceError, q_estimate: str = "") -> ResultRow:
     status = (STATUS_REJECTED_OPEN_PROBLEM if isinstance(err, OpenProblemError)
               else STATUS_REJECTED_DIVERGENT)
-    return ResultRow(name, probe, None, q_estimate, None, None, None, 0, status)
+    return ResultRow(scenario=name, probe=probe, q_estimate=q_estimate, status=status)
 
 
 def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
@@ -403,16 +408,11 @@ def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
 def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
-    with _at("equation"):
-        eq = EquationSpec(config["equation"]["id"], n=config["equation"].get("n"),
-                          a=config["equation"].get("a"))
+    eq = _equation(config, "equation")
     if eq.id != "fe3":
         raise ScenarioValidationError("equation.id", "stability scenarios run on fe3")
-    with _at("norm"):
-        norm_spec = _NORMS[config["norm"]["kind"]](config["norm"])
-    with _at("domain_norm"):
-        domain_norm_spec = (_NORMS[config["domain_norm"]["kind"]](config["domain_norm"])
-                            if "domain_norm" in config else None)
+    norm_spec = _norm(config, "norm")
+    domain_norm_spec = _norm(config, "domain_norm") if "domain_norm" in config else None
     f, f0 = _mapping_from_config(config["mapping"], "mapping")
     with _at("norm.dim"):  # the codomain norm must measure f's values
         codomain_norm(norm_spec, f0)
@@ -431,7 +431,7 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
             warnings.simplefilter("always")
             report = stabilize(f, phi, cfg)
     except DivergenceError as e:
-        return [_rejected(name, "-", "", e)], {"text": f"rejected: {e}",
+        return [_rejected(name, "-", e)], {"text": f"rejected: {e}",
                                                "control": _control_summary(phi)}
     caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each message once
     rows = [
@@ -469,10 +469,7 @@ def _control_summary(phi: ControlFunction) -> dict:
 
 def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
-    eqs = []
-    for key in ("equation_a", "equation_b"):
-        with _at(key):
-            eqs.append(EquationSpec(config[key]["id"], n=config[key].get("n"), a=config[key].get("a")))
+    eqs = [_equation(config, key) for key in ("equation_a", "equation_b")]
     with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
         cmp = finite.spaces_equal(*eqs, finite.GroupSpec(int(config["group"]["q"]),
                                                          int(config["group"]["d"])))
@@ -482,29 +479,26 @@ def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
     else:
         text = (f"spaces differ: dims {cmp.dim_left} vs {cmp.dim_right}"
                 + (f", certificate on side {cmp.side}" if cmp.side else ""))
-    row = ResultRow(name, "-", None, f"dim={cmp.dim_left}", None, None, None, 0, status)
+    row = ResultRow(scenario=name, probe="-", q_estimate=f"dim={cmp.dim_left}", status=status)
     return [row], {"text": text, "dim_left": cmp.dim_left, "dim_right": cmp.dim_right}
 
 
 def _run_dimension(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
-    with _at("equation"):
-        eq = EquationSpec(config["equation"]["id"], n=config["equation"].get("n"),
-                          a=config["equation"].get("a"))
+    eq = _equation(config, "equation")
     expected = int(config["expected_dim"])
     with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
         group = finite.GroupSpec(int(config["group"]["q"]), int(config["group"]["d"]))
         dim = len(finite.nullspace_basis(finite.enumerate_constraints(eq, group)))
     status = STATUS_PASS if dim == expected else STATUS_FAIL
-    row = ResultRow(name, "-", None, f"dim={dim}", None, None, None, 0, status)
+    row = ResultRow(scenario=name, probe="-", q_estimate=f"dim={dim}", status=status)
     return [row], {"text": f"nullspace dim {dim}, expected {expected}", "dim": dim}
 
 
 def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
-    with _at("norm"):
-        spec = _NORMS[config["norm"]["kind"]](config["norm"])
+    spec = _norm(config, "norm")
     mode = config["mode"]
     param = int(config["param"])
     trials = int(config.get("trials", 10000))
@@ -530,8 +524,8 @@ def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
     if result.witness is not None:
         probe = ";".join(_fmt_value(p) for p in result.witness[:2])
         deviation = abs(result.witness_residual)
-    row = ResultRow(name, probe, None, "", deviation, None, None, 0,
-                    STATUS_PASS if ok else STATUS_FAIL)
+    row = ResultRow(scenario=name, probe=probe, deviation=deviation,
+                    status=STATUS_PASS if ok else STATUS_FAIL)
     return [row], {"text": text, "sup_residual": result.sup_residual}
 
 
@@ -543,9 +537,7 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
     probes = _probes_from_config(config["probes"], seed, f.domain, "probes")
     if "probes" in config.get("stability", {}):
         raise ScenarioValidationError("stability.probes", "covariance reads the top-level probes")
-    with _at("norm"):
-        norm_spec = (_NORMS[config["norm"]["kind"]](config["norm"]) if "norm" in config
-                     else algebra.euclidean(1))
+    norm_spec = _norm(config, "norm") if "norm" in config else algebra.euclidean(1)
     with _at("norm.dim"):  # the codomain norm must measure f's values
         codomain_norm(norm_spec, f0)
     cfg = _stability_config(config, n, norm_spec, probes, 25, 1e-10)
@@ -556,10 +548,11 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
             rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
                                             seed=seed, tol=tol)
     except DivergenceError as e:
-        return [_rejected(name, f"{len(probes)} probes", "", e)], {"text": f"rejected: {e}"}
-    row = ResultRow(name, f"{len(probes)} probes", None, "", rep.max_relative_deviation,
-                    tol, tol - rep.max_relative_deviation, rep.iterations_used,
-                    STATUS_PASS if rep.passed else STATUS_FAIL)
+        return [_rejected(name, f"{len(probes)} probes", e)], {"text": f"rejected: {e}"}
+    row = ResultRow(scenario=name, probe=f"{len(probes)} probes",
+                    deviation=rep.max_relative_deviation, bound=tol,
+                    margin=tol - rep.max_relative_deviation, iterations=rep.iterations_used,
+                    status=STATUS_PASS if rep.passed else STATUS_FAIL)
     text = (f"max relative covariance deviation {rep.max_relative_deviation:.3e} over "
             f"{rep.unitary_count} unitaries (tol {tol:g})")
     return [row], {"text": text, "max_relative_deviation": rep.max_relative_deviation}
@@ -582,10 +575,11 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
         try:
             bound = closed_form_bounds(n, "constant", "forward", K=K, theta=theta)
             entry["bound"] = bound
-            rows.append(ResultRow(name, _fmt(K), None, f"denominator={_fmt(denom)}",
-                                  None, bound, None, 0, STATUS_PASS))
+            rows.append(ResultRow(scenario=name, probe=_fmt(K),
+                                  q_estimate=f"denominator={_fmt(denom)}", bound=bound,
+                                  status=STATUS_PASS))
         except DivergenceError as e:
-            rows.append(_rejected(name, _fmt(K), f"denominator={_fmt(denom)}", e))
+            rows.append(_rejected(name, _fmt(K), e, f"denominator={_fmt(denom)}"))
         sweep.append(entry)
     denoms = [e["denominator"] for e in sweep]
     crossing = (min(denoms) <= 0.0) and (max(denoms) > 0.0)
@@ -623,15 +617,15 @@ def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
                             s_quasi = series_bound_backward(phi, n, 1.0, x, series_tol)
                             s_p = series_bound_backward_p(phi, n, 1.0, x, series_tol)
                     except DivergenceError as e:
-                        rows.append(_rejected(name, label, "", e))
+                        rows.append(_rejected(name, label, e))
                         continue
                     scale = max(abs(b_quasi), abs(b_p), 1e-300)
                     rel = max(abs(b_quasi - b_p), abs(s_quasi - s_p)) / scale
                     worst = max(worst, rel)
                     rows.append(ResultRow(
-                        name, label, float(norm_x), _fmt(b_quasi), rel, tol, tol - rel, 0,
-                        STATUS_PASS if rel <= tol else STATUS_FAIL,
-                    ))
+                        scenario=name, probe=label, norm_x=float(norm_x), q_estimate=_fmt(b_quasi),
+                        deviation=rel, bound=tol, margin=tol - rel,
+                        status=STATUS_PASS if rel <= tol else STATUS_FAIL))
     return rows, {"text": f"worst relative disagreement {worst:.3e}", "worst": worst}
 
 
@@ -879,40 +873,35 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command in ("run", "preset"):
+    if args.command in ("run", "preset", "oracle"):
         try:
             if args.command == "run":
                 with open(args.config) as fh:
                     config = json.load(fh)
                 res = run_scenario(config, outdir=args.outdir)
-            else:
+            elif args.command == "preset":
                 res = run_preset(args.name, outdir=args.outdir, seed=args.seed)
+            else:  # the shorthand becomes an `oracle` scenario
+                config = {"name": "oracle", "kind": "oracle", "group": {"q": args.q, "d": args.d}}
+                for key, text in (("equation_a", args.eq1), ("equation_b", args.eq2)):
+                    with _at(key):
+                        eq = parse_equation(text)
+                    config[key] = {k: v for k, v in vars(eq).items() if v is not None}
+                res = run_scenario(config, write_csv=False)
         except (OSError, json.JSONDecodeError, KeyError, ScenarioValidationError) as e:
             # an unreadable config or results path, an unknown preset, or a refused config
             print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
             return EXIT_VALIDATION
-        _print_result(res)
+        if args.command == "oracle":
+            print(res.summary["text"])
+        else:
+            _print_result(res)
         return res.exit_code
 
     if args.command == "list":
         for name, desc in list_presets():
             print(f"{name:24s} {desc}")
         return EXIT_OK
-
-    if args.command == "oracle":
-        try:
-            eq1 = parse_equation(args.eq1)
-            eq2 = parse_equation(args.eq2)
-            group = finite.GroupSpec(args.q, args.d)
-            cmp = finite.spaces_equal(eq1, eq2, group)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-        if cmp.equal:
-            print(f"spaces equal, dim {cmp.dim_left}")
-            return EXIT_OK
-        print(f"spaces differ: dims {cmp.dim_left} vs {cmp.dim_right} ({cmp.side})")
-        return EXIT_BOUND_VIOLATION
 
     if args.command == "plotdata":
         try:
@@ -923,11 +912,9 @@ def main(argv=None) -> int:
                     if not (rec.get("norm_x") and rec.get("deviation") and rec.get("bound")):
                         continue
                     rows.append(ResultRow(
-                        rec.get("scenario", ""), rec.get("probe", ""),
-                        float(rec["norm_x"]), rec.get("q_estimate", ""),
-                        float(rec["deviation"]), float(rec["bound"]),
-                        None, 0, rec.get("status", ""),
-                    ))
+                        scenario=rec.get("scenario", ""), probe=rec.get("probe", ""),
+                        norm_x=float(rec["norm_x"]), deviation=float(rec["deviation"]),
+                        bound=float(rec["bound"]), status=rec.get("status", "")))
             text = emit_plotdata(rows, path=args.output)
         except (OSError, ValueError, KeyError) as e:
             print(f"error: {e}", file=sys.stderr)

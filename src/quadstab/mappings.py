@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _haar_unitary, act, conjugate_value, hat
+from .algebra import _haar_unitary, act, conjugate_value, hat, random_point
 from .equations import EquationSpec, equation_terms
 
 
@@ -32,17 +32,17 @@ class Domain:
     def matrix(self) -> bool:
         return self.k > 1
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of one point: (d,) for scalar coordinates, (d, k, k) for matrices."""
+        return (self.d,) if self.k == 1 else (self.d, self.k, self.k)
+
     def zero(self) -> np.ndarray:
-        shape = (self.d,) if self.k == 1 else (self.d, self.k, self.k)
         dtype = complex if (self.complex_scalars or self.matrix) else float
-        return np.zeros(shape, dtype=dtype)
+        return np.zeros(self.shape, dtype=dtype)
 
     def random(self, rng: np.random.Generator, box: float = 10.0) -> np.ndarray:
-        shape = (self.d,) if self.k == 1 else (self.d, self.k, self.k)
-        x = rng.uniform(-box, box, shape)
-        if self.complex_scalars or self.matrix:
-            x = x + 1j * rng.uniform(-box, box, shape)
-        return x
+        return random_point(rng, self.d, self.k, box, self.complex_scalars or self.matrix)
 
 
 class Mapping:
@@ -59,9 +59,8 @@ class Mapping:
             x = x.reshape(1)
         if x.ndim == 2 and self.domain.matrix and self.domain.d == 1:
             x = x[np.newaxis]
-        expected = (self.domain.d,) if self.domain.k == 1 else (self.domain.d, self.domain.k, self.domain.k)
-        if x.shape != expected:
-            raise ValueError(f"domain mismatch: expected point of shape {expected}, got {x.shape}")
+        if x.shape != self.domain.shape:
+            raise ValueError(f"domain mismatch: expected point of shape {self.domain.shape}, got {x.shape}")
         return x
 
 
@@ -113,16 +112,23 @@ class MatrixSquare(Mapping):
         return x[0] @ x[0].conj().T
 
 
-class Monomial(Mapping):
-    """Coordinatewise power sum: x -> sum_i x_i^degree, real scalar domain."""
+class Coordinatewise(Mapping):
+    """x -> sum_i g(x_i) on a real scalar domain, for an elementwise array function g."""
 
-    def __init__(self, degree: int, d: int = 1):
-        self.degree = int(degree)
+    def __init__(self, g, d: int = 1):
+        self.g = g
         self.domain = Domain(d)
 
     def __call__(self, x):
-        x = self._coerce(x)
-        return float((x**self.degree).sum())
+        return float(self.g(self._coerce(x)).sum())
+
+
+class Monomial(Coordinatewise):
+    """Coordinatewise power sum: x -> sum_i x_i^degree."""
+
+    def __init__(self, degree: int, d: int = 1):
+        self.degree = degree = int(degree)
+        super().__init__(lambda x: x**degree, d)
 
 
 class ConstantMap(Mapping):
@@ -135,35 +141,25 @@ class ConstantMap(Mapping):
         return self.value
 
 
-class Sine(Mapping):
+class Sine(Coordinatewise):
     """Bounded bump: x -> sum_i sin(x_i)."""
 
     def __init__(self, d: int = 1):
-        self.domain = Domain(d)
-
-    def __call__(self, x):
-        return float(np.sin(self._coerce(x)).sum())
+        super().__init__(np.sin, d)
 
 
-class Cosine(Mapping):
+class Cosine(Coordinatewise):
     """Bounded bump: x -> sum_i cos(x_i)."""
 
     def __init__(self, d: int = 1):
-        self.domain = Domain(d)
-
-    def __call__(self, x):
-        return float(np.cos(self._coerce(x)).sum())
+        super().__init__(np.cos, d)
 
 
-class OddGrowth(Mapping):
+class OddGrowth(Coordinatewise):
     """Odd bump with asymptotically linear growth: x -> sum_i x_i^3 / (1 + x_i^2)."""
 
     def __init__(self, d: int = 1):
-        self.domain = Domain(d)
-
-    def __call__(self, x):
-        x = self._coerce(x)
-        return float((x**3 / (1.0 + x**2)).sum())
+        super().__init__(lambda x: x**3 / (1.0 + x**2), d)
 
 
 class MatrixSineBump(Mapping):
@@ -271,9 +267,15 @@ class Custom(Mapping):
         return self.fn(self._coerce(x))
 
 
+# config family -> the coordinatewise bumps that take only `d`
+_BUMPS = {"sine": Sine, "cosine": Cosine, "odd_growth": OddGrowth}
+
+
 def mapping_from_config(cfg: dict) -> Mapping:
     """Build a mapping from its serialized form (see harness config schema)."""
     family = cfg.get("family")
+    if isinstance(family, str) and family in _BUMPS:
+        return _BUMPS[family](d=int(cfg.get("d", 1)))
     if family == "quadratic_form":
         return QuadraticForm(
             cfg["coefficients"],
@@ -286,12 +288,6 @@ def mapping_from_config(cfg: dict) -> Mapping:
         return Monomial(int(cfg["degree"]), d=int(cfg.get("d", 1)))
     if family == "constant":
         return ConstantMap(cfg["value"], d=int(cfg.get("d", 1)))
-    if family == "sine":
-        return Sine(d=int(cfg.get("d", 1)))
-    if family == "cosine":
-        return Cosine(d=int(cfg.get("d", 1)))
-    if family == "odd_growth":
-        return OddGrowth(d=int(cfg.get("d", 1)))
     if family == "matrix_sine_bump":
         h = np.asarray(cfg["h_real"], dtype=float)
         if "h_imag" in cfg:

@@ -636,13 +636,14 @@ def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
     def q_est(x):
         return hyers_iterate(f, n, m_star, x, cfg.direction)
 
+    probes = [np.asarray(x) for x in cfg.probes]
+    bases = [q_est(x) for x in probes]  # Q_est(x) does not depend on the unitary
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(unitary_count):
         u = draw_unitary(rng, f.domain)
-        for x in cfg.probes:
-            base = q_est(np.asarray(x))
-            dev = codomain_norm(cfg.norm_spec, q_est(act(u, np.asarray(x))) - conjugate_value(u, base))
+        for x, base in zip(probes, bases):
+            dev = codomain_norm(cfg.norm_spec, q_est(act(u, x)) - conjugate_value(u, base))
             rel = dev / (1.0 + codomain_norm(cfg.norm_spec, base))
             worst = max(worst, rel)
     return CovarianceReport(

@@ -224,11 +224,17 @@ def test_cli_oracle(capsys):
     assert h.main(["oracle", "fe3:3", "fe1", "--q", "5", "--d", "1"]) == 0
     out = capsys.readouterr().out
     assert "spaces equal, dim 1" in out
+    # the command runs the oracle scenario, so it prints that scenario's summary
+    assert out.splitlines() == [h.run_preset("oracle-fe3-fe1", write_csv=False).summary["text"]]
     # inadmissible modulus: q = 5 divides an obstruction factor for n = 4
     assert h.main(["oracle", "fe3:4", "fe1", "--q", "5", "--d", "1"]) == h.EXIT_VALIDATION
     capsys.readouterr()
     # a = 0 gives fe1's space back: the comparison exits 0
     assert h.main(["oracle", "fe1", "fe3_0:0", "--q", "5", "--d", "1"]) == 0
+    capsys.readouterr()
+    # 5^6 = 15625 columns is over the dense-elimination cap
+    assert h.main(["oracle", "fe1", "fe1", "--q", "5", "--d", "6"]) == h.EXIT_VALIDATION
+    assert "group: dense elimination capped" in capsys.readouterr().err
 
 
 def test_cli_plotdata(tmp_path, capsys):
@@ -355,23 +361,32 @@ def test_backward_covariance_is_rejected_divergent():
     assert h.run_scenario(cfg, write_csv=False).exit_code == h.EXIT_EXPECTED_REJECTION
 
 
-def test_over_cap_group_is_a_group_error_without_building_rows(tmp_path):
+def test_over_cap_group_is_a_group_error_without_building_rows(tmp_path, capsys):
     # 101^2 = 10201 columns is over the dense-elimination cap; the cap is
-    # checked before any constraint row or substitution tuple is built
-    cfg = {"name": "big", "kind": "dimension", "equation": {"id": "fe1"},
-           "group": {"q": 101, "d": 2}, "expected_dim": 3}
-    with pytest.raises(h.ScenarioValidationError) as err:
-        h.run_scenario(cfg, write_csv=False)
-    assert err.value.path == "group"
-    assert "capped" in str(err.value)
-    oracle = {"name": "big-oracle", "kind": "oracle", "equation_a": {"id": "fe2"},
-              "equation_b": {"id": "fe1"}, "group": {"q": 101, "d": 2}}
-    with pytest.raises(h.ScenarioValidationError) as err:
-        h.run_scenario(oracle, write_csv=False)
-    assert err.value.path == "group"
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(cfg))
-    assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+    # checked before any constraint row or substitution tuple is built.
+    # 5^100000 has more digits than an int may print, so the cap must be
+    # decided without forming q^d
+    for group in ({"q": 101, "d": 2}, {"q": 5, "d": 100000}):
+        cfg = {"name": "big", "kind": "dimension", "equation": {"id": "fe1"},
+               "group": group, "expected_dim": 3}
+        with pytest.raises(h.ScenarioValidationError) as err:
+            h.run_scenario(cfg, write_csv=False)
+        assert err.value.path == "group"
+        assert "capped" in str(err.value)
+        oracle = {"name": "big-oracle", "kind": "oracle", "equation_a": {"id": "fe2"},
+                  "equation_b": {"id": "fe1"}, "group": group}
+        with pytest.raises(h.ScenarioValidationError) as err:
+            h.run_scenario(oracle, write_csv=False)
+        assert err.value.path == "group"
+        assert "capped" in str(err.value)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+        assert h.main(["oracle", "fe2", "fe1", "--q", str(group["q"]),
+                       "--d", str(group["d"])]) == h.EXIT_VALIDATION
+        err_text = capsys.readouterr().err
+        assert err_text.count("group: dense elimination capped") == 2
+        assert f"{group['q']}^{group['d']}" in err_text
 
 
 @pytest.mark.parametrize("preset,nest,path", [

@@ -210,6 +210,17 @@ def test_evenness_and_scaling_of_exact_solutions():
                 assert lhs == pytest.approx((n - 1) ** (2 * k) * fx, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("domain", [qs.Domain(3), qs.Domain(2, complex_scalars=True),
+                                    qs.Domain(2, k=2)], ids=["real", "complex", "matrix-k2"])
+def test_domain_random_draws_like_random_point(domain):
+    complex_coords = domain.complex_scalars or domain.matrix
+    a, b = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(3):
+        x = domain.random(a, box=4.0)
+        assert x.shape == domain.shape == domain.zero().shape
+        np.testing.assert_array_equal(x, qs.random_point(b, domain.d, domain.k, 4.0, complex_coords))
+
+
 def test_domain_mismatch_rejected():
     f = qs.QuadraticForm(np.eye(2))
     with pytest.raises(ValueError, match="domain mismatch"):
