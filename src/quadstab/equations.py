@@ -25,6 +25,8 @@ from itertools import combinations
 
 Term = tuple[int, tuple[int, ...]]
 
+MAX_FE3_ARITY = 64  # fe3's term list has n(n+1)/2 terms of length n: 2,080 at the cap
+
 _FE1_TERMS: tuple[Term, ...] = (
     (1, (1, 1)),
     (1, (1, -1)),
@@ -79,6 +81,8 @@ class EquationSpec:
         if self.id == "fe3":
             if self.n is None or int(self.n) < 3:
                 raise ValueError("fe3 requires an arity n >= 3")
+            if int(self.n) > MAX_FE3_ARITY:
+                raise ValueError(f"fe3 arity capped at n = {MAX_FE3_ARITY}, got n = {self.n}")
         elif self.id == "fe3_0":
             if self.a is None or abs(int(self.a)) == 1:
                 raise ValueError("fe3_0 requires an integer a with |a| != 1")

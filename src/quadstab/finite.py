@@ -2,17 +2,17 @@
 
 Each equation instantiates pointwise over the group (Z/q)^d as exact linear
 constraints on function tables F: (Z/q)^d -> Z/q, one row per argument
-tuple.  Nullspaces come from GF(q) Gaussian elimination.  Large tuple sets
-are streamed: a basis is built from a structured prefix (zero, one-hot,
-pair, and repeat substitution tuples) and every remaining row is verified
-against the candidate nullspace, since over a field a row annihilates
-null(B) exactly when it lies in rowspace(B).  Violating rows are folded
-into the basis, so the result equals full elimination of the streamed
-system.  Verification checks at most 2^22 row x candidate entries at a
-time, so the oracle's peak memory does not grow with the candidate count.
+tuple.  Nullspaces come from GF(q) Gaussian elimination.  Rows come from one
+stream, `ConstraintMatrix.tuple_batches`: a basis is built from its first
+rows (zero, one-hot, repeat and pair substitution tuples) and every later
+row is verified against the candidate nullspace, since over a field a row
+annihilates null(B) exactly when it lies in rowspace(B).  Violating rows are
+folded into the basis, so the result equals full elimination of the stream.
+Verification checks at most 2^22 row x candidate entries at a time, so the
+oracle's peak memory does not grow with the candidate count.
 Each equation's constraints are streamed once; two solution spaces are
 compared as the column spans of their nullspace matrices.  Groups over the
-dense-elimination column cap are refused when the system is built.
+dense-elimination column cap are refused when the group or system is built.
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.
@@ -50,6 +50,10 @@ class InadmissibleGroupError(ValueError):
         self.factor = factor
 
 
+def _over_cap(q: int, d: int) -> ValueError:
+    return ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, group has q^d = {q}^{d}")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -69,6 +73,8 @@ class GroupSpec:
     d: int = 1
 
     def __post_init__(self):
+        if self.q > MAX_COLUMNS:  # q^d >= q columns; refused before the O(sqrt q) primality test
+            raise _over_cap(self.q, self.d)
         if not _is_prime(self.q) or self.q < 5:
             raise ValueError("q must be a prime >= 5")
         if self.d < 1:
@@ -202,48 +208,55 @@ class ConstraintMatrix:
     """Pointwise instantiation of an equation over a group, one row per tuple.
 
     Rows are streamed rather than materialized: `tuple_batches` yields the
-    defining argument tuples (full enumeration, or the documented structured
-    + fixed-seed subsample when the full set is too large) and `densify`
-    turns a batch of tuples into dense GF(q) rows.
+    structured block, then the rest of the full enumeration or, when that is
+    too large, a fixed-seed subsample; `densify` turns a batch of tuples into
+    dense GF(q) rows.
     """
 
     def __init__(self, eq, group: GroupSpec):
         q, d = group.q, group.d
         # 2^bit_length exceeds the cap, so for q >= 2 this decides q^d > cap without forming q^d
         if q ** min(d, MAX_COLUMNS.bit_length()) > MAX_COLUMNS:
-            raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, "
-                             f"group has q^d = {q}^{d}")
-        self.terms, self.arity = equation_terms(eq)
+            raise _over_cap(q, d)
+        terms, self.arity = equation_terms(eq)
+        # reduced once, coefficients into [0, q) and weights into (-q/2, q/2): a column
+        # index sum is then at most arity (q-1) q/2 and a residual sum len(terms) (q-1)^2
+        # in size, for any integer parameters; int32 holds both unless `wide`
+        self.terms = tuple((c % q, tuple((w + q // 2) % q - q // 2 for w in ws)) for c, ws in terms)
+        wide = max(self.arity * (q // 2), len(terms) * (q - 1)) * (q - 1) >= 2**31
+        self.dtype = np.int64 if wide else np.int32
+        self.decode = group.decode_table().astype(self.dtype, copy=False)
         self.group = group
         size = group.size
         total = size**self.arity
-        if total <= FULL_STREAM_CAP:
+        # the stream's structured block holds every tuple index below size^2
+        if total - size * size <= FULL_STREAM_CAP:
             self.plan = "full"
             self.n_rows = total
         else:
             self.plan = "subsample"
-            # len(structured_tuples(group, arity)), without building them
-            pairs = 2 * (size - 1) + size * size if self.arity >= 2 else 0
-            self.n_rows = 1 + self.arity * (size - 1) + pairs + SAMPLE_TUPLES
+            # len(structured_tuples(group, arity)) for arity >= 3, without building them
+            self.n_rows = 1 + (self.arity + 2) * (size - 1) + size * size + SAMPLE_TUPLES
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.group.size)
 
     def tuple_batches(self, chunk: int = _CHUNK):
+        """The one row stream: the structured block, then full-plan indices from size^2 on."""
         size = self.group.size
+        structured = structured_tuples(self.group, self.arity)
+        for start in range(0, structured.shape[0], chunk):
+            yield structured[start:start + chunk]
         if self.plan == "full":
             total = size**self.arity
-            for start in range(0, total, chunk):
+            for start in range(size * size, total, chunk):
                 idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
                 batch = np.empty((idx.shape[0], self.arity), dtype=np.int64)
                 for l in range(self.arity):
                     batch[:, l] = (idx // size**l) % size
                 yield batch
             return
-        structured = structured_tuples(self.group, self.arity)
-        for start in range(0, structured.shape[0], chunk):
-            yield structured[start:start + chunk]
         rng = np.random.default_rng(SAMPLE_SEED)
         remaining = SAMPLE_TUPLES
         while remaining > 0:
@@ -252,14 +265,12 @@ class ConstraintMatrix:
             remaining -= take
 
     def densify(self, tuples: np.ndarray) -> np.ndarray:
-        q = self.group.q
-        coords = self.group.decode_table()[tuples]
+        coords = self.decode[tuples]
         rows = np.zeros((tuples.shape[0], self.group.size), dtype=np.int64)
         ar = np.arange(tuples.shape[0])
         for coeff, w in self.terms:
-            cols = _term_columns(self.group, coords, w)
-            np.add.at(rows, (ar, cols), coeff % q)
-        return rows % q
+            np.add.at(rows, (ar, _term_columns(self.group, coords, w)), coeff)
+        return rows % self.group.q
 
 
 def structured_tuples(group: GroupSpec, arity: int) -> np.ndarray:
@@ -357,18 +368,16 @@ def _check_rows(candidates: int) -> int:
 def _residual_nonzero(M: ConstraintMatrix, tuples: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Boolean matrix: does the row for tuple b fail to annihilate candidate column j?
 
-    Sums stay far below int32 range: |coeff| and candidate entries are O(q).
-    Callers pass at most _check_rows(candidates) tuples, which bounds the
+    Sums run in M.dtype, which holds them (see ConstraintMatrix).  Callers
+    pass at most _check_rows(candidates) tuples, which bounds the
     accumulator and its temporaries.
     """
-    q = M.group.q
-    cand = np.ascontiguousarray(candidates.astype(np.int32, copy=False))
-    coords = M.group.decode_table()[tuples]
-    acc = np.zeros((tuples.shape[0], cand.shape[1]), dtype=np.int32)
+    cand = np.ascontiguousarray(candidates.astype(M.dtype, copy=False))
+    coords = M.decode[tuples]
+    acc = np.zeros((tuples.shape[0], cand.shape[1]), dtype=M.dtype)
     for coeff, w in M.terms:
-        cols = _term_columns(M.group, coords, w)
-        acc += np.int32(coeff % q) * cand[cols, :]
-    acc %= np.int32(q)
+        acc += np.int32(coeff) * cand[_term_columns(M.group, coords, w), :]
+    acc %= np.int32(M.group.q)
     return acc != 0
 
 
@@ -383,16 +392,14 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
     only shrinks afterwards, so the final row space is that of the whole
     stream, and its unique RREF makes the basis independent of merge order.
     """
-    size = M.group.size
-    q = M.group.q
-    boot = structured_tuples(M.group, M.arity)
+    size, q = M.group.size, M.group.q
+    stream = M.tuple_batches()
+    boot = next(stream)
     first = min(boot.shape[0], max(2 * size, 512))
     basis = gf_rref(M.densify(boot[:first]), q)
     null = gf_nullspace(basis, q, size)
     merge_cap = max(4 * size, 512)
-
-    def absorb(pending: np.ndarray):
-        nonlocal basis, null
+    for pending in itertools.chain([boot[first:]], stream):
         while pending.shape[0] and null.shape[1]:
             head = pending[:_check_rows(null.shape[1])]
             pending = pending[head.shape[0]:]
@@ -403,11 +410,6 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
             null = gf_nullspace(basis, q, size)
             if bad.shape[0] > merge_cap:
                 pending = np.concatenate([bad[merge_cap:], pending])
-
-    for start in range(first, boot.shape[0], _CHUNK):
-        absorb(boot[start:start + _CHUNK])
-    for batch in M.tuple_batches():
-        absorb(batch)
     return null
 
 

@@ -533,7 +533,8 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
     name = config["name"]
     seed = int(config.get("seed", 0))
     f, f0 = _mapping_from_config(config["mapping"], "mapping")
-    n = int(config["n"])
+    with _at("n"):  # the fitted budget samples fe3's terms, whose arity is capped
+        n = EquationSpec("fe3", n=int(config["n"])).n
     probes = _probes_from_config(config["probes"], seed, f.domain, "probes")
     if "probes" in config.get("stability", {}):
         raise ScenarioValidationError("stability.probes", "covariance reads the top-level probes")

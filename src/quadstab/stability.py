@@ -29,7 +29,7 @@ from .equations import EquationSpec
 # approximate_remainder is no longer called here; it stays importable from this
 # namespace because bench/spans.py wraps it here by name
 from .mappings import (Mapping, NonFiniteResidualError, approximate_remainder, draw_unitary,
-                       sample_residuals, value_norm)
+                       empirical_sup_residual, sample_residuals, value_norm)
 
 MAX_SERIES_TERMS = 100_000
 SCALE_GUARD = 1e100
@@ -457,7 +457,6 @@ class ProbeResult:
     probe: np.ndarray
     norm_x: float
     q_estimate: object
-    trace: tuple
     iterations: int
     converged: bool
     deviation: float
@@ -532,17 +531,17 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     for x, b in zip(cfg.probes, bounds):
         x = np.asarray(x)
         tail0 = None if phi.variant == "custom" else bound(phi, cfg.n, x, cfg.direction, K, p)
-        trace = []
         converged = False
         iterations = 0
         tail = None
-        prev = None
+        first = prev = None
         for m in range(cfg.m_max + 1):
             if float(lam) ** m > SCALE_GUARD:
                 break
             val = hyers_iterate(f, cfg.n, m, x, cfg.direction)
-            trace.append(val)
-            if prev is not None:
+            if prev is None:
+                first = val
+            else:
                 gap = codomain_norm(cfg.norm_spec, val - prev)
                 tail = None if tail0 is None else tail0 * decay**m
                 iterations = m
@@ -550,15 +549,13 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
                     converged = True
                     break
             prev = val
-        q_est = trace[-1]
-        deviation = codomain_norm(cfg.norm_spec, trace[0] - q_est)
+        deviation = codomain_norm(cfg.norm_spec, first - val)
         margin = b - deviation
         status = "pass" if (converged and margin >= -cfg.tol) else "fail"
         report.probes.append(ProbeResult(
             probe=x,
             norm_x=dnorm(x),
-            q_estimate=q_est,
-            trace=tuple(trace),
+            q_estimate=val,
             iterations=iterations,
             converged=converged,
             deviation=deviation,
@@ -592,11 +589,7 @@ def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: i
 def fit_constant_level(f: Mapping, n: int, trials: int = 400, seed: int = 0,
                        box: float = 10.0, codomain=None) -> float:
     """Fit theta as the sup of the twisted residual norm over `sample_residuals`."""
-    cnorm = codomain or value_norm
-    sup_res = 0.0
-    for _, val in sample_residuals(f, EquationSpec("fe3", n=n), trials, seed, box):
-        sup_res = max(sup_res, cnorm(val))
-    return sup_res
+    return empirical_sup_residual(f, EquationSpec("fe3", n=n), trials, seed, norm=codomain, box=box)
 
 
 # ---------------------------------------------------------------------------

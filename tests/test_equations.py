@@ -14,6 +14,9 @@ def test_validation():
         EquationSpec("fe3_0", a=-1)
     with pytest.raises(ValueError):
         EquationSpec("fe9")
+    with pytest.raises(ValueError, match="capped"):
+        EquationSpec("fe3", n=65)  # refused before its 2,145-term list exists
+    assert len(EquationSpec("fe3", n=64).terms()) == 64 * 65 // 2
     EquationSpec("fe3_0", a=0)  # a = 0 is allowed: |a| != 1
 
 

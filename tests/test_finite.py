@@ -53,7 +53,7 @@ def toarray(m):
     return np.vstack([m.densify(b) for b in m.tuple_batches()])
 
 
-def test_group_validation():
+def test_group_validation(monkeypatch):
     with pytest.raises(ValueError):
         GroupSpec(4, 1)
     with pytest.raises(ValueError):
@@ -61,6 +61,10 @@ def test_group_validation():
     with pytest.raises(ValueError):
         GroupSpec(5, 0)
     assert GroupSpec(5, 2).size == 25
+    # a prime over the column cap is refused before its O(sqrt q) primality test
+    monkeypatch.setattr("quadstab.finite._is_prime", lambda n: pytest.fail("primality tested"))
+    with pytest.raises(ValueError, match="capped at 10000 columns.*10000000000037"):
+        GroupSpec(10**13 + 37)
 
 
 def test_group_index_arithmetic():
@@ -127,6 +131,9 @@ def test_subsample_plan_contract():
         m = qs.enumerate_constraints(eq, g)
         assert m.plan == "subsample"
         assert m.n_rows == len(structured_tuples(g, m.arity)) + SAMPLE_TUPLES
+    # arity 2 is always exact: the structured block already holds every pair
+    m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(59, 2))
+    assert (m.plan, m.n_rows) == ("full", 59**4)
 
 
 def test_admissibility():
@@ -351,6 +358,12 @@ def test_constraints_hold():
     cube = np.array([(x**3) % 5 for x in range(5)])
     ok = qs.constraints_hold(m, [sq, cube])
     assert ok.tolist() == [True, False]
+    # the reduced coefficients of these 23 terms f(kx) sum to 22q, so at the
+    # constant table q-1 every residual sum is 22q(q-1), past int32 range, and
+    # vanishes mod q
+    q = 9973
+    m = qs.ConstraintMatrix([(-1, (k,)) for k in range(1, 23)] + [(22, (23,))], GroupSpec(q))
+    assert qs.constraints_hold(m, [np.full(q, q - 1)]).tolist() == [True]
 
 
 def test_columns_cap(monkeypatch):
@@ -377,12 +390,12 @@ def _basis_sha256(basis):
 
 
 def _record_checks(monkeypatch):
-    """Wrap the residual check; the returned list gets rows x candidates per call."""
+    """Wrap the residual check; the returned list gets (rows, candidates) per call."""
     sizes = []
     inner = qs.finite._residual_nonzero
 
     def recorded(M, tuples, candidates):
-        sizes.append(tuples.shape[0] * candidates.shape[1])
+        sizes.append((tuples.shape[0], candidates.shape[1]))
         return inner(M, tuples, candidates)
 
     monkeypatch.setattr("quadstab.finite._residual_nonzero", recorded)
@@ -394,7 +407,9 @@ def test_residual_checks_stay_within_the_budget(monkeypatch):
     sizes = _record_checks(monkeypatch)
     m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(23, 2))
     basis = qs.nullspace_basis(m)
-    assert sizes and max(sizes) <= budget
+    assert sizes and max(r * c for r, c in sizes) <= budget
+    # each row is streamed once: the pairs block is not enumerated a second time
+    assert sum(r for r, _ in sizes) < 1.5 * m.n_rows
     assert _basis_sha256(basis) == FE1_F23_2_BASIS_SHA256
     # many candidates: combinations of the basis hold, random tables do not
     rng = np.random.default_rng(3)
@@ -404,7 +419,7 @@ def test_residual_checks_stay_within_the_budget(monkeypatch):
     sizes.clear()
     ok = qs.constraints_hold(m, held + broken)
     assert ok.tolist() == [True] * 40 + [False] * 4
-    assert sizes and max(sizes) <= budget
+    assert sizes and max(r * c for r, c in sizes) <= budget
 
 
 def test_nullspace_memory_does_not_grow_with_candidates():

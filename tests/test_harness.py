@@ -365,8 +365,9 @@ def test_over_cap_group_is_a_group_error_without_building_rows(tmp_path, capsys)
     # 101^2 = 10201 columns is over the dense-elimination cap; the cap is
     # checked before any constraint row or substitution tuple is built.
     # 5^100000 has more digits than an int may print, so the cap must be
-    # decided without forming q^d
-    for group in ({"q": 101, "d": 2}, {"q": 5, "d": 100000}):
+    # decided without forming q^d; a prime q over the cap is refused before
+    # its O(sqrt q) primality test
+    for group in ({"q": 101, "d": 2}, {"q": 5, "d": 100000}, {"q": 10**13 + 37, "d": 1}):
         cfg = {"name": "big", "kind": "dimension", "equation": {"id": "fe1"},
                "group": group, "expected_dim": 3}
         with pytest.raises(h.ScenarioValidationError) as err:
@@ -456,6 +457,10 @@ _REFUSED = {
     "domain-norm-dim-given": (_edit("power-forward", ("domain_norm", {"kind": "euclidean", "dim": 2}),
                                     ("control", {"variant": "power", "epsilon": 1.0, "r": 1.0}),
                                     ("stability.probes", {"count": 2})), "domain_norm"),
+    # an fe3 arity over the term-list cap, refused before any term exists
+    "oracle-fe3-arity": (_edit("oracle-fe3-fe1", ("equation_a.n", 65)), "equation_a"),
+    "dimension-fe3-arity": (_edit("fe1-dimension", ("equation", {"id": "fe3", "n": 65})), "equation"),
+    "covariance-fe3-arity": (_edit("unitary-covariance", ("n", 65)), "n"),
 }
 
 

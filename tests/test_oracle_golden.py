@@ -34,6 +34,9 @@ GOLDEN = [
     ("fe3:4", "fe1", 11, 1, True, 1, 1, None, None),
     ("fe3_0:0", "fe1", 5, 3, True, 6, 6, None, None),
     ("fe3:4", "fe1", 11, 2, True, 3, 3, None, None),
+    # shifts whose argument weights overflow int32 unless reduced mod q
+    ("fe3_0:1073741826", "fe1", 11, 1, True, 1, 1, None, None),
+    ("fe3_0:1099511627778", "fe1", 11, 1, True, 1, 1, None, None),
     ("fe1", "cauchy", 5, 1, False, 1, 1, "right-only",
      "713ef470ed4dddb6736eb9cb61f15319f949a3ed8a0da8db30b840f5ed567d0b"),
     ("cauchy", "fe1", 7, 2, False, 2, 3, "right-only",
