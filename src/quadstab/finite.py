@@ -3,11 +3,12 @@
 Each equation instantiates pointwise over the group (Z/q)^d as exact linear
 constraints on function tables F: (Z/q)^d -> Z/q, one row per argument
 tuple.  Nullspaces come from GF(q) Gaussian elimination.  Rows come from one
-stream, `ConstraintMatrix.tuple_batches`: a basis is built from its first
-rows (zero, one-hot, repeat and pair substitution tuples) and every later
-row is verified against the candidate nullspace, since over a field a row
-annihilates null(B) exactly when it lies in rowspace(B).  Violating rows are
-folded into the basis, so the result equals full elimination of the stream.
+stream, `ConstraintMatrix.tuple_batches`: substitution patterns, then tuple
+indices decoded chunk by chunk.  A basis is built from its first rows and
+every later row is verified against the candidate nullspace, since over a
+field a row annihilates null(B) exactly when it lies in rowspace(B).
+Violating rows are folded into the basis, so the result equals full
+elimination of the stream, which stops once the nullspace is empty.
 Verification checks at most 2^22 row x candidate entries at a time, so the
 oracle's peak memory does not grow with the candidate count.
 Each equation's constraints are streamed once; two solution spaces are
@@ -103,13 +104,20 @@ class GroupSpec:
 
 @lru_cache(maxsize=None)
 def _decode_table(q: int, d: int):
-    size = q**d
-    idx = np.arange(size, dtype=np.int64)
-    coords = np.empty((size, d), dtype=np.int32)
-    for j in range(d):
-        coords[:, j] = (idx // q**j) % q
+    coords = _digits(0, q**d, q, d, np.int32)
     coords.setflags(write=False)
     return coords
+
+
+def _digits(start: int, stop: int, base: int, width: int, dtype=np.int64) -> np.ndarray:
+    """Row r holds the base-`base` digits of start + r, least significant in slot 0.
+    Slots are peeled one at a time by repeated division, so no power of `base`
+    is formed and wide tuples cannot overflow int64."""
+    rest = np.arange(start, stop, dtype=np.int64)
+    out = np.empty((rest.shape[0], width), dtype=dtype)
+    for slot in range(width):
+        rest, out[:, slot] = np.divmod(rest, base)
+    return out
 
 
 def _term_columns(group: GroupSpec, coords: np.ndarray, weights) -> np.ndarray:
@@ -208,9 +216,9 @@ class ConstraintMatrix:
     """Pointwise instantiation of an equation over a group, one row per tuple.
 
     Rows are streamed rather than materialized: `tuple_batches` yields the
-    structured block, then the rest of the full enumeration or, when that is
-    too large, a fixed-seed subsample; `densify` turns a batch of tuples into
-    dense GF(q) rows.
+    patterns and pairs, then the rest of the full enumeration or, when that
+    is too large, a fixed-seed subsample; `densify` turns a batch of tuples
+    into dense GF(q) rows.
     """
 
     def __init__(self, eq, group: GroupSpec):
@@ -229,13 +237,13 @@ class ConstraintMatrix:
         self.group = group
         size = group.size
         total = size**self.arity
-        # the stream's structured block holds every tuple index below size^2
+        # both plans stream every tuple index below size^2 (the pairs)
         if total - size * size <= FULL_STREAM_CAP:
             self.plan = "full"
             self.n_rows = total
         else:
             self.plan = "subsample"
-            # len(structured_tuples(group, arity)) for arity >= 3, without building them
+            # the patterns (arity >= 3 here), the pairs and the sample, without building them
             self.n_rows = 1 + (self.arity + 2) * (size - 1) + size * size + SAMPLE_TUPLES
 
     @property
@@ -243,26 +251,21 @@ class ConstraintMatrix:
         return (self.n_rows, self.group.size)
 
     def tuple_batches(self, chunk: int = _CHUNK):
-        """The one row stream: the structured block, then full-plan indices from size^2 on."""
+        """The one row stream: the patterns leading the first chunk of pairs (tuple
+        indices below size^2, decoded into digits), then the indices from size^2 on
+        in the full plan, or a fixed-seed sample in the subsample plan."""
         size = self.group.size
-        structured = structured_tuples(self.group, self.arity)
-        for start in range(0, structured.shape[0], chunk):
-            yield structured[start:start + chunk]
-        if self.plan == "full":
-            total = size**self.arity
-            for start in range(size * size, total, chunk):
-                idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                batch = np.empty((idx.shape[0], self.arity), dtype=np.int64)
-                for l in range(self.arity):
-                    batch[:, l] = (idx // size**l) % size
-                yield batch
-            return
-        rng = np.random.default_rng(SAMPLE_SEED)
-        remaining = SAMPLE_TUPLES
-        while remaining > 0:
-            take = min(chunk, remaining)
-            yield rng.integers(0, size, size=(take, self.arity), dtype=np.int64)
-            remaining -= take
+        patterns = structured_tuples(self.group, self.arity)
+        end = size**self.arity if self.plan == "full" else size * size
+        for lo, hi in ((0, min(size * size, end)), (size * size, end)):
+            for start in range(lo, hi, chunk):
+                batch = _digits(start, min(start + chunk, hi), size, self.arity)
+                yield np.concatenate([patterns, batch]) if start == 0 else batch
+        if self.plan == "subsample":
+            rng = np.random.default_rng(SAMPLE_SEED)
+            for start in range(0, SAMPLE_TUPLES, chunk):
+                take = min(chunk, SAMPLE_TUPLES - start)
+                yield rng.integers(0, size, size=(take, self.arity), dtype=np.int64)
 
     def densify(self, tuples: np.ndarray) -> np.ndarray:
         coords = self.decode[tuples]
@@ -274,9 +277,8 @@ class ConstraintMatrix:
 
 
 def structured_tuples(group: GroupSpec, arity: int) -> np.ndarray:
-    """Substitution patterns that pin the solution space: zero, one-hot in
-    every slot, (x, ..., x, 0), (x, ..., x), and all pairs in the first two
-    slots."""
+    """Substitution patterns that lead the row stream: zero, one-hot in every
+    slot and, for arity >= 2, (x, ..., x) and (x, ..., x, 0)."""
     size = group.size
     blocks = [np.zeros((1, arity), dtype=np.int64)]
     xs = np.arange(1, size, dtype=np.int64)
@@ -286,15 +288,9 @@ def structured_tuples(group: GroupSpec, arity: int) -> np.ndarray:
         blocks.append(block)
     if arity >= 2:
         rep = np.tile(xs[:, None], (1, arity))
-        blocks.append(rep.copy())
         rep0 = rep.copy()
         rep0[:, -1] = 0
-        blocks.append(rep0)
-        grid_x, grid_y = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        pairs = np.zeros((size * size, arity), dtype=np.int64)
-        pairs[:, 0] = grid_x.ravel()
-        pairs[:, 1] = grid_y.ravel()
-        blocks.append(pairs)
+        blocks += [rep, rep0]
     return np.vstack(blocks)
 
 
@@ -410,6 +406,8 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
             null = gf_nullspace(basis, q, size)
             if bad.shape[0] > merge_cap:
                 pending = np.concatenate([bad[merge_cap:], pending])
+        if not null.shape[1]:
+            break  # an empty nullspace stays empty: draw no more rows
     return null
 
 

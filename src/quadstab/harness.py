@@ -363,15 +363,9 @@ def _fmt(v) -> str:
 
 def _fmt_value(v) -> str:
     arr = np.asarray(v)
-    if arr.ndim == 0:
-        x = arr.item()
-        if isinstance(x, complex):
-            return repr(x).strip("()")
-        return repr(float(x))
-    flat = arr.reshape(-1)
     return "|".join(
         repr(complex(t)).strip("()") if np.iscomplexobj(arr) else repr(float(t))
-        for t in flat
+        for t in arr.reshape(-1)
     )
 
 

@@ -111,27 +111,28 @@ def test_group_combine_matches_decode_arithmetic():
         assert int(idx) == g.encode(coords)
 
 
-def test_subsample_plan_contract():
-    # arity > 3 with |G|^n beyond the cap: structured tuples + 10^6 fixed-seed
-    # random tuples, deterministic across calls
-    from quadstab.finite import SAMPLE_TUPLES, structured_tuples
+def _streamed_rows(m):
+    return sum(batch.shape[0] for batch in m.tuple_batches())
 
+
+def test_subsample_plan_contract():
+    # arity > 3 with |G|^n beyond the cap: patterns, pairs and 10^6 fixed-seed
+    # random tuples, deterministic across calls
     g = GroupSpec(11, 2)
     m = qs.enumerate_constraints(EquationSpec("fe3", n=4), g)
     assert m.plan == "subsample"
-    expected_rows = len(structured_tuples(g, 4)) + SAMPLE_TUPLES
-    assert m.shape == (expected_rows, g.size)
+    assert m.shape == (_streamed_rows(m), g.size)
     first_a = next(iter(m.tuple_batches(chunk=1000)))
     first_b = next(iter(m.tuple_batches(chunk=1000)))
     assert np.array_equal(first_a, first_b)
     # small systems stream the full enumeration
     assert qs.enumerate_constraints(EquationSpec("fe3", n=4), GroupSpec(11, 1)).plan == "full"
-    # the planned row count is the structured block's length, other arities too
+    # the planned row count is the streamed row count, other arities too
     for eq, g in [(EquationSpec("fe2"), GroupSpec(7, 3)), (EquationSpec("fe3", n=5), GroupSpec(31, 1))]:
         m = qs.enumerate_constraints(eq, g)
         assert m.plan == "subsample"
-        assert m.n_rows == len(structured_tuples(g, m.arity)) + SAMPLE_TUPLES
-    # arity 2 is always exact: the structured block already holds every pair
+        assert m.n_rows == _streamed_rows(m)
+    # arity 2 is always exact: the pairs are every tuple
     m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(59, 2))
     assert (m.plan, m.n_rows) == ("full", 59**4)
 
@@ -431,6 +432,37 @@ def test_nullspace_memory_does_not_grow_with_candidates():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_first_batch_memory_is_bounded_by_the_chunk():
+    # the pairs are decoded chunk by chunk: the first batch of fe2 over F_11^3
+    # does not build all 1331^2 pairs (about 108 MiB as one int64 block)
+    m = qs.enumerate_constraints(EquationSpec("fe2"), GroupSpec(11, 3))
+    tracemalloc.start()
+    try:
+        next(m.tuple_batches())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_stream_stops_at_an_empty_nullspace():
+    # f(x) = 0 in the first of three slots: the first batch already pins f = 0,
+    # and none of the other 4.8M tuples over F_13^2 is drawn
+    m = qs.ConstraintMatrix([(1, (1, 0, 0))], GroupSpec(13, 2))
+    first = next(m.tuple_batches()).shape[0]
+    drawn = []
+    batches = m.tuple_batches
+
+    def counted():
+        for batch in batches():
+            drawn.append(batch.shape[0])
+            yield batch
+
+    m.tuple_batches = counted
+    assert qs.nullspace_basis(m) == []
+    assert sum(drawn) <= first
 
 
 def _reference_rref(mat, q):
