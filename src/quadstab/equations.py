@@ -7,6 +7,9 @@ weights) pairs: the residual of a mapping f on points (x_1, ..., x_m) is
 
 One representation drives both the floating-point residual evaluators and
 the exact finite-field constraint matrices, so the two never drift apart.
+`term_arrays` caches it as arrays, and `term_arguments` forms every term's
+argument for a block of tuples at once; blocks hold at most `_BLOCK_ENTRIES`
+argument entries, so evaluating any number of tuples takes bounded memory.
 
 Equation ids follow the config wire format:
 
@@ -21,9 +24,14 @@ Equation ids follow the config wire format:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 Term = tuple[int, tuple[int, ...]]
+
+_BLOCK_ENTRIES = 1 << 16  # term-argument entries per evaluated block: bounds a block's memory
 
 MAX_FE3_ARITY = 64  # fe3's term list has n(n+1)/2 terms of length n: 2,080 at the cap
 
@@ -138,3 +146,37 @@ def equation_terms(eq) -> tuple[tuple[Term, ...], int]:
     if any(len(ws) != arity for _, ws in terms):
         raise ValueError("all terms must weight the same number of arguments")
     return terms, arity
+
+
+@lru_cache(maxsize=32)
+def _cached_term_arrays(key):
+    terms, _ = equation_terms(key)
+    coeffs, weights = np.array([c for c, _ in terms]), np.array([w for _, w in terms])
+    coeffs.flags.writeable = weights.flags.writeable = False
+    return coeffs, weights
+
+
+def term_arrays(eq) -> tuple[np.ndarray, np.ndarray]:
+    """An equation's terms as int64 arrays: coefficients (T,) and weights (T, arity), cached."""
+    return _cached_term_arrays(eq if isinstance(eq, EquationSpec) else equation_terms(eq)[0])
+
+
+def term_arguments(weights: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Every term argument of a block of tuples: P (B, arity, *shape) -> (B, T, *shape).
+
+    Each argument is one (1, arity) @ (arity, N) product, the same BLAS call a
+    single tuple's `weights[t] @ points` makes, so it does not depend on B.
+    """
+    B, arity = P.shape[:2]
+    flat = P.reshape(B, 1, arity, -1)
+    return (weights[:, None, :] @ flat).reshape((B, len(weights)) + P.shape[2:])
+
+
+def block_length(entries_per_tuple: int) -> int:
+    """Tuples per block when one tuple's term arguments hold `entries_per_tuple` entries."""
+    return max(1, _BLOCK_ENTRIES // max(1, entries_per_tuple))
+
+
+def term_sum(V: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in index order, the order a loop over the terms adds in."""
+    return np.add.accumulate(V, axis=1)[:, -1]

@@ -30,8 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import QuasiNormSpec, norm_eval
-from .equations import EquationSpec, equation_terms
+# norm_eval is no longer called here; it stays importable from this namespace
+# because bench/spans.py wraps it here by name
+from .algebra import QuasiNormSpec, _magnitudes, _norms, _scalar_pow, norm_eval  # noqa: F401
+from .equations import EquationSpec, block_length, equation_terms, term_arguments, term_arrays, term_sum
 
 MAX_COLUMNS = 10**4
 FULL_STREAM_CAP = 8_000_000
@@ -575,39 +577,29 @@ def inner_product_characterization(spec: QuasiNormSpec, mode: str, param: int,
         eq = EquationSpec("fe3", n=int(param))
     else:
         raise ValueError("mode must be 'b' or 'c'")
-    terms, arity = equation_terms(eq)
-    dim = spec.dim
-
-    def residual_and_scale(pts):
-        res = 0.0
-        scale = 1.0
-        stacked = np.stack(pts)
-        for coeff, w in terms:
-            term = coeff * norm_eval(spec, np.asarray(w) @ stacked) ** 2
-            res += term
-            scale += abs(term)
-        return res, scale
-
-    def prelude():
-        eye = np.eye(dim)
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                pts = [np.zeros(dim) for _ in range(arity)]
-                pts[0] = eye[i].copy()
-                pts[1] = eye[j].copy()
-                yield tuple(pts)
-
-    def random_tuples():
-        rng = np.random.default_rng(seed)
-        while True:
-            yield tuple(rng.uniform(-10.0, 10.0, dim) for _ in range(arity))
-
+    coeffs, weights = term_arrays(eq)
+    arity, dim = weights.shape[1], spec.dim
+    prelude = [(i, j) for i in range(dim) for j in range(dim) if i != j][:trials]
+    rng = np.random.default_rng(seed)
+    step = block_length(len(coeffs) * dim)
     sup = 0.0
-    for pts in itertools.islice(itertools.chain(prelude(), random_tuples()), trials):
-        res, scale = residual_and_scale(pts)
-        sup = max(sup, abs(res))
-        if abs(res) > _IDENTITY_RTOL * scale:
-            return CharacterizationResult(False, sup, witness=pts, witness_residual=res)
+    for start in range(0, trials, step):
+        stop = min(trials, start + step)
+        P = np.zeros((stop - start, arity, dim))
+        for t, (i, j) in enumerate(prelude[start:stop]):
+            P[t, 0, i] = P[t, 1, j] = 1.0
+        drawn = max(start, len(prelude))
+        if drawn < stop:
+            P[drawn - start:] = rng.uniform(-10.0, 10.0, (stop - drawn, arity, dim))
+        norms = _norms(spec, _magnitudes(term_arguments(weights, P), matrix=False))
+        terms = coeffs * _scalar_pow(norms, 2)
+        # res starts at 0.0 and scale at 1.0, and both add the terms in order
+        res = term_sum(np.concatenate([np.zeros((len(P), 1)), terms], axis=1))
+        scale = term_sum(np.concatenate([np.ones((len(P), 1)), np.abs(terms)], axis=1))
+        hits = np.flatnonzero(np.abs(res) > _IDENTITY_RTOL * scale)
+        seen = np.abs(res[:hits[0] + 1] if hits.size else res)
+        sup = max(sup, float(np.fmax.reduce(seen)))  # fmax and max both pass over NaN
+        if hits.size:
+            return CharacterizationResult(False, sup, witness=tuple(P[hits[0]].copy()),
+                                          witness_residual=float(res[hits[0]]))
     return CharacterizationResult(True, sup)

@@ -4,10 +4,16 @@ Mappings are closed-form families rather than bare callables so experiment
 configurations stay serializable; ``Custom`` is the escape hatch for tests.
 Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
-`approximate_remainder` is the one unitary-twisted residual (conjugation, or
-a self-adjoint companion via `mode`), and `sample_residuals` is the one
-seeded sampler of residuals that the empirical sup, the control fits and the
-consistency check all read.
+
+Every mapping evaluates one point, `f(x)`, or a block of points,
+`f.batch(X)` with X of shape (B, *domain.shape), and the two agree bit for
+bit.  `_residuals` is the one residual kernel: it forms all term arguments
+of a block of tuples and evaluates them in one `f.batch` call.
+`equation_residual` and `approximate_remainder` (the one unitary-twisted
+residual: conjugation, or a self-adjoint companion via `mode`) are that
+kernel on a block of one tuple, and `sample_residuals`, the one seeded
+sampler of residuals that the empirical sup, the control fits and the
+consistency check all read, runs it block by block.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _haar_unitary, act, conjugate_value, hat, random_point
-from .equations import EquationSpec, equation_terms
+from .algebra import _ginibre, _haar_from_ginibre, _haar_unitary, hat, random_point
+from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
 @dataclass(frozen=True)
@@ -41,17 +47,30 @@ class Domain:
         dtype = complex if (self.complex_scalars or self.matrix) else float
         return np.zeros(self.shape, dtype=dtype)
 
-    def random(self, rng: np.random.Generator, box: float = 10.0) -> np.ndarray:
-        return random_point(rng, self.d, self.k, box, self.complex_scalars or self.matrix)
+    def random(self, rng: np.random.Generator, box: float = 10.0, count: int | None = None) -> np.ndarray:
+        """One uniform point, or `count` stacked ones drawn as `count` single calls would."""
+        return random_point(rng, self.d, self.k, box, self.complex_scalars or self.matrix, count)
 
 
 class Mapping:
-    """Base class; subclasses implement __call__ on a single module point."""
+    """Base class of the mapping families on one Domain.
+
+    Subclasses implement `__call__` on one point.  Batch contract: `f.batch(X)`
+    takes B points stacked on a leading axis, X of shape (B, *domain.shape),
+    and returns their B values stacked the same way, shape (B, *value shape),
+    with `f.batch(X)[i]` equal to `f(X[i])`.  This base class loops over
+    `__call__` (Custom, Tabulated); the closed-form families override `batch`
+    with one vectorised evaluation that keeps the per-point reduction order,
+    so the two agree bit for bit and a value does not depend on B.
+    """
 
     domain: Domain
 
     def __call__(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def batch(self, X):
+        return np.stack([np.asarray(self(x)) for x in self._coerce_batch(X)])
 
     def _coerce(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -62,6 +81,13 @@ class Mapping:
         if x.shape != self.domain.shape:
             raise ValueError(f"domain mismatch: expected point of shape {self.domain.shape}, got {x.shape}")
         return x
+
+    def _coerce_batch(self, X) -> np.ndarray:
+        X = np.asarray(X)
+        if X.shape[1:] != self.domain.shape:
+            raise ValueError(f"domain mismatch: expected points of shape (B, *{self.domain.shape}), "
+                             f"got {X.shape}")
+        return X
 
 
 class QuadraticForm(Mapping):
@@ -96,6 +122,18 @@ class QuadraticForm(Mapping):
                     out += M[i, j] * (x[i] @ x[j].conj().T)
         return out
 
+    def batch(self, X):
+        X = np.ascontiguousarray(self._coerce_batch(X))
+        M = self.coefficients
+        if X.ndim == 2:  # per point one (1, d) @ (d, d) and one (1, d) @ (d, 1) product
+            row = np.conj(X) if np.iscomplexobj(X) else X
+            return np.real(row[:, np.newaxis] @ M @ X[:, :, np.newaxis])[:, 0, 0]
+        k = self.domain.k
+        out = np.zeros((len(X), k, k), dtype=complex)
+        for i, j in zip(*np.nonzero(M)):
+            out += M[i, j] * (X[:, i] @ X[:, j].conj().transpose(0, 2, 1))
+        return out
+
 
 class MatrixSquare(Mapping):
     """Single matrix coordinate x -> x x*."""
@@ -111,6 +149,12 @@ class MatrixSquare(Mapping):
             return float(np.abs(x[0]) ** 2)
         return x[0] @ x[0].conj().T
 
+    def batch(self, X):
+        X = self._coerce_batch(X)
+        if X.ndim == 2:
+            return np.abs(X[:, 0]) ** 2
+        return X[:, 0] @ X[:, 0].conj().transpose(0, 2, 1)
+
 
 class Coordinatewise(Mapping):
     """x -> sum_i g(x_i) on a real scalar domain, for an elementwise array function g."""
@@ -121,6 +165,9 @@ class Coordinatewise(Mapping):
 
     def __call__(self, x):
         return float(self.g(self._coerce(x)).sum())
+
+    def batch(self, X):
+        return self.g(self._coerce_batch(X)).sum(axis=1).astype(float)
 
 
 class Monomial(Coordinatewise):
@@ -139,6 +186,10 @@ class ConstantMap(Mapping):
     def __call__(self, x):
         self._coerce(x)
         return self.value
+
+    def batch(self, X):
+        X = self._coerce_batch(X)
+        return np.repeat(np.asarray(self.value)[np.newaxis], len(X), axis=0)
 
 
 class Sine(Coordinatewise):
@@ -178,6 +229,11 @@ class MatrixSineBump(Mapping):
         x = self._coerce(x)
         return np.sin(float(np.trace(x[0]).real)) * self.h
 
+    def batch(self, X):
+        X = self._coerce_batch(X)
+        trace = np.trace(X[:, 0], axis1=1, axis2=2).real
+        return np.sin(trace)[:, np.newaxis, np.newaxis] * self.h
+
 
 class Perturbed(Mapping):
     """base(x) + amplitude * bump(x)."""
@@ -193,6 +249,9 @@ class Perturbed(Mapping):
     def __call__(self, x):
         return self.base(x) + self.amplitude * np.asarray(self.bump(x))
 
+    def batch(self, X):
+        return self.base.batch(X) + self.amplitude * self.bump.batch(X)
+
 
 class Scaled(Mapping):
     def __init__(self, inner: Mapping, factor: float):
@@ -202,6 +261,9 @@ class Scaled(Mapping):
 
     def __call__(self, x):
         return self.factor * np.asarray(self.inner(x))
+
+    def batch(self, X):
+        return self.factor * self.inner.batch(X)
 
 
 class SumMapping(Mapping):
@@ -220,6 +282,12 @@ class SumMapping(Mapping):
             total = total + np.asarray(p(x))
         return total
 
+    def batch(self, X):
+        total = self.parts[0].batch(X)
+        for p in self.parts[1:]:
+            total = total + p.batch(X)
+        return total
+
 
 class Stack(Mapping):
     """Stack scalar-codomain mappings into a vector-valued one."""
@@ -235,6 +303,12 @@ class Stack(Mapping):
 
     def __call__(self, x):
         return np.array([float(p(x)) for p in self.parts])
+
+    def batch(self, X):
+        values = np.stack([p.batch(X) for p in self.parts], axis=1)
+        if values.ndim != 2:
+            raise TypeError("stacked parts must be scalar-valued")
+        return values.astype(float)
 
 
 class Tabulated(Mapping):
@@ -311,25 +385,65 @@ def mapping_from_config(cfg: dict) -> Mapping:
 
 
 # ---------------------------------------------------------------------------
-# residual evaluators
+# residual evaluators: one batched kernel, thin per-tuple wrappers
+
+def _per_tuple(a, ndim: int):
+    """A per-tuple scalar factor, shape (B,), broadcastable against B-leading arrays of ndim."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - 1))
 
 
-def _term_residual(f, terms, pts):
-    stacked = np.stack([np.asarray(p) for p in pts])
-    acc = None
-    for coeff, w in terms:
-        arg = np.tensordot(np.asarray(w), stacked, axes=1)
-        val = np.asarray(f(arg))
-        acc = coeff * val if acc is None else acc + coeff * val
-    return acc
+def _residuals(f, P, terms=None, U=None, hats=None):
+    """Residuals of the B tuples stacked in P, shape (B, arity, *domain.shape), in one f.batch call.
+
+    With `terms` (coefficients and weights from `term_arrays`) this is the
+    signed term sum.  With U, B algebra elements, it is the unitary-twisted fe3
+    residual of `approximate_remainder` at n = arity: the single terms are
+    conjugated by U, or multiplied by `hats` when given.  Every argument and
+    every sum is formed in the per-tuple order, so a residual does not depend
+    on its block.
+    """
+    B, n = P.shape[:2]
+    if U is None:
+        coeffs, weights = terms
+        V = f.batch(term_arguments(weights, P).reshape((-1,) + P.shape[2:]))
+        V = V.reshape((B, len(coeffs)) + V.shape[1:])
+        return term_sum(coeffs.reshape((1, -1) + (1,) * (V.ndim - 2)) * V)
+    I, J = np.triu_indices(n, 1)
+    pairs = P[:, I] - P[:, J]
+    if U.ndim == 1:
+        pairs = _per_tuple(U, pairs.ndim) * pairs
+    else:
+        pairs = np.einsum("zab,zpibc->zpiac", U, pairs)
+    singles = P.sum(axis=1)[:, np.newaxis] - n * P
+    V = f.batch(np.concatenate([pairs, singles], axis=1).reshape((-1,) + P.shape[2:]))
+    V = V.reshape((B, -1) + V.shape[1:])
+    pair_values, single_values = V[:, :len(I)], V[:, len(I):]
+    if hats is not None:
+        single_values = (hats[:, np.newaxis] @ single_values if hats.ndim == 3
+                         else _per_tuple(hats, single_values.ndim) * single_values)
+    elif U.ndim == 1:
+        u = _per_tuple(U, single_values.ndim)
+        single_values = u * single_values * np.conj(u)
+    else:
+        if single_values.shape[2:] != U.shape[1:]:
+            raise ValueError("matrix conjugation needs a matching square codomain value")
+        single_values = (U[:, np.newaxis] @ single_values
+                         @ U.conj().transpose(0, 2, 1)[:, np.newaxis])
+    return n * term_sum(pair_values) - term_sum(single_values)
+
+
+def _one_tuple(f, points) -> np.ndarray:
+    """One tuple of points as a block of one, shape (1, arity, *domain.shape)."""
+    return np.stack([f._coerce(p) for p in points])[np.newaxis]
 
 
 def equation_residual(f, eq, points):
     """Left minus right side of an equation, evaluated through f on the points."""
-    terms, arity = equation_terms(eq)
+    terms = term_arrays(eq)
+    arity = terms[1].shape[1]
     if len(points) != arity:
         raise ValueError(f"equation takes {arity} points, got {len(points)}")
-    return _term_residual(f, terms, points)
+    return _residuals(f, _one_tuple(f, points), terms)[0]
 
 
 def residual_fe1(f, x, y):
@@ -361,33 +475,25 @@ def approximate_remainder(f, u, n: int, xs, mode: str | None = None):
     """
     if n < 3:
         raise ValueError("arity n must be >= 3")
-    pts = [np.asarray(x) for x in xs]
+    pts = list(xs)
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
     u_arr = np.asarray(u)
-    if f.domain.matrix and u_arr.ndim == 2 and u_arr.shape != (f.domain.k, f.domain.k):
+    if u_arr.ndim not in (0, 2):
+        raise ValueError("algebra elements are scalars or square matrices")
+    if u_arr.ndim == 2 and not f.domain.matrix:
+        raise ValueError("scalar module coordinates need a scalar algebra element")
+    if u_arr.ndim == 2 and u_arr.shape != (f.domain.k, f.domain.k):
         raise ValueError(
             f"algebra dimension mismatch: unitary {u_arr.shape}, module expects k={f.domain.k}"
         )
-    if mode is None:
-        twist = lambda v: conjugate_value(u_arr, v)
-    else:
+    hats = None
+    if mode is not None:
         norm_u = abs(complex(u_arr)) if u_arr.ndim == 0 else float(np.linalg.norm(u_arr, 2))
         if abs(norm_u - 1.0) > 1e-9:
             raise ValueError(f"element must have unit norm, got {norm_u}")
-        u_hat = hat(u_arr, mode)
-        twist = lambda v: u_hat @ v if np.ndim(u_hat) == 2 else u_hat * v
-    pair_sum = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = np.asarray(f(act(u_arr, pts[i] - pts[j])))
-            pair_sum = val if pair_sum is None else pair_sum + val
-    total = np.sum(np.stack(pts), axis=0)
-    single_sum = None
-    for i in range(n):
-        val = twist(np.asarray(f(total - n * pts[i])))
-        single_sum = val if single_sum is None else single_sum + val
-    return n * pair_sum - single_sum
+        hats = np.asarray(hat(u_arr, mode))[np.newaxis]
+    return _residuals(f, _one_tuple(f, pts), U=u_arr[np.newaxis], hats=hats)[0]
 
 
 def value_norm(v) -> float:
@@ -417,20 +523,36 @@ def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
     One default_rng(seed) draws, per tuple, eq.arity box points and then, for
     fe3 only, one unitary.  Fitted controls and preset CSVs depend on this
     order, and with a fixed seed the samples form a prefix chain in `trials`.
-    Raises NonFiniteResidualError at the first residual that is not finite.
+    The tuples are evaluated `block_length` at a time by `_residuals`, with
+    one stacked QR per block for Haar unitaries.
+    Raises NonFiniteResidualError at the first residual that is not finite,
+    after yielding every sample before it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    for t in range(trials):
-        pts = tuple(f.domain.random(rng, box=box) for _ in range(eq.arity))
-        if eq.id == "fe3":
-            val = approximate_remainder(f, draw_unitary(rng, f.domain), eq.n, pts)
+    domain = f.domain
+    twisted = eq.id == "fe3"
+    terms = term_arrays(eq)
+    step = block_length(len(terms[0]) * int(np.prod(domain.shape)))
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        points, draws = [], []
+        for _ in range(count):
+            points.append(domain.random(rng, box=box, count=eq.arity))
+            if twisted:
+                draws.append(_ginibre(rng, domain.k) if domain.matrix else draw_unitary(rng, domain))
+        P = np.stack(points)
+        if twisted:
+            U = _haar_from_ginibre(np.stack(draws)) if domain.matrix else np.array(draws)
+            R = _residuals(f, P, U=U)
         else:
-            val = equation_residual(f, eq, pts)
-        if not np.isfinite(val).all():
-            raise NonFiniteResidualError(f"non-finite residual at sample {t} (box {box:g})")
-        yield pts, val
+            R = _residuals(f, P, terms)
+        finite = np.isfinite(R.reshape(count, -1)).all(axis=1)
+        for i in range(count):
+            if not finite[i]:
+                raise NonFiniteResidualError(f"non-finite residual at sample {start + i} (box {box:g})")
+            yield tuple(P[i]), R[i]
 
 
 def empirical_sup_residual(f, eq, trials: int = 1000, seed: int = 0,

@@ -175,3 +175,42 @@ def test_axioms_property(xs, ys, lam):
         ny = qs.norm_eval(spec, y)
         assert abs(qs.norm_eval(spec, lam * x) - abs(lam) * nx) <= 1e-9 * (1.0 + abs(lam) * nx)
         assert qs.norm_eval(spec, x + y) <= spec.K * (nx + ny) + 1e-9 * (1.0 + nx + ny)
+
+
+_NORM_KINDS = [qs.euclidean(3), qs.l1(3), qs.weighted([0.5, 1.0, 2.5]), qs.lp_quasi(0.37, 3),
+               qs.lp_quasi(0.5, 3)]
+
+
+@pytest.mark.parametrize("spec", _NORM_KINDS, ids=lambda s: f"{s.kind}-{s.p}")
+def test_batched_norms_equal_per_point_norms(spec):
+    from quadstab.algebra import _magnitudes, _norms
+
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-10.0, 10.0, (64, 3))
+    Z = rng.normal(size=(64, 3, 2, 2)) + 1j * rng.normal(size=(64, 3, 2, 2))
+    for pts, matrix in ((X, False), (Z, True)):
+        got = _norms(spec, _magnitudes(pts, matrix))
+        assert got.tobytes() == np.array([qs.norm_eval(spec, p) for p in pts]).tobytes()
+
+
+def _reference_concavity(spec, sampler, trials, seed):
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        x, y = (np.asarray(v) for v in sampler(rng))
+        denom = qs.norm_eval(spec, x) + qs.norm_eval(spec, y)
+        if denom > 0.0:
+            best = max(best, qs.norm_eval(spec, x + y) / denom)
+    return best
+
+
+@pytest.mark.parametrize("spec", _NORM_KINDS, ids=lambda s: f"{s.kind}-{s.p}")
+def test_concavity_estimate_matches_per_pair_reference(spec):
+    pairs = lambda r: (r.uniform(-10.0, 10.0, spec.dim), r.uniform(-10.0, 10.0, spec.dim))
+    assert (qs.concavity_modulus_estimate(spec, trials=300, seed=5)
+            == _reference_concavity(spec, pairs, 300, 5))
+    matrices = lambda r: tuple(r.normal(size=(spec.dim, 2, 2)) + 0j for _ in range(2))
+    assert (qs.concavity_modulus_estimate(spec, sampler=matrices, trials=50, seed=6)
+            == _reference_concavity(spec, matrices, 50, 6))
+    zero = lambda r: (np.zeros(spec.dim), np.zeros(spec.dim))  # every pair skipped
+    assert qs.concavity_modulus_estimate(spec, sampler=zero, trials=3) == 0.0

@@ -345,6 +345,83 @@ def test_inner_product_characterization_l1_witness():
     assert res.witness_residual == pytest.approx(4.0, abs=1e-12)
 
 
+def _reference_characterization(spec, mode, param, trials, seed):
+    """The characterization one tuple at a time: per-point norms and a running max."""
+    eq = EquationSpec("fe3_0", a=param) if mode == "b" else EquationSpec("fe3", n=param)
+    terms, arity = qs.equation_terms(eq)
+    dim = spec.dim
+
+    def residual_and_scale(pts):
+        res, scale = 0.0, 1.0
+        stacked = np.stack(pts)
+        for coeff, w in terms:
+            term = coeff * qs.norm_eval(spec, np.asarray(w) @ stacked) ** 2
+            res += term
+            scale += abs(term)
+        return res, scale
+
+    def prelude():
+        eye = np.eye(dim)
+        for i, j in itertools.permutations(range(dim), 2):
+            pts = [np.zeros(dim) for _ in range(arity)]
+            pts[0], pts[1] = eye[i].copy(), eye[j].copy()
+            yield tuple(pts), True
+
+    def random_tuples():
+        rng = np.random.default_rng(seed)
+        while True:
+            yield tuple(rng.uniform(-10.0, 10.0, dim) for _ in range(arity)), False
+
+    sup = 0.0
+    for pts, in_prelude in itertools.islice(itertools.chain(prelude(), random_tuples()), trials):
+        res, scale = residual_and_scale(pts)
+        sup = max(sup, abs(res))
+        if abs(res) > qs.finite._IDENTITY_RTOL * scale:
+            return qs.CharacterizationResult(False, sup, witness=pts, witness_residual=res), in_prelude
+    return qs.CharacterizationResult(True, sup), None
+
+
+_CHARACTERIZED_NORMS = {
+    "euclidean": lambda: qs.euclidean(3),
+    "weighted": lambda: qs.weighted([1.0, 3.0]),
+    "l1": lambda: qs.l1(2),
+    "lp_quasi": lambda: qs.lp_quasi(0.6, 3),
+}
+
+
+def _assert_same_characterization(spec, mode, param, trials, seed):
+    got = qs.inner_product_characterization(spec, mode, param, trials=trials, seed=seed)
+    want, in_prelude = _reference_characterization(spec, mode, param, trials, seed)
+    assert got.passed == want.passed
+    assert got.sup_residual == want.sup_residual
+    assert got.witness_residual == want.witness_residual
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.stack(got.witness).tobytes() == np.stack(want.witness).tobytes()
+    return in_prelude
+
+
+@pytest.mark.parametrize("mode, params", [("b", (0, 2, 3, -2)), ("c", (3, 5))])
+@pytest.mark.parametrize("kind", sorted(_CHARACTERIZED_NORMS))
+def test_characterization_matches_per_tuple_reference(kind, mode, params):
+    spec = _CHARACTERIZED_NORMS[kind]()
+    for param in params:
+        for trials, seed in ((1, 0), (5, 1), (400, 2)):  # 1 < prelude length
+            in_prelude = _assert_same_characterization(spec, mode, param, trials, seed)
+            assert in_prelude is (None if kind in ("euclidean", "weighted") else True)
+
+
+@pytest.mark.parametrize("kind, mode, param, rtol", [("l1", "c", 5, 0.107),
+                                                     ("lp_quasi", "b", -2, 0.2)])
+def test_characterization_witness_in_the_random_part(kind, mode, param, rtol, monkeypatch):
+    # the (e_i, e_j) prelude is the worst case at the default tolerance; a tolerance
+    # just above its relative residual lets it pass and leaves a random witness
+    monkeypatch.setattr("quadstab.finite._IDENTITY_RTOL", rtol)
+    assert _assert_same_characterization(_CHARACTERIZED_NORMS[kind](), mode, param,
+                                         trials=2000, seed=3) is False
+
+
 def test_inner_product_characterization_validation():
     with pytest.raises(ValueError):
         qs.inner_product_characterization(qs.euclidean(2), "b", 1, trials=10)

@@ -280,3 +280,169 @@ def test_mapping_from_config_round_trip():
         assert isinstance(m, qs.Mapping)
     with pytest.raises(ValueError):
         qs.mapping_from_config({"family": "custom"})
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: Mapping.batch and the block sampler
+
+_M2 = [[1.0, 0.3], [0.3, -0.5]]
+_H = {"h_real": [[1.0, 0.2], [0.2, -0.7]], "h_imag": [[0.0, 0.4], [-0.4, 0.0]]}
+_QF_REAL = {"family": "quadratic_form", "coefficients": _M2}
+_QF_COMPLEX = {"family": "quadratic_form", "coefficients": _M2, "complex": True}
+_QF_MATRIX = {"family": "quadratic_form", "coefficients": _M2, "k": 2}
+_MSQ = {"family": "matrix_square", "k": 2}
+
+# every family mapping_from_config builds, on real, complex and M_2(C) domains
+_BATCH_CONFIGS = {
+    "sine": {"family": "sine", "d": 3},
+    "cosine": {"family": "cosine", "d": 2},
+    "odd_growth": {"family": "odd_growth", "d": 2},
+    "monomial": {"family": "monomial", "degree": 3, "d": 2},
+    "constant": {"family": "constant", "value": 0.7, "d": 2},
+    "quadratic_form-real": _QF_REAL,
+    "quadratic_form-complex": _QF_COMPLEX,
+    "quadratic_form-matrix": _QF_MATRIX,
+    "matrix_square-k1": {"family": "matrix_square", "k": 1},
+    "matrix_square-k2": _MSQ,
+    "matrix_sine_bump": {"family": "matrix_sine_bump", **_H},
+    "perturbed-real": {"family": "perturbed", "base": _QF_REAL,
+                       "bump": {"family": "sine", "d": 2}, "amplitude": 0.2},
+    "perturbed-matrix": {"family": "perturbed", "base": _MSQ,
+                         "bump": {"family": "matrix_sine_bump", **_H}, "amplitude": 0.1},
+    "scaled-complex": {"family": "scaled", "inner": _QF_COMPLEX, "factor": -1.5},
+    "sum-matrix": {"family": "sum", "parts": [_MSQ, {"family": "matrix_sine_bump", **_H}]},
+    "stack": {"family": "stack", "parts": [_QF_REAL, {"family": "cosine", "d": 2}]},
+    "tabulated": {"family": "tabulated", "table": [(3 * i * i + i) % 7 for i in range(49)],
+                  "q": 7, "d": 2},
+}
+_CUSTOM_DOMAINS = {"custom-real": qs.Domain(2), "custom-complex": qs.Domain(2, complex_scalars=True),
+                   "custom-matrix": qs.Domain(1, k=2)}
+
+
+def _batch_mapping(name):
+    if name in _CUSTOM_DOMAINS:
+        return qs.Custom(lambda x: np.sin(x).sum() * np.abs(x).max() + (x * x.conj()).real.sum(),
+                         _CUSTOM_DOMAINS[name])
+    return qs.mapping_from_config(_BATCH_CONFIGS[name])
+
+
+@pytest.mark.parametrize("B", [1, 7])
+@pytest.mark.parametrize("name", sorted(_BATCH_CONFIGS) + sorted(_CUSTOM_DOMAINS))
+def test_batch_matches_pointwise_calls(name, B):
+    """Every kernel keeps the per-point reduction order, so equality is exact (0 ulp)."""
+    f = _batch_mapping(name)
+    rng = np.random.default_rng(B)
+    if isinstance(f, qs.Tabulated):
+        X = rng.integers(-20, 20, (B, f.domain.d))
+    else:
+        X = f.domain.random(rng, box=4.0, count=B)
+    got = f.batch(X)
+    assert got.shape[0] == B
+    for i in range(B):
+        np.testing.assert_array_equal(got[i], np.asarray(f(X[i])))
+
+
+def test_batch_refuses_points_off_the_domain():
+    f = qs.QuadraticForm(np.eye(2))
+    with pytest.raises(ValueError, match="domain mismatch"):
+        f.batch(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="domain mismatch"):
+        qs.Custom(lambda x: 0.0, qs.Domain(2)).batch(np.zeros(2))
+
+
+def _reference_unitary(rng, domain):
+    """Per-tuple unitary draw, with its own per-matrix QR."""
+    if domain.matrix:
+        k = domain.k
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+    if domain.complex_scalars:
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return float(rng.choice((-1.0, 1.0)))
+
+
+def _reference_samples(f, eq, trials, seed, box=10.0):
+    """The sampler one tuple at a time: its points and unitaries, and the per-tuple residuals."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        pts = tuple(f.domain.random(rng, box=box) for _ in range(eq.arity))
+        if eq.id == "fe3":
+            u = _reference_unitary(rng, f.domain)
+            out.append((pts, u, qs.approximate_remainder(f, u, eq.n, pts)))
+        else:
+            out.append((pts, None, qs.equation_residual(f, eq, pts)))
+    return out
+
+
+_SAMPLER_MAPPINGS = {
+    "real": lambda: qs.Perturbed(qs.QuadraticForm(_M2), qs.Sine(2), 0.3),
+    "complex": lambda: qs.QuadraticForm(_M2, complex_scalars=True),
+    "matrix": lambda: qs.mapping_from_config(_BATCH_CONFIGS["perturbed-matrix"]),
+}
+
+
+@pytest.mark.parametrize("eq", ["fe1", "fe2", "fe3:4", "fe3_0:3"])
+@pytest.mark.parametrize("kind", sorted(_SAMPLER_MAPPINGS))
+def test_sample_residuals_match_per_tuple_reference_across_blocks(kind, eq, monkeypatch):
+    f = _SAMPLER_MAPPINGS[kind]()
+    eq = qs.parse_equation(eq)
+    entries = len(eq.terms()) * int(np.prod(f.domain.shape))
+    B = 5  # a small element budget makes blocks of 5 tuples
+    monkeypatch.setattr("quadstab.equations._BLOCK_ENTRIES", B * entries)
+    assert qs.mappings.block_length(entries) == B
+    blocks = []
+    kernel = qs.mappings._residuals
+    monkeypatch.setattr("quadstab.mappings._residuals",
+                        lambda f, P, terms=None, U=None, hats=None:
+                        blocks.append(U) or kernel(f, P, terms, U, hats))
+    for trials in (1, B - 1, B, B + 1, 2 * B + 3):
+        want = _reference_samples(f, eq, trials, seed=trials)
+        blocks.clear()
+        got = list(qs.sample_residuals(f, eq, trials, seed=trials))
+        assert len(got) == trials and len(blocks) == -(-trials // B)
+        for (pts, val), (ref_pts, _, ref_val) in zip(got, want):
+            assert np.stack(pts).tobytes() == np.stack(ref_pts).tobytes()
+            scale = 1.0 + np.abs(ref_val).max()
+            assert np.abs(np.asarray(val) - ref_val).max() <= 1e-12 * scale
+        if eq.id == "fe3":
+            drawn = np.concatenate([np.atleast_1d(U) for U in blocks])
+            assert drawn.tobytes() == np.array([u for _, u, _ in want]).tobytes()
+
+
+def test_non_finite_residual_in_a_later_block_names_its_sample(monkeypatch):
+    eq = EquationSpec("fe1")
+    B, T = 4, len(eq.terms())
+    monkeypatch.setattr("quadstab.equations._BLOCK_ENTRIES", B * T)
+    calls = []
+
+    def fn(x):  # NaN on the first term of tuple B + 2, in the second block
+        calls.append(1)
+        return np.nan if len(calls) == (B + 2) * T + 1 else float(x @ x)
+
+    f = qs.Custom(fn, qs.Domain(1))
+    seen = []
+    with pytest.raises(qs.NonFiniteResidualError, match=f"non-finite residual at sample {B + 2} "):
+        for sample in qs.sample_residuals(f, eq, 3 * B, seed=0):
+            seen.append(sample)
+    assert len(seen) == B + 2
+    assert all(np.isfinite(val) for _, val in seen)
+
+
+def test_fe3_64_residual_blocks_stay_small():
+    import tracemalloc
+
+    f = qs.mapping_from_config(_BATCH_CONFIGS["perturbed-matrix"])
+    eq = EquationSpec("fe3", n=64)
+    block = qs.mappings.block_length(len(eq.terms()) * int(np.prod(f.domain.shape)))
+    qs.empirical_sup_residual(f, eq, trials=1, seed=0)  # warm the term cache
+    tracemalloc.start()
+    try:
+        sup = qs.empirical_sup_residual(f, eq, trials=2 * block, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(sup) and sup > 0.0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
