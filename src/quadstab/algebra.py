@@ -260,17 +260,12 @@ def conjugate_value(u, b):
 
 
 def random_point(rng: np.random.Generator, d: int, k: int = 1, box: float = 10.0,
-                 complex_coords: bool | None = None, count: int | None = None) -> np.ndarray:
-    """Uniform module point with coordinates in [-box, box] (per real component).
-
-    With `count`, `count` points stacked on a leading axis, drawn exactly as
-    `count` single calls would draw them (each point's real, then imaginary part).
-    """
+                 complex_coords: bool | None = None) -> np.ndarray:
+    """Uniform module point with coordinates in [-box, box] (per real component)."""
     if complex_coords is None:
         complex_coords = k > 1
     shape = (d,) if k == 1 else (d, k, k)
-    lead = () if count is None else (count,)
-    if not complex_coords:
-        return rng.uniform(-box, box, lead + shape)
-    x = np.moveaxis(rng.uniform(-box, box, lead + (2,) + shape), len(lead), 0)
-    return x[0] + 1j * x[1]
+    x = rng.uniform(-box, box, shape)
+    if complex_coords:
+        x = x + 1j * rng.uniform(-box, box, shape)
+    return x

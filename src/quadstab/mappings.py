@@ -6,7 +6,8 @@ Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
 
 Every mapping evaluates one point, `f(x)`, or a block of points,
-`f.batch(X)` with X of shape (B, *domain.shape), and the two agree bit for
+`f.batch(X)` with X of shape (B, *domain.shape).  The closed-form families
+write their formula once, in `_eval`, for both, so the two agree bit for
 bit.  `_residuals` is the one residual kernel: it forms all term arguments
 of a block of tuples and evaluates them in one `f.batch` call.
 `equation_residual` and `approximate_remainder` (the one unitary-twisted
@@ -47,30 +48,43 @@ class Domain:
         dtype = complex if (self.complex_scalars or self.matrix) else float
         return np.zeros(self.shape, dtype=dtype)
 
-    def random(self, rng: np.random.Generator, box: float = 10.0, count: int | None = None) -> np.ndarray:
-        """One uniform point, or `count` stacked ones drawn as `count` single calls would."""
-        return random_point(rng, self.d, self.k, box, self.complex_scalars or self.matrix, count)
+    def random(self, rng: np.random.Generator, box: float = 10.0) -> np.ndarray:
+        return random_point(rng, self.d, self.k, box, self.complex_scalars or self.matrix)
 
 
 class Mapping:
     """Base class of the mapping families on one Domain.
 
-    Subclasses implement `__call__` on one point.  Batch contract: `f.batch(X)`
-    takes B points stacked on a leading axis, X of shape (B, *domain.shape),
-    and returns their B values stacked the same way, shape (B, *value shape),
-    with `f.batch(X)[i]` equal to `f(X[i])`.  This base class loops over
-    `__call__` (Custom, Tabulated); the closed-form families override `batch`
-    with one vectorised evaluation that keeps the per-point reduction order,
-    so the two agree bit for bit and a value does not depend on B.
+    `f(x)` evaluates one point; `f.batch(X)` takes B points stacked on a
+    leading axis, X of shape (B, *domain.shape), and returns their B values
+    stacked the same way, shape (B, *value shape), with `f.batch(X)[i]`
+    equal to `f(X[i])` bit for bit.  A closed-form family writes its formula
+    once, in `_eval`, on either shape: it broadcasts over the leading axis
+    and keeps the per-point reduction order, so a value does not depend on
+    B.  `Custom` and `Tabulated` define `__call__` on one point instead, and
+    the base `_eval` loops over it.
     """
 
     domain: Domain
 
-    def __call__(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def __call__(self, x):
+        v = self._eval(self._coerce(x))
+        return float(v) if v.ndim == 0 else v
 
     def batch(self, X):
-        return np.stack([np.asarray(self(x)) for x in self._coerce_batch(X)])
+        return self._eval(self._coerce_batch(X))
+
+    def _eval(self, x):
+        """The formula on one point (shape domain.shape) or on points stacked on a leading axis."""
+        if type(self).__call__ is Mapping.__call__:
+            raise NotImplementedError(f"{type(self).__name__} defines neither _eval nor __call__")
+        if x.ndim == len(self.domain.shape):
+            return np.asarray(self(x))
+        return np.stack([np.asarray(self(p)) for p in x])
+
+    def _lead(self, x) -> tuple[int, ...]:
+        """The leading axes of `x` in front of one point's shape: () or (B,)."""
+        return x.shape[:x.ndim - len(self.domain.shape)]
 
     def _coerce(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -90,6 +104,11 @@ class Mapping:
         return X
 
 
+def _adjoint(a):
+    """Conjugate transpose of the last two axes."""
+    return a.swapaxes(-1, -2).conj()
+
+
 class QuadraticForm(Mapping):
     """x -> sum_ij M[i,j] x_i conj(x_j), or sum_ij M[i,j] x_i x_j* for matrix coordinates.
 
@@ -107,31 +126,16 @@ class QuadraticForm(Mapping):
         self.coefficients = M
         self.domain = Domain(M.shape[0], k=k, complex_scalars=complex_scalars)
 
-    def __call__(self, x):
-        x = self._coerce(x)
+    def _eval(self, x):
+        x = np.ascontiguousarray(x)
         M = self.coefficients
-        if x.ndim == 1:
-            if np.iscomplexobj(x):
-                return float(np.real(np.conj(x) @ M @ x))
-            return float(x @ M @ x)
+        if not self.domain.matrix:  # per point one (1, d) @ (d, d) and one (1, d) @ (d, 1) product
+            row = np.conj(x) if x.dtype.kind == "c" else x
+            return (row[..., np.newaxis, :] @ M @ x[..., np.newaxis]).real[..., 0, 0]
         k = self.domain.k
-        out = np.zeros((k, k), dtype=complex)
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if M[i, j] != 0.0:
-                    out += M[i, j] * (x[i] @ x[j].conj().T)
-        return out
-
-    def batch(self, X):
-        X = np.ascontiguousarray(self._coerce_batch(X))
-        M = self.coefficients
-        if X.ndim == 2:  # per point one (1, d) @ (d, d) and one (1, d) @ (d, 1) product
-            row = np.conj(X) if np.iscomplexobj(X) else X
-            return np.real(row[:, np.newaxis] @ M @ X[:, :, np.newaxis])[:, 0, 0]
-        k = self.domain.k
-        out = np.zeros((len(X), k, k), dtype=complex)
+        out = np.zeros(self._lead(x) + (k, k), dtype=complex)
         for i, j in zip(*np.nonzero(M)):
-            out += M[i, j] * (X[:, i] @ X[:, j].conj().transpose(0, 2, 1))
+            out += M[i, j] * (x[..., i, :, :] @ _adjoint(x[..., j, :, :]))
         return out
 
 
@@ -143,17 +147,10 @@ class MatrixSquare(Mapping):
             raise ValueError("k must be >= 1")
         self.domain = Domain(1, k=k, complex_scalars=True)
 
-    def __call__(self, x):
-        x = self._coerce(x)
-        if x.ndim == 1:
-            return float(np.abs(x[0]) ** 2)
-        return x[0] @ x[0].conj().T
-
-    def batch(self, X):
-        X = self._coerce_batch(X)
-        if X.ndim == 2:
-            return np.abs(X[:, 0]) ** 2
-        return X[:, 0] @ X[:, 0].conj().transpose(0, 2, 1)
+    def _eval(self, x):
+        if not self.domain.matrix:
+            return np.abs(x[..., 0]) ** 2
+        return x[..., 0, :, :] @ _adjoint(x[..., 0, :, :])
 
 
 class Coordinatewise(Mapping):
@@ -163,11 +160,8 @@ class Coordinatewise(Mapping):
         self.g = g
         self.domain = Domain(d)
 
-    def __call__(self, x):
-        return float(self.g(self._coerce(x)).sum())
-
-    def batch(self, X):
-        return self.g(self._coerce_batch(X)).sum(axis=1).astype(float)
+    def _eval(self, x):
+        return np.add.reduce(self.g(x), axis=-1, dtype=float)
 
 
 class Monomial(Coordinatewise):
@@ -183,13 +177,8 @@ class ConstantMap(Mapping):
         self.value = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
         self.domain = Domain(d, k=k, complex_scalars=complex_scalars)
 
-    def __call__(self, x):
-        self._coerce(x)
-        return self.value
-
-    def batch(self, X):
-        X = self._coerce_batch(X)
-        return np.repeat(np.asarray(self.value)[np.newaxis], len(X), axis=0)
+    def _eval(self, x):
+        return np.full(self._lead(x) + np.shape(self.value), self.value)
 
 
 class Sine(Coordinatewise):
@@ -220,19 +209,16 @@ class MatrixSineBump(Mapping):
         H = np.asarray(h, dtype=complex)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("h must be a square matrix")
+        if H.shape[0] < 2:
+            raise ValueError("h must be at least 2 x 2: the bump acts on a matrix coordinate")
         if np.linalg.norm(H - H.conj().T) > 1e-12 * max(1.0, np.linalg.norm(H)):
             raise ValueError("h must be self-adjoint")
         self.h = H
         self.domain = Domain(1, k=H.shape[0], complex_scalars=True)
 
-    def __call__(self, x):
-        x = self._coerce(x)
-        return np.sin(float(np.trace(x[0]).real)) * self.h
-
-    def batch(self, X):
-        X = self._coerce_batch(X)
-        trace = np.trace(X[:, 0], axis1=1, axis2=2).real
-        return np.sin(trace)[:, np.newaxis, np.newaxis] * self.h
+    def _eval(self, x):
+        trace = np.trace(x[..., 0, :, :], axis1=-2, axis2=-1).real
+        return np.sin(trace)[..., np.newaxis, np.newaxis] * self.h
 
 
 class Perturbed(Mapping):
@@ -246,11 +232,8 @@ class Perturbed(Mapping):
         self.amplitude = float(amplitude)
         self.domain = base.domain
 
-    def __call__(self, x):
-        return self.base(x) + self.amplitude * np.asarray(self.bump(x))
-
-    def batch(self, X):
-        return self.base.batch(X) + self.amplitude * self.bump.batch(X)
+    def _eval(self, x):
+        return self.base._eval(x) + self.amplitude * self.bump._eval(x)
 
 
 class Scaled(Mapping):
@@ -259,11 +242,8 @@ class Scaled(Mapping):
         self.factor = float(factor)
         self.domain = inner.domain
 
-    def __call__(self, x):
-        return self.factor * np.asarray(self.inner(x))
-
-    def batch(self, X):
-        return self.factor * self.inner.batch(X)
+    def _eval(self, x):
+        return self.factor * self.inner._eval(x)
 
 
 class SumMapping(Mapping):
@@ -276,16 +256,10 @@ class SumMapping(Mapping):
         self.parts = parts
         self.domain = parts[0].domain
 
-    def __call__(self, x):
-        total = np.asarray(self.parts[0](x))
+    def _eval(self, x):
+        total = np.asarray(self.parts[0]._eval(x))
         for p in self.parts[1:]:
-            total = total + np.asarray(p(x))
-        return total
-
-    def batch(self, X):
-        total = self.parts[0].batch(X)
-        for p in self.parts[1:]:
-            total = total + p.batch(X)
+            total = total + np.asarray(p._eval(x))
         return total
 
 
@@ -301,14 +275,11 @@ class Stack(Mapping):
         self.parts = parts
         self.domain = parts[0].domain
 
-    def __call__(self, x):
-        return np.array([float(p(x)) for p in self.parts])
-
-    def batch(self, X):
-        values = np.stack([p.batch(X) for p in self.parts], axis=1)
-        if values.ndim != 2:
+    def _eval(self, x):
+        values = np.array([p._eval(x) for p in self.parts], dtype=float).T
+        if values.shape[:-1] != self._lead(x):
             raise TypeError("stacked parts must be scalar-valued")
-        return values.astype(float)
+        return values
 
 
 class Tabulated(Mapping):
@@ -517,6 +488,14 @@ class NonFiniteResidualError(ValueError):
     """A sampled residual is NaN or infinite, so it has no place in a sup."""
 
 
+def _draw_points(rng: np.random.Generator, domain: Domain, count: int, box: float) -> np.ndarray:
+    """`count` points stacked on a leading axis, drawn as `count` `domain.random` calls would."""
+    if not (domain.complex_scalars or domain.matrix):
+        return rng.uniform(-box, box, (count,) + domain.shape)
+    re, im = np.moveaxis(rng.uniform(-box, box, (count, 2) + domain.shape), 1, 0)
+    return re + 1j * im
+
+
 def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
     """Yield (points, residual) for `trials` sampled tuples; fe3 also twists by a unitary.
 
@@ -539,7 +518,7 @@ def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
         count = min(step, trials - start)
         points, draws = [], []
         for _ in range(count):
-            points.append(domain.random(rng, box=box, count=eq.arity))
+            points.append(_draw_points(rng, domain, eq.arity, box))
             if twisted:
                 draws.append(_ginibre(rng, domain.k) if domain.matrix else draw_unitary(rng, domain))
         P = np.stack(points)

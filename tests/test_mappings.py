@@ -243,6 +243,8 @@ def test_mapping_families():
     assert np.allclose(ms(x), x[0] @ x[0].conj().T)
     with pytest.raises(ValueError):
         qs.MatrixSineBump([[0.0, 1.0], [0.0, 0.0]])  # not self-adjoint
+    with pytest.raises(ValueError, match="at least 2 x 2"):
+        qs.MatrixSineBump([[1.0]])  # a 1 x 1 h has no matrix coordinate to act on
 
 
 def test_tabulated_mapping():
@@ -326,6 +328,38 @@ def _batch_mapping(name):
     return qs.mapping_from_config(_BATCH_CONFIGS[name])
 
 
+def _pointwise(f, x):
+    """The one-point formulas the families evaluated before the batch axis, as a reference."""
+    x = f._coerce(x)
+    if isinstance(f, qs.QuadraticForm):
+        M = f.coefficients
+        if x.ndim == 1:
+            return float(np.real(np.conj(x) @ M @ x)) if np.iscomplexobj(x) else float(x @ M @ x)
+        out = np.zeros((f.domain.k, f.domain.k), dtype=complex)
+        for i in range(M.shape[0]):
+            for j in range(M.shape[1]):
+                if M[i, j] != 0.0:
+                    out += M[i, j] * (x[i] @ x[j].conj().T)
+        return out
+    if isinstance(f, qs.MatrixSquare):
+        return float(np.abs(x[0]) ** 2) if x.ndim == 1 else x[0] @ x[0].conj().T
+    if isinstance(f, qs.mappings.Coordinatewise):
+        return float(f.g(x).sum())
+    if isinstance(f, qs.ConstantMap):
+        return f.value
+    if isinstance(f, qs.MatrixSineBump):
+        return np.sin(float(np.trace(x[0]).real)) * f.h
+    if isinstance(f, qs.Perturbed):
+        return _pointwise(f.base, x) + f.amplitude * np.asarray(_pointwise(f.bump, x))
+    if isinstance(f, qs.Scaled):
+        return f.factor * np.asarray(_pointwise(f.inner, x))
+    if isinstance(f, qs.SumMapping):
+        return sum(np.asarray(_pointwise(p, x)) for p in f.parts)
+    if isinstance(f, qs.Stack):
+        return np.array([float(_pointwise(p, x)) for p in f.parts])
+    return f(x)  # Custom and Tabulated keep their one-point __call__
+
+
 @pytest.mark.parametrize("B", [1, 7])
 @pytest.mark.parametrize("name", sorted(_BATCH_CONFIGS) + sorted(_CUSTOM_DOMAINS))
 def test_batch_matches_pointwise_calls(name, B):
@@ -335,11 +369,36 @@ def test_batch_matches_pointwise_calls(name, B):
     if isinstance(f, qs.Tabulated):
         X = rng.integers(-20, 20, (B, f.domain.d))
     else:
-        X = f.domain.random(rng, box=4.0, count=B)
+        X = np.stack([f.domain.random(rng, box=4.0) for _ in range(B)])
     got = f.batch(X)
     assert got.shape[0] == B
     for i in range(B):
-        np.testing.assert_array_equal(got[i], np.asarray(f(X[i])))
+        value = f(X[i])
+        np.testing.assert_array_equal(got[i], np.asarray(value))
+        np.testing.assert_array_equal(got[i], np.asarray(_pointwise(f, X[i])))
+        if np.ndim(value) == 0 and not isinstance(f, qs.Custom):
+            assert isinstance(value, (float, int))
+
+
+def test_combinators_of_one_point_parts():
+    part = qs.Custom(lambda x: float(x @ x), qs.Domain(2))
+    X = np.random.default_rng(3).uniform(-4.0, 4.0, (5, 2))
+    square = np.array([x @ x for x in X])
+    for f, want in ((qs.Perturbed(part, part, 0.5), 1.5 * square), (qs.Scaled(part, 2.0), 2.0 * square),
+                    (qs.SumMapping([part, part]), 2.0 * square),
+                    (qs.Stack([part, part]), np.stack([square, square], axis=1))):
+        got = f.batch(X)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        for i in range(len(X)):
+            np.testing.assert_array_equal(got[i], np.asarray(f(X[i])))
+
+
+def test_mapping_needs_eval_or_call():
+    class Bare(qs.Mapping):
+        domain = qs.Domain(1)
+
+    with pytest.raises(NotImplementedError, match="neither _eval nor __call__"):
+        Bare()(1.0)
 
 
 def test_batch_refuses_points_off_the_domain():
