@@ -8,8 +8,11 @@ point is a length-d vector whose coordinates are either scalars or
 k x k matrices, and matrix coordinates enter every norm through their
 Frobenius norm before the scalar aggregation.
 
-All values are immutable after construction and every operation here is
-pure given its inputs, so concurrent evaluation needs no coordination.
+The module action and the conjugation u v u* are written once, on blocks of
+B elements (`act_block`, `conjugate_block`); `act` and `conjugate_value` are
+those on a block of one.  All values are immutable after construction and
+every operation here is pure given its inputs, so concurrent evaluation
+needs no coordination.
 """
 
 from __future__ import annotations
@@ -231,32 +234,45 @@ def hat(a, mode: str = "avg"):
 
 def act(u, x) -> np.ndarray:
     """Module action of an algebra element on a point, coordinatewise from the left."""
-    x = np.asarray(x)
-    u_arr = np.asarray(u)
-    if x.ndim == 1:
-        if u_arr.ndim != 0:
-            raise ValueError("scalar module coordinates need a scalar algebra element")
-        return u_arr * x
-    if x.ndim == 3:
-        if u_arr.ndim == 0:
-            return u_arr * x
-        if u_arr.shape != x.shape[1:]:
-            raise ValueError(
-                f"algebra dimension mismatch: element {u_arr.shape}, coordinates {x.shape[1:]}"
-            )
-        return np.einsum("ab,ibc->iac", u_arr, x)
-    raise ValueError("module points are 1-d or 3-d arrays")
+    return act_block(np.asarray(u)[np.newaxis], np.asarray(x)[np.newaxis])[0]
+
+
+def act_block(U, X) -> np.ndarray:
+    """`act` of B elements on B points: U is (B,) or (B, k, k), X is (B, d) or (B, d, k, k)."""
+    if X.ndim not in (2, 4):
+        raise ValueError("module points are 1-d or 3-d arrays")
+    if U.ndim == 1:
+        return multiply_block(U, X)
+    if X.ndim == 2:
+        raise ValueError("scalar module coordinates need a scalar algebra element")
+    if U.shape[1:] != X.shape[2:]:
+        raise ValueError(f"algebra dimension mismatch: element {U.shape[1:]}, "
+                         f"coordinates {X.shape[2:]}")
+    return np.einsum("zab,zibc->ziac", U, X)
+
+
+def multiply_block(H, V):
+    """Left products h v of B algebra elements with B codomain values: H is (B,) or (B, k, k)."""
+    return _lead(H, V.ndim) * V if H.ndim == 1 else H @ V
 
 
 def conjugate_value(u, b):
     """Conjugation u b u* on a codomain value; for scalar u this is |u|^2 b."""
-    b = np.asarray(b)
-    u_arr = np.asarray(u)
-    if u_arr.ndim == 0:
-        return u_arr * b * np.conj(u_arr)
-    if b.ndim != 2 or b.shape != u_arr.shape:
+    return conjugate_block(np.asarray(u)[np.newaxis], np.asarray(b)[np.newaxis])[0]
+
+
+def conjugate_block(U, V):
+    """`conjugate_value` of B elements on B codomain values: U is (B,) or (B, k, k)."""
+    if U.ndim == 1:
+        return multiply_block(U, V) * np.conj(_lead(U, V.ndim))
+    if U.ndim != 3 or V.shape[1:] != U.shape[1:]:
         raise ValueError("matrix conjugation needs a matching square codomain value")
-    return u_arr @ b @ u_arr.conj().T
+    return multiply_block(U, V) @ U.conj().swapaxes(-1, -2)
+
+
+def _lead(a, ndim: int):
+    """B scalars, shape (B,), as an array broadcastable against B-leading arrays of ndim."""
+    return a.reshape(a.shape + (1,) * (ndim - 1))
 
 
 def random_point(rng: np.random.Generator, d: int, k: int = 1, box: float = 10.0,

@@ -28,10 +28,12 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,6 +450,8 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
         "control": _control_summary(phi),
         "worst_margin": report.worst_margin,
     }
+    if failures := Counter(p.reason for p in report.probes if p.reason is not None):
+        summary["failures"] = dict(failures)
     if caught:
         summary["warnings"] = caught
     return rows, summary
@@ -548,7 +552,8 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
                     deviation=rep.max_relative_deviation, bound=tol,
                     margin=tol - rep.max_relative_deviation, iterations=rep.iterations_used,
                     status=STATUS_PASS if rep.passed else STATUS_FAIL)
-    text = (f"max relative covariance deviation {rep.max_relative_deviation:.3e} over "
+    finite = "" if math.isfinite(rep.max_relative_deviation) else " (non-finite)"
+    text = (f"max relative covariance deviation {rep.max_relative_deviation:.3e}{finite} over "
             f"{rep.unitary_count} unitaries (tol {tol:g})")
     return [row], {"text": text, "max_relative_deviation": rep.max_relative_deviation}
 

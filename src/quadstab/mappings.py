@@ -9,12 +9,13 @@ Every mapping evaluates one point, `f(x)`, or a block of points,
 `f.batch(X)` with X of shape (B, *domain.shape).  The closed-form families
 write their formula once, in `_eval`, for both, so the two agree bit for
 bit.  `_residuals` is the one residual kernel: it forms all term arguments
-of a block of tuples and evaluates them in one `f.batch` call.
-`equation_residual` and `approximate_remainder` (the one unitary-twisted
-residual: conjugation, or a self-adjoint companion via `mode`) are that
-kernel on a block of one tuple, and `sample_residuals`, the one seeded
-sampler of residuals that the empirical sup, the control fits and the
-consistency check all read, runs it block by block.
+of a block of tuples and evaluates them in one `f.batch` call, twisting
+with the algebra's block action and conjugation.  `equation_residual` and
+`approximate_remainder` (the one unitary-twisted residual: conjugation, or
+a self-adjoint companion via `mode`) are that kernel on a block of one
+tuple, and `sample_residuals`, the one seeded sampler of residuals that the
+empirical sup, the control fits and the consistency check all read, runs
+it block by block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _ginibre, _haar_from_ginibre, _haar_unitary, hat, random_point
+from .algebra import (_ginibre, _haar_from_ginibre, _haar_unitary, act_block, conjugate_block, hat,
+                      multiply_block, random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
@@ -358,20 +360,16 @@ def mapping_from_config(cfg: dict) -> Mapping:
 # ---------------------------------------------------------------------------
 # residual evaluators: one batched kernel, thin per-tuple wrappers
 
-def _per_tuple(a, ndim: int):
-    """A per-tuple scalar factor, shape (B,), broadcastable against B-leading arrays of ndim."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - 1))
-
-
 def _residuals(f, P, terms=None, U=None, hats=None):
     """Residuals of the B tuples stacked in P, shape (B, arity, *domain.shape), in one f.batch call.
 
     With `terms` (coefficients and weights from `term_arrays`) this is the
     signed term sum.  With U, B algebra elements, it is the unitary-twisted fe3
-    residual of `approximate_remainder` at n = arity: the single terms are
-    conjugated by U, or multiplied by `hats` when given.  Every argument and
-    every sum is formed in the per-tuple order, so a residual does not depend
-    on its block.
+    residual of `approximate_remainder` at n = arity: U acts on the pair
+    arguments (`act_block`) and conjugates the single terms
+    (`conjugate_block`), or `hats` multiplies them from the left when given.
+    Every argument and every sum is formed in the per-tuple order, so a
+    residual does not depend on its block.
     """
     B, n = P.shape[:2]
     if U is None:
@@ -380,27 +378,15 @@ def _residuals(f, P, terms=None, U=None, hats=None):
         V = V.reshape((B, len(coeffs)) + V.shape[1:])
         return term_sum(coeffs.reshape((1, -1) + (1,) * (V.ndim - 2)) * V)
     I, J = np.triu_indices(n, 1)
-    pairs = P[:, I] - P[:, J]
-    if U.ndim == 1:
-        pairs = _per_tuple(U, pairs.ndim) * pairs
-    else:
-        pairs = np.einsum("zab,zpibc->zpiac", U, pairs)
+    point = P.shape[2:]
+    pairs = act_block(np.repeat(U, len(I), axis=0), (P[:, I] - P[:, J]).reshape((-1,) + point))
     singles = P.sum(axis=1)[:, np.newaxis] - n * P
-    V = f.batch(np.concatenate([pairs, singles], axis=1).reshape((-1,) + P.shape[2:]))
+    V = f.batch(np.concatenate([pairs.reshape((B, -1) + point), singles], axis=1).reshape((-1,) + point))
     V = V.reshape((B, -1) + V.shape[1:])
-    pair_values, single_values = V[:, :len(I)], V[:, len(I):]
-    if hats is not None:
-        single_values = (hats[:, np.newaxis] @ single_values if hats.ndim == 3
-                         else _per_tuple(hats, single_values.ndim) * single_values)
-    elif U.ndim == 1:
-        u = _per_tuple(U, single_values.ndim)
-        single_values = u * single_values * np.conj(u)
-    else:
-        if single_values.shape[2:] != U.shape[1:]:
-            raise ValueError("matrix conjugation needs a matching square codomain value")
-        single_values = (U[:, np.newaxis] @ single_values
-                         @ U.conj().transpose(0, 2, 1)[:, np.newaxis])
-    return n * term_sum(pair_values) - term_sum(single_values)
+    singles = V[:, len(I):].reshape((B * n,) + V.shape[2:])
+    twisted = (conjugate_block(np.repeat(U, n, axis=0), singles) if hats is None
+               else multiply_block(np.repeat(hats, n, axis=0), singles))
+    return n * term_sum(V[:, :len(I)]) - term_sum(twisted.reshape((B, n) + V.shape[2:]))
 
 
 def _one_tuple(f, points) -> np.ndarray:
@@ -449,15 +435,7 @@ def approximate_remainder(f, u, n: int, xs, mode: str | None = None):
     pts = list(xs)
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
-    u_arr = np.asarray(u)
-    if u_arr.ndim not in (0, 2):
-        raise ValueError("algebra elements are scalars or square matrices")
-    if u_arr.ndim == 2 and not f.domain.matrix:
-        raise ValueError("scalar module coordinates need a scalar algebra element")
-    if u_arr.ndim == 2 and u_arr.shape != (f.domain.k, f.domain.k):
-        raise ValueError(
-            f"algebra dimension mismatch: unitary {u_arr.shape}, module expects k={f.domain.k}"
-        )
+    u_arr = np.asarray(u)  # `act_block` refuses an element that does not act on f's points
     hats = None
     if mode is not None:
         norm_u = abs(complex(u_arr)) if u_arr.ndim == 0 else float(np.linalg.norm(u_arr, 2))

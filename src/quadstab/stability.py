@@ -7,9 +7,11 @@ from the control function.  This module provides the control-function
 derived quantities, one bound engine `bound` (closed form or truncated
 series, quasi-norm modulus K or p-norm exponent p, forward or backward) with
 thin wrappers `series_bound_{forward,backward}{,_p}`, `closed_form_bounds`
-and `probe_bound`, the forward/backward iteration schemes, and the
-experiment driver that checks empirical deviations against the guaranteed
-bounds.
+and `probe_bound`, and the forward/backward iteration schemes, `hyers_iterate`
+on one point or a block.  The drivers `stabilize` and
+`verify_unitary_covariance` check empirical deviations against the
+guaranteed bounds; each level of probes, or block of unitaries x probes, is
+one `hyers_iterate` call.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -24,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import QuasiNormSpec, coordinate_magnitudes, norm_eval
-from .equations import EquationSpec
+from .algebra import (QuasiNormSpec, _magnitudes, _norms, act_block, conjugate_block,
+                      coordinate_magnitudes, norm_eval)
+from .equations import EquationSpec, block_length
 # approximate_remainder is no longer called here; it stays importable from this
 # namespace because bench/spans.py wraps it here by name
 from .mappings import (Mapping, NonFiniteResidualError, approximate_remainder, draw_unitary,
@@ -373,24 +376,31 @@ def iterate_gap_bound(phi: ControlFunction, n: int, K: float, x, l: int, m: int,
 
 
 def hyers_iterate(f: Mapping, n: int, m: int, x, direction: str = "forward"):
-    """The m-th iterate of the chosen rescaling scheme at the point x."""
+    """The m-th iterate of the chosen rescaling scheme at the point x, or at each point of a block.
+
+    A block, shape (B, *f.domain.shape), is told apart from a point by its ndim; a
+    point is a block of one.  f(0) is evaluated once and the block in one `f.batch`
+    call, so row i of a block's iterates equals the iterate at its point i bit for bit.
+    """
     if n < 3:
         raise ValueError("n must be >= 3")
     if m < 0:
         raise ValueError("m must be >= 0")
-    lam = n - 1
-    if float(lam) ** m > SCALE_GUARD:
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be forward or backward")
+    lam = float(n - 1)
+    if lam**m > SCALE_GUARD:
         raise ValueError(f"(n-1)^m exceeds the overflow guard {SCALE_GUARD:g}")
-    x = np.asarray(x)
-    f0 = np.asarray(f(np.zeros_like(x)))
+    one = np.ndim(x) <= len(f.domain.shape)
+    X = f._coerce(x)[np.newaxis] if one else np.asarray(x)
+    f0 = np.asarray(f(np.zeros_like(X[0])))
     if direction == "forward":
-        shift = (n - 1) / 2.0 * f0
-        return (np.asarray(f(x * float(lam) ** m)) + shift) / float(lam) ** (2 * m)
-    if direction == "backward":
+        V = (f.batch(X * lam**m) + (n - 1) / 2.0 * f0) / lam ** (2 * m)
+    else:
         if float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
             raise ValueError("backward scheme requires f(0) = 0")
-        return float(lam) ** (2 * m) * np.asarray(f(x / float(lam) ** m))
-    raise ValueError("direction must be forward or backward")
+        V = lam ** (2 * m) * f.batch(X / lam**m)
+    return V[0] if one else V
 
 
 @dataclass(frozen=True)
@@ -438,18 +448,18 @@ class StabilityConfig:
         return lambda x: norm_eval(self.domain_norm, x)
 
 
-def codomain_norm(spec: QuasiNormSpec, v) -> float:
-    """Norm of a codomain value: scalars and matrices count as one coordinate."""
-    v = np.asarray(v)
-    if v.ndim == 0:
-        point = v.reshape(1)
-    elif v.ndim == 1:
-        point = v
-    elif v.ndim == 2:
-        point = v[np.newaxis]
-    else:
+def codomain_norms(spec: QuasiNormSpec, V) -> np.ndarray:
+    """Norms of B codomain values stacked on a leading axis: scalars and matrices count as one coordinate."""
+    V = np.asarray(V)
+    if not 1 <= V.ndim <= 3:
         raise ValueError("codomain values are scalars, vectors, or matrices")
-    return norm_eval(spec, point)
+    points = V if V.ndim == 2 else V[:, np.newaxis]
+    return _norms(spec, _magnitudes(points, matrix=V.ndim == 3))
+
+
+def codomain_norm(spec: QuasiNormSpec, v) -> float:
+    """`codomain_norms` of one value."""
+    return float(codomain_norms(spec, np.asarray(v)[np.newaxis])[0])
 
 
 @dataclass
@@ -464,6 +474,7 @@ class ProbeResult:
     margin: float
     tail_bound: float | None
     status: str
+    reason: str | None = None  # why the probe failed; None on a pass
 
 
 @dataclass
@@ -510,60 +521,58 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
               check_consistency: bool = True) -> StabilityReport:
     """Run the direct-method iteration on every probe and audit the bound.
 
-    Raises DivergenceError/OpenProblemError when the configured series does
-    not converge.  Probes that fail to converge within m_max, or whose
-    deviation exceeds bound + tol, are flagged as failures in the report
-    rather than silently accepted.
+    Level m iterates the probes not yet converged in one `hyers_iterate` call
+    and stops each by its own gap and tail.  Raises DivergenceError/
+    OpenProblemError when the configured series does not converge.  A probe
+    that meets a non-finite iterate, fails to converge within m_max, or whose
+    deviation exceeds bound + tol is a failure with that reason.
     """
     if not cfg.probes:
         raise ValueError("config needs at least one probe")
     bounds = [probe_bound(phi, cfg, x) for x in cfg.probes]
     if check_consistency:
         _consistency_warn(f, phi, cfg)
-    lam = cfg.n - 1
-    dnorm = cfg.domain_norm_fn()
-    report = StabilityReport(config=cfg, control=phi)
+    lam = float(cfg.n - 1)
     K, p = cfg.route
     # the closed form is homogeneous of degree r in x, so the distance left to
     # the limit after iterate m is bound(x) * decay**m
     r = _degree(phi)
-    decay = float(lam) ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
-    for x, b in zip(cfg.probes, bounds):
-        x = np.asarray(x)
-        tail0 = None if phi.variant == "custom" else bound(phi, cfg.n, x, cfg.direction, K, p)
-        converged = False
-        iterations = 0
-        tail = None
-        first = prev = None
-        for m in range(cfg.m_max + 1):
-            if float(lam) ** m > SCALE_GUARD:
-                break
-            val = hyers_iterate(f, cfg.n, m, x, cfg.direction)
-            if prev is None:
-                first = val
-            else:
-                gap = codomain_norm(cfg.norm_spec, val - prev)
-                tail = None if tail0 is None else tail0 * decay**m
-                iterations = m
-                if gap < cfg.tol and (tail is None or tail < cfg.tol):
-                    converged = True
-                    break
-            prev = val
-        deviation = codomain_norm(cfg.norm_spec, first - val)
-        margin = b - deviation
-        status = "pass" if (converged and margin >= -cfg.tol) else "fail"
+    decay = lam ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
+    probes = [np.asarray(x) for x in cfg.probes]
+    tail0 = [None if phi.variant == "custom" else bound(phi, cfg.n, x, cfg.direction, K, p)
+             for x in probes]
+    iterations, converged, tails = ([v] * len(probes) for v in (0, False, None))
+    non_finite = {}  # probe -> first level with a non-finite iterate
+    X, active = np.stack([f._coerce(x) for x in probes]), np.arange(len(probes))
+    for m in range(cfg.m_max + 1):
+        if lam**m > SCALE_GUARD or not active.size:
+            break
+        V = hyers_iterate(f, cfg.n, m, X[active], cfg.direction)
+        for i in active[~np.isfinite(V.reshape(len(active), -1)).all(axis=1)]:
+            non_finite.setdefault(i, m)
+        if m == 0:
+            first, last = V, V.copy()
+            continue
+        gaps = codomain_norms(cfg.norm_spec, V - last[active])
+        last[active] = V
+        for i, gap in zip(active, gaps):
+            tails[i] = None if tail0[i] is None else tail0[i] * decay**m
+            iterations[i] = m
+            converged[i] = bool(gap < cfg.tol) and (tails[i] is None or tails[i] < cfg.tol)
+        active = active[[not converged[i] for i in active]]
+    deviations = codomain_norms(cfg.norm_spec, first - last)
+    dnorm = cfg.domain_norm_fn()
+    report = StabilityReport(config=cfg, control=phi)
+    for i, (x, deviation) in enumerate(zip(probes, deviations.tolist())):
+        margin = bounds[i] - deviation
+        passed = converged[i] and margin >= -cfg.tol
+        reason = (None if passed else f"non-finite iterate at m={non_finite[i]}" if i in non_finite
+                  else "deviation above bound + tol" if converged[i]
+                  else f"not converged within m_max={cfg.m_max}")
         report.probes.append(ProbeResult(
-            probe=x,
-            norm_x=dnorm(x),
-            q_estimate=val,
-            iterations=iterations,
-            converged=converged,
-            deviation=deviation,
-            bound=b,
-            margin=margin,
-            tail_bound=tail,
-            status=status,
-        ))
+            probe=x, norm_x=dnorm(x), q_estimate=last[i], iterations=iterations[i],
+            converged=converged[i], deviation=deviation, bound=bounds[i], margin=margin,
+            tail_bound=tails[i], status="pass" if passed else "fail", reason=reason))
     return report
 
 
@@ -616,29 +625,27 @@ def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
     Relative to 1 + ||Q_est(x)||; for scalar algebras the conjugation
     degenerates to multiplication by |u|^2.
     """
-    from .algebra import act, conjugate_value
-
     if phi is None:
         level = fit_constant_level(f, n, seed=seed,
                                    codomain=lambda v: codomain_norm(cfg.norm_spec, v))
         phi = constant(level * 1.05 + 1e-12)
     report = stabilize(f, phi, cfg, check_consistency=False)
-    m_star = max((p.iterations for p in report.probes), default=cfg.m_max)
-    m_star = max(m_star, 1)
+    m_star = max(1, *(p.iterations for p in report.probes))
 
-    def q_est(x):
-        return hyers_iterate(f, n, m_star, x, cfg.direction)
-
-    probes = [np.asarray(x) for x in cfg.probes]
-    bases = [q_est(x) for x in probes]  # Q_est(x) does not depend on the unitary
+    X = np.stack([f._coerce(x) for x in cfg.probes])
+    bases = hyers_iterate(f, n, m_star, X, cfg.direction)  # Q_est(x) does not depend on the unitary
+    scales = 1.0 + codomain_norms(cfg.norm_spec, bases)
     rng = np.random.default_rng(seed)
+    step = block_length(X.size)  # unitaries per block
     worst = 0.0
-    for _ in range(unitary_count):
-        u = draw_unitary(rng, f.domain)
-        for x, base in zip(probes, bases):
-            dev = codomain_norm(cfg.norm_spec, q_est(act(u, x)) - conjugate_value(u, base))
-            rel = dev / (1.0 + codomain_norm(cfg.norm_spec, base))
-            worst = max(worst, rel)
+    for start in range(0, unitary_count, step):
+        U = np.array([draw_unitary(rng, f.domain) for _ in range(min(step, unitary_count - start))])
+        # row j of the block pairs unitary j // len(X) with probe j % len(X)
+        Uj = np.repeat(U, len(X), axis=0)
+        moved = hyers_iterate(f, n, m_star, act_block(Uj, np.concatenate([X] * len(U))), cfg.direction)
+        dev = codomain_norms(cfg.norm_spec, moved - conjugate_block(Uj, np.concatenate([bases] * len(U))))
+        # np.max keeps a NaN deviation, where max(worst, nan) would drop it
+        worst = float(np.max(dev.reshape(len(U), -1) / scales, initial=worst))
     return CovarianceReport(
         max_relative_deviation=worst,
         passed=worst <= tol,

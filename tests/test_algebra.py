@@ -161,6 +161,46 @@ def test_conjugate_value_scalar_degeneration():
     assert np.allclose(qs.conjugate_value(u, b), b)
 
 
+def test_block_action_and_conjugation_equal_the_one_element_forms():
+    rng = np.random.default_rng(8)
+    B = 9
+    for k in (2, 3):
+        U = np.stack([qs.sample_unitary(k, seed=s) for s in range(B)])
+        X = rng.normal(size=(B, 2, k, k)) + 1j * rng.normal(size=(B, 2, k, k))
+        V = rng.normal(size=(B, k, k)) + 1j * rng.normal(size=(B, k, k))
+        acted, conjugated = qs.algebra.act_block(U, X), qs.algebra.conjugate_block(U, V)
+        for i in range(B):
+            assert np.array_equal(acted[i], qs.act(U[i], X[i]))
+            assert np.array_equal(conjugated[i], qs.conjugate_value(U[i], V[i]))
+    for U in (np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, B)), rng.choice([-1.0, 1.0], B)):
+        for X in (rng.normal(size=(B, 3)), rng.normal(size=(B, 1)) + 1j * rng.normal(size=(B, 1)),
+                  rng.normal(size=(B, 2, 2, 2)) + 0j):
+            acted = qs.algebra.act_block(U, X)
+            assert all(np.array_equal(acted[i], qs.act(U[i], X[i])) for i in range(B))
+        for V in (rng.normal(size=B), rng.normal(size=(B, 2)), rng.normal(size=(B, 2, 2)) + 1j):
+            conjugated = qs.algebra.conjugate_block(U, V)
+            assert all(np.array_equal(conjugated[i], qs.conjugate_value(U[i], V[i]))
+                       for i in range(B))
+
+
+def test_action_and_conjugation_refusals():
+    u = qs.sample_unitary(2, seed=1)
+    with pytest.raises(ValueError, match="scalar module coordinates need a scalar algebra element"):
+        qs.act(u, np.ones(3))
+    with pytest.raises(ValueError, match=r"algebra dimension mismatch: element \(2, 2\), "
+                                         r"coordinates \(3, 3\)"):
+        qs.act(u, np.ones((1, 3, 3)))
+    with pytest.raises(ValueError, match="module points are 1-d or 3-d arrays"):
+        qs.act(1.0, np.ones((2, 2)))
+    for value in (np.ones(2), np.ones((3, 3)), 1.0):
+        with pytest.raises(ValueError, match="matrix conjugation needs a matching square codomain value"):
+            qs.conjugate_value(u, value)
+    # the twisted residual refuses a vector-valued mapping on a matrix module the same way
+    f = qs.Custom(lambda x: np.ones(2), qs.Domain(1, k=2))
+    with pytest.raises(ValueError, match="matrix conjugation needs a matching square codomain value"):
+        qs.approximate_remainder(f, u, 3, [np.eye(2)[np.newaxis]] * 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-50, 50), min_size=2, max_size=2),

@@ -318,6 +318,38 @@ def test_stability_summary_keeps_each_warning_once():
     assert len(warned) == len(set(warned))
 
 
+def test_failed_probes_give_their_reasons_in_the_summary_only(tmp_path):
+    # a given constant budget cannot hold x^400: every iterate overflows at some m
+    cfg = h.preset_config("power-forward")
+    cfg["control"] = {"variant": "constant", "theta": 1.0}
+    cfg["mapping"] = {"family": "monomial", "degree": 400}
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, outdir=str(tmp_path))
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert res.summary["text"] == f"0/{len(res.rows)} probes within bound"
+    failures = res.summary["failures"]
+    assert sum(failures.values()) == len(res.rows)
+    assert all(reason.startswith("non-finite iterate at m=") for reason in failures)
+    with open(res.csv_path) as fh:
+        assert "non-finite" not in fh.read()
+    assert "failures" not in h.run_preset("power-forward", outdir=str(tmp_path)).summary
+
+
+def test_non_finite_covariance_deviation_fails():
+    # the iterates of x^50 overflow, and inf - inf is NaN
+    cfg = {"name": "cov-overflow", "kind": "covariance", "seed": 0, "n": 3,
+           "mapping": {"family": "monomial", "degree": 50},
+           "probes": {"count": 3, "box": 3.0}, "unitaries": 10}
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    [row] = res.rows
+    assert row.status == h.STATUS_FAIL
+    assert not np.isfinite(row.deviation)
+    assert not np.isfinite(res.summary["max_relative_deviation"])
+    assert "non-finite" in res.summary["text"]
+
+
 def test_listed_probe_of_wrong_dimension_is_a_validation_error():
     cfg = h.preset_config("power-forward")
     cfg["stability"]["probes"] = [[1.0], [1.0, 2.0]]

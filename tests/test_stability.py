@@ -286,6 +286,7 @@ def test_stabilize_exact_quadratic():
     rep = qs.stabilize(f, qs.constant(0.5), cfg)
     assert rep.passed
     for p in rep.probes:
+        assert p.reason is None
         assert p.deviation <= 1e-9
         assert p.margin == pytest.approx(p.bound, abs=1e-8)
 
@@ -325,6 +326,7 @@ def test_stabilize_flags_nonconvergence():
     assert not rep.passed
     assert not rep.probes[0].converged
     assert rep.probes[0].status == "fail"
+    assert rep.probes[0].reason == "not converged within m_max=2"
 
 
 def test_stabilize_warns_on_inconsistent_control():
@@ -332,7 +334,10 @@ def test_stabilize_warns_on_inconsistent_control():
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1),
                              probes=(np.array([1.0]),), m_max=30, tol=1e-9)
     with pytest.warns(RuntimeWarning, match="does not dominate"):
-        qs.stabilize(f, qs.constant(1e-6), cfg)
+        rep = qs.stabilize(f, qs.constant(1e-6), cfg)
+    [probe] = rep.probes
+    assert probe.converged and probe.status == "fail"
+    assert probe.reason == "deviation above bound + tol"
 
 
 def test_stabilize_rejects_divergent_series():
@@ -505,3 +510,244 @@ def test_bound_engine(direction, route, variant):
     assert probe.tail_bound == pytest.approx(closed * lam ** (degree * probe.iterations),
                                              rel=1e-12)
     assert probe.tail_bound < cfg.tol <= probe.tail_bound / lam ** degree
+
+
+# ---------------------------------------------------------------------------
+# the batched direct method against per-point references
+
+
+def hyers_point(f, n, m, x, direction):
+    # one point at a time: f(0) and f at the scaled point, as two calls
+    lam = float(n - 1)
+    f0 = np.asarray(f(np.zeros_like(x)))
+    if direction == "forward":
+        return (np.asarray(f(x * lam**m)) + (n - 1) / 2.0 * f0) / lam ** (2 * m)
+    return lam ** (2 * m) * np.asarray(f(x / lam**m))
+
+
+def value_norm_point(spec, v):
+    # one codomain value through the per-point norm: scalars and matrices are one coordinate
+    v = np.asarray(v)
+    return qs.norm_eval(spec, v.reshape(1) if v.ndim == 0 else v[np.newaxis] if v.ndim == 2 else v)
+
+
+def stabilize_per_probe(f, phi, cfg):
+    # the per-probe iteration: every probe runs its own levels to its own stop
+    lam = cfg.n - 1
+    K, p = cfg.route
+    r = phi.r if phi.variant == "power" else 0.0
+    decay = float(lam) ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
+    dnorm = cfg.domain_norm_fn()
+    out = []
+    for x in cfg.probes:
+        x = np.asarray(x)
+        b = qs.stability.probe_bound(phi, cfg, x)
+        tail0 = None if phi.variant == "custom" else qs.bound(phi, cfg.n, x, cfg.direction, K, p)
+        converged, iterations, tail, first, prev, bad = False, 0, None, None, None, None
+        for m in range(cfg.m_max + 1):
+            if float(lam) ** m > qs.stability.SCALE_GUARD:
+                break
+            val = hyers_point(f, cfg.n, m, x, cfg.direction)
+            if bad is None and not np.all(np.isfinite(val)):
+                bad = m
+            if prev is None:
+                first = val
+            else:
+                gap = value_norm_point(cfg.norm_spec, val - prev)
+                tail = None if tail0 is None else tail0 * decay**m
+                iterations = m
+                if gap < cfg.tol and (tail is None or tail < cfg.tol):
+                    converged = True
+                    break
+            prev = val
+        deviation = value_norm_point(cfg.norm_spec, first - val)
+        margin = b - deviation
+        passed = converged and margin >= -cfg.tol
+        reason = None
+        if not passed:
+            if bad is not None:
+                reason = f"non-finite iterate at m={bad}"
+            elif not converged:
+                reason = f"not converged within m_max={cfg.m_max}"
+            else:
+                reason = "deviation above bound + tol"
+        out.append(qs.ProbeResult(probe=x, norm_x=dnorm(x), q_estimate=val, iterations=iterations,
+                                  converged=converged, deviation=deviation, bound=b, margin=margin,
+                                  tail_bound=tail, status="pass" if passed else "fail",
+                                  reason=reason))
+    return out
+
+
+def covariance_per_unitary(f, n, cfg, phi, unitary_count, seed, tol):
+    # one unitary and one probe at a time
+    rep = qs.stabilize(f, phi, cfg, check_consistency=False)
+    m_star = max(max(p.iterations for p in rep.probes), 1)
+    probes = [np.asarray(x) for x in cfg.probes]
+    bases = [hyers_point(f, n, m_star, x, cfg.direction) for x in probes]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(unitary_count):
+        u = qs.mappings.draw_unitary(rng, f.domain)
+        for x, base in zip(probes, bases):
+            moved = hyers_point(f, n, m_star, qs.act(u, x), cfg.direction)
+            dev = value_norm_point(cfg.norm_spec, moved - qs.conjugate_value(u, base))
+            worst = max(worst, dev / (1.0 + value_norm_point(cfg.norm_spec, base)))
+    return worst, worst <= tol, m_star
+
+
+def same(a, b):
+    if a is None or isinstance(a, (str, bool)):
+        return a == b and type(a) is type(b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def assert_same_probes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in qs.ProbeResult.__dataclass_fields__:
+            assert same(getattr(g, name), getattr(w, name)), (name, getattr(g, name), getattr(w, name))
+
+
+def count_iterate_calls(monkeypatch):
+    calls = []
+    inner = qs.stability.hyers_iterate
+
+    def counted(f, n, m, x, direction="forward"):
+        calls.append(np.array(x))
+        return inner(f, n, m, x, direction)
+
+    monkeypatch.setattr(qs.stability, "hyers_iterate", counted)
+    return calls
+
+
+def _stack_plane(direction):
+    # a vector codomain; both bumps vanish at 0 so the backward scheme applies
+    bumps = (qs.Sine(), qs.Cosine()) if direction == "forward" else (qs.Monomial(3), qs.OddGrowth())
+    return qs.Stack([qs.Perturbed(qs.QuadraticForm([[1.0]]), bumps[0], 0.1),
+                     qs.Perturbed(qs.QuadraticForm([[2.0]]), bumps[1], 0.05)])
+
+
+BATCH_CASES = {
+    "real": lambda: qs.Perturbed(qs.QuadraticForm([[1.0, 0.3], [0.3, 2.0]]), qs.Sine(d=2), 0.2),
+    "complex": lambda: qs.Perturbed(
+        qs.QuadraticForm([[1.0]], complex_scalars=True),
+        qs.Custom(lambda x: float(np.sin(x[0].real)), qs.Domain(1, complex_scalars=True)), 0.05),
+    "matrix": lambda: qs.Perturbed(qs.MatrixSquare(2),
+                                   qs.MatrixSineBump([[1.0, 0.3], [0.3, -0.5]]), 0.1),
+}
+
+
+def _probes(f, count, seed, box=3.0):
+    rng = np.random.default_rng(seed)
+    return tuple(f.domain.random(rng, box) for _ in range(count)) + (f.domain.zero(),)
+
+
+@pytest.mark.parametrize("kind", list(BATCH_CASES))
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_hyers_iterate_block_rows_equal_points(kind, direction):
+    f = BATCH_CASES[kind]()  # every case has f(0) = 0, as the backward scheme needs
+    X = np.stack(_probes(f, 9, 1, box=5.0))
+    for n, m in ((3, 0), (3, 7), (5, 4), (64, 20)):
+        V = qs.hyers_iterate(f, n, m, X, direction)
+        assert V.shape[0] == len(X)
+        for i, x in enumerate(X):
+            assert same(V[i], qs.hyers_iterate(f, n, m, x, direction))
+            assert same(V[i], hyers_point(f, n, m, x, direction))
+
+
+@pytest.mark.parametrize("mode", ["quasi", "p"])
+@pytest.mark.parametrize("direction, control", [
+    ("forward", "power"), ("forward", "constant"), ("forward", "custom"),
+    ("backward", "power"), ("backward", "custom"),  # a constant budget has no backward scheme
+])
+def test_stabilize_matches_per_probe_reference(direction, control, mode, monkeypatch):
+    f = _stack_plane(direction)
+    # outside the K = 2 dead zone r in [1, 3] of the l^1/2 plane in quasi mode
+    power = qs.power(0.5, 0.5 if direction == "forward" else 3.5)
+    phi = {"power": power, "constant": qs.constant(0.4),
+           "custom": qs.custom_control(power.evaluate)}[control]
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.lp_quasi(0.5, 2), direction=direction,
+                             probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9)
+    calls = count_iterate_calls(monkeypatch)
+    got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
+    assert_same_probes(got, stabilize_per_probe(f, phi, cfg))
+    # one call per level, on the probes still running: a probe that stops at
+    # level s is evaluated at levels 0..s only
+    assert [len(x) for x in calls] == [sum(p.iterations >= m for p in got)
+                                       for m in range(max(p.iterations for p in got) + 1)]
+    assert len(set(len(x) for x in calls)) > 1
+    if control == "custom":
+        assert all(p.tail_bound is None for p in got)
+
+
+@pytest.mark.parametrize("kind", list(BATCH_CASES))
+def test_stabilize_matches_per_probe_reference_on_each_domain(kind):
+    f = BATCH_CASES[kind]()
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1),
+                             probes=_probes(f, 10, 3), m_max=40, tol=1e-10)
+    phi = qs.constant(2.0)
+    got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
+    assert_same_probes(got, stabilize_per_probe(f, phi, cfg))
+    assert any(p.status == "pass" for p in got)
+
+
+def test_stabilize_matches_reference_when_probes_stop_apart():
+    # an exact square under a power budget stops once the tail bound r^m
+    # decays below tol, later for larger probes; some never get there
+    f = qs.QuadraticForm([[1.0]])
+    probes = tuple(np.array([v]) for v in (0.0, 1e-8, 1e-6, 1.0, 50.0))
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes, m_max=12, tol=1e-9)
+    got = qs.stabilize(f, qs.power(1.0, 1.0), cfg, check_consistency=False).probes
+    assert_same_probes(got, stabilize_per_probe(f, qs.power(1.0, 1.0), cfg))
+    assert [p.converged for p in got] == [True, True, True, False, False]
+    assert got[-1].reason == "not converged within m_max=12"
+
+
+def test_stabilize_matches_reference_at_the_scale_guard():
+    # (n-1)^m passes the guard at m = 56 for n = 64, before m_max = 60
+    f = qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.Sine(), 0.1)
+    cfg = qs.StabilityConfig(n=64, norm_spec=qs.euclidean(1),
+                             probes=(np.array([0.0]), np.array([0.7]), np.array([-2.0])),
+                             m_max=60, tol=1e-300)
+    phi = qs.constant(0.5)
+    got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
+    assert_same_probes(got, stabilize_per_probe(f, phi, cfg))
+    assert all(p.iterations == 55 and not p.converged for p in got)
+    assert got[0].reason == "not converged within m_max=60"
+
+
+def test_stabilize_names_the_first_non_finite_iterate():
+    f = qs.Monomial(400)
+    probes = tuple(np.array([v]) for v in (0.5, 1.5, 3.0, 9.0))
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes, m_max=20, tol=1e-9)
+    with np.errstate(all="ignore"):
+        got = qs.stabilize(f, qs.constant(1.0), cfg, check_consistency=False).probes
+        want = stabilize_per_probe(f, qs.constant(1.0), cfg)
+    assert_same_probes(got, want)
+    # x^400 overflows once (n-1)^m |x| passes about 5.9
+    assert [p.reason for p in got] == [f"non-finite iterate at m={m}" for m in (4, 2, 1, 0)]
+
+
+@pytest.mark.parametrize("kind", list(BATCH_CASES))
+def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatch):
+    f = BATCH_CASES[kind]()
+    probes = _probes(f, 3, 4)
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1),
+                             probes=probes, m_max=25, tol=1e-10)
+    phi = qs.constant(1.0)
+    # 7 unitaries per block: 30 unitaries take 5 blocks, the last one short
+    monkeypatch.setattr("quadstab.equations._BLOCK_ENTRIES", 7 * len(probes) * f.domain.zero().size)
+    want = covariance_per_unitary(f, 3, cfg, phi, 30, 6, 1e-6)
+    calls = count_iterate_calls(monkeypatch)
+    rep = qs.verify_unitary_covariance(f, 3, cfg, phi=phi, unitary_count=30, seed=6, tol=1e-6)
+    assert (rep.max_relative_deviation, rep.passed, rep.iterations_used) == want
+    assert rep.passed
+    # the stabilize levels, the probes' own limit, then one call per block of
+    # unitaries, unitary-major: u_0 x_0, u_0 x_1, ..., u_1 x_0, ...
+    assert len(calls) == rep.iterations_used + 1 + 1 + 5
+    rng = np.random.default_rng(6)
+    unitaries = [qs.mappings.draw_unitary(rng, f.domain) for _ in range(30)]
+    for b, block in enumerate(calls[-5:]):
+        want_args = [qs.act(u, x) for u in unitaries[7 * b:7 * b + 7] for x in probes]
+        assert np.array_equal(block, np.stack(want_args))
