@@ -23,6 +23,7 @@ emission, and the `quadstab` command line tool.
 from .algebra import (
     QuasiNormSpec,
     act,
+    codomain_norm,
     concavity_modulus_estimate,
     conjugate_value,
     coordinate_magnitudes,
@@ -96,7 +97,6 @@ from .stability import (
     bound,
     cap_weights,
     closed_form_bounds,
-    codomain_norm,
     constant,
     custom_control,
     fit_constant_level,

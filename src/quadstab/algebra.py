@@ -129,13 +129,13 @@ def _scalar_pow(a, e: float) -> np.ndarray:
     return np.fromiter((v ** e for v in a.ravel()), float, a.size).reshape(a.shape)
 
 
-def _norms(spec: QuasiNormSpec, mags) -> np.ndarray:
-    """The quasi-norm of each row of coordinate magnitudes: reduces the last axis only."""
-    if mags.shape[-1] != spec.dim:
+def _norms(spec: QuasiNormSpec | None, mags) -> np.ndarray:
+    """The quasi-norm of each row of coordinate magnitudes (Euclidean when spec is None)."""
+    if spec is not None and mags.shape[-1] != spec.dim:
         raise ValueError(
             f"dimension mismatch: spec.dim={spec.dim}, point has {mags.shape[-1]} coordinates"
         )
-    if spec.kind == "euclidean":
+    if spec is None or spec.kind == "euclidean":
         return np.sqrt((mags**2).sum(axis=-1))
     if spec.kind == "l1":
         return mags.sum(axis=-1)
@@ -146,13 +146,32 @@ def _norms(spec: QuasiNormSpec, mags) -> np.ndarray:
 
 
 def norm_eval(spec: QuasiNormSpec, x) -> float:
-    """Evaluate the quasi-norm of a module point under `spec`.
+    """The quasi-norm of one module point with spec.dim coordinates; `_norms` on a block of one.
 
-    The point must have exactly `spec.dim` coordinates; matrix coordinates
-    contribute their Frobenius norm before aggregation.  `_norms` is the same
-    formula over a block of points.
+    Matrix coordinates contribute their Frobenius norm before aggregation.
     """
     return float(_norms(spec, coordinate_magnitudes(x)))
+
+
+def codomain_norms(spec: QuasiNormSpec | None, V) -> np.ndarray:
+    """Norms of B codomain values stacked on a leading axis; scalars and matrices are one coordinate.
+
+    spec None is |.| for scalars and np.linalg.norm's l2 or Frobenius norm, bit for bit.
+    """
+    V = np.asarray(V)
+    if not 1 <= V.ndim <= 3:
+        raise ValueError("codomain values are scalars, vectors, or matrices")
+    if spec is None and V.ndim > 1:  # one (1, N) @ (N, 1) product: the dot np.linalg.norm takes
+        flat = V.reshape(len(V), 1, -1)
+        square = lambda w: (w @ w.swapaxes(1, 2))[:, 0, 0]
+        return np.sqrt(square(flat.real) + square(flat.imag) if np.iscomplexobj(V) else square(flat))
+    points = V if V.ndim == 2 else V[:, np.newaxis]
+    return _norms(spec or l1(1), _magnitudes(points, matrix=V.ndim == 3))
+
+
+def codomain_norm(spec: QuasiNormSpec | None, v) -> float:
+    """`codomain_norms` of one value."""
+    return float(codomain_norms(spec, np.asarray(v)[np.newaxis])[0])
 
 
 def concavity_modulus_estimate(spec: QuasiNormSpec, sampler=None, trials: int = 200, seed: int = 0) -> float:

@@ -48,7 +48,6 @@ from .stability import (
     OpenProblemError,
     StabilityConfig,
     closed_form_bounds,
-    codomain_norm,
     constant,
     fit_constant_level,
     fit_power_amplitude,
@@ -304,21 +303,18 @@ def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
         return tuple(domain.random(rng, box=box) for _ in range(int(cfg["count"])))
 
 
-def _control_from_config(cfg: dict, f: Mapping, n: int, norm_spec, domain_norm_spec,
-                         seed: int) -> ControlFunction:
+def _control_from_config(cfg: dict, f: Mapping, st: StabilityConfig, seed: int) -> ControlFunction:
     variant = cfg["variant"]
-    dnorm = (lambda x: algebra.norm_eval(domain_norm_spec, x)) if domain_norm_spec else None
-    cnorm = lambda v: codomain_norm(norm_spec, v)
     trials = int(cfg.get("fit_trials", 400))
     box = float(cfg.get("fit_box", 10.0))
     r = float(cfg.get("r", 1.0))
     level = cfg.get("epsilon" if variant == "power" else "theta")
     if level is None:  # a sampled residual that is not finite leaves nothing to fit
-        level = (fit_power_amplitude(f, n, r, trials=trials, seed=seed, box=box,
-                                     domain_norm=dnorm, codomain=cnorm)
+        level = (fit_power_amplitude(f, st.n, r, trials=trials, seed=seed, box=box,
+                                     domain_norm=st.domain_norm, codomain=st.norm_spec)
                  if variant == "power" else
-                 fit_constant_level(f, n, trials=trials, seed=seed, box=box, codomain=cnorm))
-    return power(float(level), r, norm=dnorm) if variant == "power" else constant(float(level))
+                 fit_constant_level(f, st.n, trials=trials, seed=seed, box=box, codomain=st.norm_spec))
+    return power(float(level), r, norm=st.domain_norm) if variant == "power" else constant(float(level))
 
 
 def _stability_config(config: dict, n: int, norm_spec, probes: tuple, m_max: int, tol: float,
@@ -411,17 +407,16 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     domain_norm_spec = _norm(config, "domain_norm") if "domain_norm" in config else None
     f, f0 = _mapping_from_config(config["mapping"], "mapping")
     with _at("norm.dim"):  # the codomain norm must measure f's values
-        codomain_norm(norm_spec, f0)
-    if domain_norm_spec is not None:
-        with _at("domain_norm"):  # the domain norm must measure f's arguments
-            algebra.norm_eval(domain_norm_spec, f.domain.zero())
+        algebra.codomain_norm(norm_spec, f0)
+    with _at("domain_norm"):  # the domain norm must measure f's arguments (None: any point)
+        algebra.norm_eval(domain_norm_spec, f.domain.zero())
     st = config["stability"]
     if st.get("direction") == "backward" and float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
         raise ScenarioValidationError("stability.direction", "the backward scheme needs f(0) = 0")
     probes = _probes_from_config(st.get("probes", {"count": 20}), seed, f.domain, "stability.probes")
     cfg = _stability_config(config, eq.n, norm_spec, probes, 40, 1e-9, domain_norm_spec)
     with _at("control"):
-        phi = _control_from_config(config["control"], f, eq.n, norm_spec, domain_norm_spec, seed)
+        phi = _control_from_config(config["control"], f, cfg, seed)
     try:
         with _at("control"), warnings.catch_warnings(record=True) as wlist:
             warnings.simplefilter("always")
@@ -538,7 +533,7 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
         raise ScenarioValidationError("stability.probes", "covariance reads the top-level probes")
     norm_spec = _norm(config, "norm") if "norm" in config else algebra.euclidean(1)
     with _at("norm.dim"):  # the codomain norm must measure f's values
-        codomain_norm(norm_spec, f0)
+        algebra.codomain_norm(norm_spec, f0)
     cfg = _stability_config(config, n, norm_spec, probes, 25, 1e-10)
     with _at("tol"):
         tol = float(config.get("tol", 1e-6))

@@ -5,17 +5,14 @@ configurations stay serializable; ``Custom`` is the escape hatch for tests.
 Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
 
-Every mapping evaluates one point, `f(x)`, or a block of points,
-`f.batch(X)` with X of shape (B, *domain.shape).  The closed-form families
-write their formula once, in `_eval`, for both, so the two agree bit for
-bit.  `_residuals` is the one residual kernel: it forms all term arguments
-of a block of tuples and evaluates them in one `f.batch` call, twisting
-with the algebra's block action and conjugation.  `equation_residual` and
-`approximate_remainder` (the one unitary-twisted residual: conjugation, or
-a self-adjoint companion via `mode`) are that kernel on a block of one
-tuple, and `sample_residuals`, the one seeded sampler of residuals that the
-empirical sup, the control fits and the consistency check all read, runs
-it block by block.
+Every mapping evaluates one point, `f(x)`, or a block, `f.batch(X)` with X of
+shape (B, *domain.shape), from one formula, so the two agree bit for bit.
+`_residuals` evaluates all term arguments of a block of tuples in one
+`f.batch` call, twisted by the algebra's block action and conjugation;
+`equation_residual` and `approximate_remainder` run it on one tuple.
+`_residual_blocks`, the one seeded sampler, yields blocks of tuples and
+residuals that the empirical sup, the control fits and the consistency
+check reduce whole; `sample_residuals` is its per-tuple view.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (_ginibre, _haar_from_ginibre, _haar_unitary, act_block, conjugate_block, hat,
-                      multiply_block, random_point)
+from .algebra import (QuasiNormSpec, _ginibre, _haar_from_ginibre, _haar_unitary, act_block,
+                      codomain_norm, codomain_norms, conjugate_block, hat, multiply_block, random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
@@ -447,10 +444,7 @@ def approximate_remainder(f, u, n: int, xs, mode: str | None = None):
 
 def value_norm(v) -> float:
     """Default codomain magnitude: |.| for scalars, l2 for vectors, Frobenius for matrices."""
-    v = np.asarray(v)
-    if v.ndim == 0:
-        return float(abs(v))
-    return float(np.linalg.norm(v))
+    return codomain_norm(None, v)
 
 
 def draw_unitary(rng: np.random.Generator, domain: Domain):
@@ -459,7 +453,7 @@ def draw_unitary(rng: np.random.Generator, domain: Domain):
         return _haar_unitary(rng, domain.k)
     if domain.complex_scalars:
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return float(rng.choice((-1.0, 1.0)))
+    return (-1.0, 1.0)[int(rng.integers(2))]  # rng.choice((-1.0, 1.0))'s stream at a third of its cost
 
 
 class NonFiniteResidualError(ValueError):
@@ -474,16 +468,14 @@ def _draw_points(rng: np.random.Generator, domain: Domain, count: int, box: floa
     return re + 1j * im
 
 
-def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
-    """Yield (points, residual) for `trials` sampled tuples; fe3 also twists by a unitary.
+def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
+    """Yield blocks (P, R): tuples of shape (B, eq.arity, *domain.shape) and their B residuals.
 
-    One default_rng(seed) draws, per tuple, eq.arity box points and then, for
-    fe3 only, one unitary.  Fitted controls and preset CSVs depend on this
-    order, and with a fixed seed the samples form a prefix chain in `trials`.
-    The tuples are evaluated `block_length` at a time by `_residuals`, with
-    one stacked QR per block for Haar unitaries.
-    Raises NonFiniteResidualError at the first residual that is not finite,
-    after yielding every sample before it.
+    One default_rng(seed) draws, per tuple, eq.arity box points and then, for fe3
+    only, one unitary; fits and preset CSVs depend on this order, and with a fixed
+    seed the samples form a prefix chain in `trials`.  A block of `block_length`
+    tuples is one `_residuals` call.  At the first non-finite residual the finite
+    rows of its block are yielded, then NonFiniteResidualError names that sample.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -499,29 +491,34 @@ def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
             points.append(_draw_points(rng, domain, eq.arity, box))
             if twisted:
                 draws.append(_ginibre(rng, domain.k) if domain.matrix else draw_unitary(rng, domain))
-        P = np.stack(points)
+        P, U = np.stack(points), None
         if twisted:
             U = _haar_from_ginibre(np.stack(draws)) if domain.matrix else np.array(draws)
-            R = _residuals(f, P, U=U)
-        else:
-            R = _residuals(f, P, terms)
+        R = _residuals(f, P, terms, U)
         finite = np.isfinite(R.reshape(count, -1)).all(axis=1)
-        for i in range(count):
-            if not finite[i]:
-                raise NonFiniteResidualError(f"non-finite residual at sample {start + i} (box {box:g})")
-            yield tuple(P[i]), R[i]
+        if not finite.all():
+            i = int(np.argmin(finite))
+            if i:
+                yield P[:i], R[:i]
+            raise NonFiniteResidualError(f"non-finite residual at sample {start + i} (box {box:g})")
+        yield P, R
+
+
+def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
+    """Yield (points, residual) for each tuple of `_residual_blocks`, in its order."""
+    for P, R in _residual_blocks(f, eq, trials, seed, box):
+        yield from zip(map(tuple, P), R)
 
 
 def empirical_sup_residual(f, eq, trials: int = 1000, seed: int = 0,
-                           norm=None, box: float = 10.0) -> float:
-    """Max residual norm over the tuples of `sample_residuals`.
+                           norm: QuasiNormSpec | None = None, box: float = 10.0) -> float:
+    """Max residual norm (`value_norm` when norm is None) over the tuples of `_residual_blocks`.
 
     With a fixed seed the estimate is monotone nondecreasing in `trials`.
     """
     if not isinstance(eq, EquationSpec):
         raise TypeError("eq must be an EquationSpec")
-    norm = norm or value_norm
     sup = 0.0
-    for _, val in sample_residuals(f, eq, trials, seed, box):
-        sup = max(sup, norm(val))
+    for _, R in _residual_blocks(f, eq, trials, seed, box):
+        sup = float(np.max(codomain_norms(norm, R), initial=sup))
     return sup

@@ -1,17 +1,15 @@
 """Constructive stability machinery for the n-point quadratic equation.
 
-Given a mapping f whose twisted residual is dominated by a control
-function, the direct method manufactures the nearby exact solution as the
-limit of rescaled dilated iterates, with an a-priori error bound assembled
-from the control function.  This module provides the control-function
-derived quantities, one bound engine `bound` (closed form or truncated
-series, quasi-norm modulus K or p-norm exponent p, forward or backward) with
-thin wrappers `series_bound_{forward,backward}{,_p}`, `closed_form_bounds`
-and `probe_bound`, and the forward/backward iteration schemes, `hyers_iterate`
-on one point or a block.  The drivers `stabilize` and
-`verify_unitary_covariance` check empirical deviations against the
-guaranteed bounds; each level of probes, or block of unitaries x probes, is
-one `hyers_iterate` call.
+If the twisted residual of f is dominated by a control phi, the direct
+method builds the nearby exact solution as a limit of rescaled iterates,
+with an a-priori error bound built from phi.  Norms are QuasiNormSpec values;
+None means `point_norm` on the domain and `value_norm` on the codomain.  The
+power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
+fit of eps and the consistency check, and the fits and the check reduce
+whole blocks of `mappings._residual_blocks`.  One bound engine `bound` sits
+under `series_bound_*`, `closed_form_bounds` and `probe_bound`.  `stabilize`
+and `verify_unitary_covariance` make one `hyers_iterate` call per level of
+probes or block of unitaries x probes.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -26,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (QuasiNormSpec, _magnitudes, _norms, act_block, conjugate_block,
-                      coordinate_magnitudes, norm_eval)
-from .equations import EquationSpec, block_length
-# approximate_remainder is no longer called here; it stays importable from this
-# namespace because bench/spans.py wraps it here by name
-from .mappings import (Mapping, NonFiniteResidualError, approximate_remainder, draw_unitary,
-                       empirical_sup_residual, sample_residuals, value_norm)
+from .algebra import (QuasiNormSpec, _magnitudes, _norms, act_block, codomain_norms, conjugate_block,
+                      coordinate_magnitudes, l1, norm_eval)
+from .equations import EquationSpec, block_length, term_sum
+# approximate_remainder and norm_eval are no longer called here; they stay importable
+# from this namespace because bench/spans.py wraps them here by name
+from .mappings import (Mapping, NonFiniteResidualError, _residual_blocks, approximate_remainder,
+                       draw_unitary, empirical_sup_residual)
 
 MAX_SERIES_TERMS = 100_000
 SCALE_GUARD = 1e100
@@ -57,7 +55,16 @@ class OpenProblemError(DivergenceError):
 
 def point_norm(x) -> float:
     """Default domain norm: Euclidean aggregate of coordinate magnitudes."""
-    return float(np.sqrt((coordinate_magnitudes(x) ** 2).sum()))
+    return float(_norms(None, coordinate_magnitudes(x)))
+
+
+def _power_weights(norm: QuasiNormSpec | None, mags, r: float) -> np.ndarray:
+    """sum_i ||x_i||^r of B tuples from their coordinate magnitudes (B, n, d), added in slot order.
+
+    norm None is `point_norm`.  Python float powers round as `_scalar_pow` does, but
+    one out of floating-point range raises OverflowError instead of giving inf.
+    """
+    return term_sum(np.array([[v**r for v in row] for row in _norms(norm, mags).tolist()]))
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class ControlFunction:
     r: float = 1.0
     theta: float = 0.0
     fn: object = None
-    norm: object = None
+    norm: QuasiNormSpec | None = None  # domain norm of the power budget; None is point_norm
 
     def __post_init__(self):
         if self.variant not in ("power", "constant", "custom"):
@@ -85,13 +92,17 @@ class ControlFunction:
             raise ValueError("constant control needs theta >= 0")
         if self.variant == "custom" and not callable(self.fn):
             raise ValueError("custom control needs a callable")
+        if self.norm is not None and not isinstance(self.norm, QuasiNormSpec):
+            raise TypeError("the control's norm is a QuasiNormSpec or None")
 
-    def _norm(self, x) -> float:
-        return (self.norm or point_norm)(x)
+    def _weight(self, xs) -> float:
+        """sum_i ||x_i||^r over one tuple of points."""
+        mags = np.stack([coordinate_magnitudes(x) for x in xs])[np.newaxis]
+        return float(_power_weights(self.norm, mags, self.r)[0])
 
     def evaluate(self, xs) -> float:
         if self.variant == "power":
-            return self.epsilon * sum(self._norm(x) ** self.r for x in xs)
+            return self.epsilon * self._weight(xs)
         if self.variant == "constant":
             return self.theta
         return float(self.fn(xs))
@@ -99,7 +110,7 @@ class ControlFunction:
     __call__ = evaluate
 
 
-def power(epsilon: float, r: float, norm=None) -> ControlFunction:
+def power(epsilon: float, r: float, norm: QuasiNormSpec | None = None) -> ControlFunction:
     return ControlFunction("power", epsilon=float(epsilon), r=float(r), norm=norm)
 
 
@@ -107,7 +118,7 @@ def constant(theta: float) -> ControlFunction:
     return ControlFunction("constant", theta=float(theta))
 
 
-def custom_control(fn, norm=None) -> ControlFunction:
+def custom_control(fn, norm: QuasiNormSpec | None = None) -> ControlFunction:
     return ControlFunction("custom", fn=fn, norm=norm)
 
 
@@ -123,10 +134,8 @@ def phi_component(phi: ControlFunction, n: int, i: int, x) -> float:
     """
     if not 1 <= i <= n:
         raise ValueError(f"slot index {i} out of range 1..{n}")
-    if phi.variant == "power":
-        return phi.epsilon * phi._norm(x) ** phi.r
-    if phi.variant == "constant":
-        return phi.theta
+    if phi.variant != "custom":
+        return phi.evaluate([x])
     x = np.asarray(x)
     zero = np.zeros_like(x)
     return phi.evaluate([x if j == i else zero for j in range(1, n + 1)])
@@ -136,10 +145,8 @@ def phi_tilde(phi: ControlFunction, n: int, x) -> float:
     """min over adjacent slot pairs of phi_i(x) + phi_{i+1}(x)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if phi.variant == "power":
-        return 2.0 * phi.epsilon * phi._norm(x) ** phi.r
-    if phi.variant == "constant":
-        return 2.0 * phi.theta
+    if phi.variant != "custom":
+        return 2.0 * phi.evaluate([x])
     comps = [phi_component(phi, n, i, x) for i in range(1, n + 1)]
     return min(comps[i] + comps[i + 1] for i in range(n - 1))
 
@@ -158,7 +165,7 @@ def phi_cap(phi: ControlFunction, n: int, x) -> float:
     if n < 3:
         raise ValueError("n must be >= 3")
     if phi.variant == "power":
-        return (1.0 + 2.0 / n) * phi.epsilon * phi._norm(x) ** phi.r
+        return (1.0 + 2.0 / n) * phi.epsilon * phi._weight([x])
     if phi.variant == "constant":
         return (1.0 + 2.0 / n) * phi.theta
     x = np.asarray(x)
@@ -297,11 +304,11 @@ def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float 
     _require_regime(direction, power_regime(n, K, r),
                     f"dead zone is -log_(n-1) K <= r-2 <= log_(n-1) K at K={K}, r={r}, p={p}")
     if series_tol is None:
-        amp, norm_x = (phi.epsilon, phi._norm(x)) if phi.variant == "power" else (phi.theta, 1.0)
+        amp, weight = (phi.epsilon, phi._weight([x])) if phi.variant == "power" else (phi.theta, 1.0)
         a, b = lam ** (2.0 * p), lam ** (r * p)
         if direction == "backward":
             a, b = b, a
-        return (n + 2) * K * amp * norm_x**r / (n * (a - K**p * b) ** (1.0 / p))
+        return (n + 2) * K * amp * weight / (n * (a - K**p * b) ** (1.0 / p))
     ratio = K**p * lam ** (((r - 2.0) if direction == "forward" else (2.0 - r)) * p)
     return _truncate_geometric((K * _term(phi, n, x, 0, direction)) ** p, ratio, series_tol, root)
 
@@ -345,15 +352,15 @@ def closed_form_bounds(n: int, variant: str, direction: str, norm_x: float = 1.0
     if variant == "power":
         if epsilon is None or r is None:
             raise ValueError("power budget needs epsilon and r")
-        # the control's norm is norm_x everywhere, so no domain point is needed
-        phi = power(epsilon, r, norm=lambda _: norm_x)
+        phi = power(epsilon, r, norm=l1(1))  # the l1 norm of the point (norm_x,) is |norm_x|
     elif variant == "constant":
         if theta is None:
             raise ValueError("constant budget needs theta")
         phi = constant(theta)
     else:
         raise ValueError(f"unknown budget variant {variant!r}")
-    return bound(phi, n, None, direction, K=1.0 if K is None else K, p=1.0 if p is None else p)
+    return bound(phi, n, np.array([norm_x]), direction, K=1.0 if K is None else K,
+                 p=1.0 if p is None else p)
 
 
 def iterate_gap_bound(phi: ControlFunction, n: int, K: float, x, l: int, m: int,
@@ -407,10 +414,8 @@ def hyers_iterate(f: Mapping, n: int, m: int, x, direction: str = "forward"):
 class StabilityConfig:
     """Settings for a stabilization experiment.
 
-    norm_spec is the codomain quasi-norm; it supplies K (bound_mode "quasi")
-    or p (bound_mode "p", with p = 1 for genuine norms).  domain_norm feeds
-    the control function and probe magnitudes; default is the Euclidean
-    aggregate.
+    norm_spec, the codomain quasi-norm, supplies K (bound_mode "quasi") or p
+    (bound_mode "p"; p = 1 for genuine norms); domain_norm measures the probes.
     """
 
     n: int
@@ -442,25 +447,6 @@ class StabilityConfig:
             return self.norm_spec.K, 1.0
         return 1.0, (self.norm_spec.p if self.norm_spec.kind == "lp_quasi" else 1.0)
 
-    def domain_norm_fn(self):
-        if self.domain_norm is None:
-            return point_norm
-        return lambda x: norm_eval(self.domain_norm, x)
-
-
-def codomain_norms(spec: QuasiNormSpec, V) -> np.ndarray:
-    """Norms of B codomain values stacked on a leading axis: scalars and matrices count as one coordinate."""
-    V = np.asarray(V)
-    if not 1 <= V.ndim <= 3:
-        raise ValueError("codomain values are scalars, vectors, or matrices")
-    points = V if V.ndim == 2 else V[:, np.newaxis]
-    return _norms(spec, _magnitudes(points, matrix=V.ndim == 3))
-
-
-def codomain_norm(spec: QuasiNormSpec, v) -> float:
-    """`codomain_norms` of one value."""
-    return float(codomain_norms(spec, np.asarray(v)[np.newaxis])[0])
-
 
 @dataclass
 class ProbeResult:
@@ -489,10 +475,8 @@ class StabilityReport:
 
     @property
     def worst_margin(self) -> float:
-        return min((p.margin for p in self.probes), default=float("inf"))
-
-    def failures(self) -> list[ProbeResult]:
-        return [p for p in self.probes if p.status != "pass"]
+        # np.min keeps a NaN margin whatever the probe order, where min() depends on it
+        return float(np.min([p.margin for p in self.probes], initial=np.inf))
 
 
 def probe_bound(phi: ControlFunction, cfg: StabilityConfig, x) -> float:
@@ -501,14 +485,25 @@ def probe_bound(phi: ControlFunction, cfg: StabilityConfig, x) -> float:
     return bound(phi, cfg.n, x, cfg.direction, K=K, p=p, series_tol=cfg.series_tol)
 
 
+def _budgets(phi: ControlFunction, P, matrix: bool) -> np.ndarray:
+    """phi of each tuple stacked in P, shape (B, n, *point)."""
+    if phi.variant == "power":
+        return phi.epsilon * _power_weights(phi.norm, _magnitudes(P, matrix), phi.r)
+    if phi.variant == "constant":
+        return np.full(len(P), phi.theta)
+    return np.array([phi.evaluate(tuple(xs)) for xs in P], dtype=float)
+
+
 def _consistency_warn(f: Mapping, phi: ControlFunction, cfg: StabilityConfig, seed: int = 0):
+    """Warn at the first of 48 sampled tuples whose residual norm exceeds phi there."""
     try:
-        for pts, val in sample_residuals(f, EquationSpec("fe3", n=cfg.n), 48, seed):
-            res = codomain_norm(cfg.norm_spec, val)
-            budget = phi.evaluate(pts)
-            if res > budget * (1.0 + 1e-9) + 1e-12:
+        for P, R in _residual_blocks(f, EquationSpec("fe3", n=cfg.n), 48, seed):
+            res, budget = codomain_norms(cfg.norm_spec, R), _budgets(phi, P, f.domain.matrix)
+            over = np.flatnonzero(res > budget * (1.0 + 1e-9) + 1e-12)
+            if over.size:
+                i = over[0]
                 problem = (f"control function does not dominate sampled residuals "
-                           f"({res:.6g} > {budget:.6g})")
+                           f"({res[i]:.6g} > {budget[i]:.6g})")
                 break
         else:
             return
@@ -560,17 +555,17 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
             iterations[i] = m
             converged[i] = bool(gap < cfg.tol) and (tails[i] is None or tails[i] < cfg.tol)
         active = active[[not converged[i] for i in active]]
-    deviations = codomain_norms(cfg.norm_spec, first - last)
-    dnorm = cfg.domain_norm_fn()
+    deviations = codomain_norms(cfg.norm_spec, first - last).tolist()
+    norms = _norms(cfg.domain_norm, _magnitudes(X, f.domain.matrix)).tolist()
     report = StabilityReport(config=cfg, control=phi)
-    for i, (x, deviation) in enumerate(zip(probes, deviations.tolist())):
+    for i, (x, deviation) in enumerate(zip(probes, deviations)):
         margin = bounds[i] - deviation
         passed = converged[i] and margin >= -cfg.tol
         reason = (None if passed else f"non-finite iterate at m={non_finite[i]}" if i in non_finite
                   else "deviation above bound + tol" if converged[i]
                   else f"not converged within m_max={cfg.m_max}")
         report.probes.append(ProbeResult(
-            probe=x, norm_x=dnorm(x), q_estimate=last[i], iterations=iterations[i],
+            probe=x, norm_x=norms[i], q_estimate=last[i], iterations=iterations[i],
             converged=converged[i], deviation=deviation, bound=bounds[i], margin=margin,
             tail_bound=tails[i], status="pass" if passed else "fail", reason=reason))
     return report
@@ -581,23 +576,22 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
 
 
 def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: int = 0,
-                        box: float = 10.0, domain_norm=None, codomain=None) -> float:
-    """Fit epsilon as (sup residual norm) / (sup of sum_i ||x_i||^r) over `sample_residuals`."""
-    dnorm = domain_norm or point_norm
-    cnorm = codomain or value_norm
-    sup_res = 0.0
-    sup_weight = 0.0
-    for pts, val in sample_residuals(f, EquationSpec("fe3", n=n), trials, seed, box):
-        sup_res = max(sup_res, cnorm(val))
-        sup_weight = max(sup_weight, sum(dnorm(pt) ** r for pt in pts))
+                        box: float = 10.0, domain_norm: QuasiNormSpec | None = None,
+                        codomain: QuasiNormSpec | None = None) -> float:
+    """Fit epsilon as (sup residual norm) / (sup of sum_i ||x_i||^r) over `_residual_blocks`."""
+    sup_res = sup_weight = 0.0
+    for P, R in _residual_blocks(f, EquationSpec("fe3", n=n), trials, seed, box):
+        sup_res = float(np.max(codomain_norms(codomain, R), initial=sup_res))
+        weights = _power_weights(domain_norm, _magnitudes(P, f.domain.matrix), r)
+        sup_weight = float(np.max(weights, initial=sup_weight))
     if sup_weight == 0.0:
         raise ValueError("sample produced no usable weight")
     return sup_res / sup_weight
 
 
 def fit_constant_level(f: Mapping, n: int, trials: int = 400, seed: int = 0,
-                       box: float = 10.0, codomain=None) -> float:
-    """Fit theta as the sup of the twisted residual norm over `sample_residuals`."""
+                       box: float = 10.0, codomain: QuasiNormSpec | None = None) -> float:
+    """Fit theta as the sup of the twisted residual norm (`value_norm` when codomain is None)."""
     return empirical_sup_residual(f, EquationSpec("fe3", n=n), trials, seed, norm=codomain, box=box)
 
 
@@ -626,8 +620,7 @@ def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
     degenerates to multiplication by |u|^2.
     """
     if phi is None:
-        level = fit_constant_level(f, n, seed=seed,
-                                   codomain=lambda v: codomain_norm(cfg.norm_spec, v))
+        level = fit_constant_level(f, n, seed=seed, codomain=cfg.norm_spec)
         phi = constant(level * 1.05 + 1e-12)
     report = stabilize(f, phi, cfg, check_consistency=False)
     m_star = max(1, *(p.iterations for p in report.probes))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import quadstab as qs
 import quadstab.harness as h
 
 
@@ -528,3 +529,20 @@ def test_covariance_honours_bound_mode():
     res = h.run_scenario(p_mode, write_csv=False)
     assert [r.status for r in res.rows] == ["pass"]
     assert res.exit_code == h.EXIT_OK
+
+
+def test_worst_margin_keeps_a_nan_margin_whatever_the_probe_order():
+    # a given constant budget on x^400: 35 probes end with a NaN margin and 65 with -inf
+    cfg = h.preset_config("power-forward")
+    cfg["control"] = {"variant": "constant", "theta": 1.0}
+    cfg["mapping"] = {"family": "monomial", "degree": 400}
+    probes = h._probes_from_config(cfg["stability"]["probes"], cfg["seed"], qs.Domain(1), "probes")
+    summaries = []
+    for order in (probes, probes[::-1]):
+        cfg["stability"]["probes"] = [p.tolist() for p in order]
+        with np.errstate(all="ignore"):
+            res = h.run_scenario(cfg, write_csv=False)
+        margins = np.array([r.margin for r in res.rows])
+        assert (np.isnan(margins).sum(), np.isneginf(margins).sum()) == (35, 65)
+        summaries.append(res.summary["worst_margin"])
+    assert all(np.isnan(worst) for worst in summaries)

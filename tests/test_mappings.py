@@ -505,3 +505,12 @@ def test_fe3_64_residual_blocks_stay_small():
         tracemalloc.stop()
     assert np.isfinite(sup) and sup > 0.0
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_real_sign_draw_keeps_the_stream_of_choice():
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    domain = qs.Domain(2)
+    got = [qs.mappings.draw_unitary(a, domain) for _ in range(100_000)]
+    assert got == [float(b.choice((-1.0, 1.0))) for _ in range(100_000)]
+    assert all(type(u) is float for u in got[:100])
+    assert a.random() == b.random()  # the draw after them

@@ -537,7 +537,7 @@ def stabilize_per_probe(f, phi, cfg):
     K, p = cfg.route
     r = phi.r if phi.variant == "power" else 0.0
     decay = float(lam) ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
-    dnorm = cfg.domain_norm_fn()
+    dnorm = qs.point_norm if cfg.domain_norm is None else cfg.domain_norm.norm
     out = []
     for x in cfg.probes:
         x = np.asarray(x)
@@ -751,3 +751,16 @@ def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatc
     for b, block in enumerate(calls[-5:]):
         want_args = [qs.act(u, x) for u in unitaries[7 * b:7 * b + 7] for x in probes]
         assert np.array_equal(block, np.stack(want_args))
+
+
+def test_control_norm_is_a_spec():
+    with pytest.raises(TypeError, match="QuasiNormSpec"):
+        qs.power(1.0, 1.0, norm=qs.point_norm)  # a norm callable is refused
+    x = np.array([3.0, -4.0])
+    assert qs.power(2.0, 1.0).evaluate([x, x]) == 2.0 * (5.0 + 5.0)
+    assert qs.power(1.0, 1.0, norm=qs.l1(2)).evaluate([x, 2 * x]) == 7.0 + 14.0
+    assert qs.phi_component(qs.power(1.0, 2.0, norm=qs.l1(2)), 3, 2, x) == 49.0
+    # the closed form reads |norm_x| as an l1 norm, with no square that could overflow
+    got = qs.closed_form_bounds(3, "power", "forward", norm_x=1e200, K=1.0, epsilon=1.0, r=1.0)
+    assert got == pytest.approx(1e200 * qs.closed_form_bounds(3, "power", "forward", norm_x=1.0, K=1.0,
+                                                               epsilon=1.0, r=1.0), rel=1e-15)
