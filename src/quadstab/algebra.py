@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL = 1e-10
 UNITARY_TOL = 1e-10
 
 _KINDS = ("lp_quasi", "euclidean", "l1", "weighted")

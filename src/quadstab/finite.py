@@ -14,6 +14,8 @@ oracle's peak memory does not grow with the candidate count.
 Each equation's constraints are streamed once; two solution spaces are
 compared as the column spans of their nullspace matrices.  Groups over the
 dense-elimination column cap are refused when the group or system is built.
+A modulus is admissible for an equation as its derivation's shift a allows
+(`_shift`: 2 for fe1 and fe2, n-1 for fe3, a for fe3_0).
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.
@@ -163,12 +165,13 @@ def _obstruction_factors(a: int) -> list[tuple[str, int]]:
     ]
 
 
+def _shift(eq: EquationSpec) -> int:
+    """The shift a of the equation's derivation: 2 for fe1 and fe2, n-1 for fe3, a for fe3_0."""
+    return 2 if eq.id in ("fe1", "fe2") else int(eq.n) - 1 if eq.id == "fe3" else int(eq.a)
+
+
 def obstruction_factors(eq: EquationSpec) -> list[tuple[str, int]]:
-    if eq.id in ("fe1", "fe2"):
-        return _obstruction_factors(2)
-    if eq.id == "fe3":
-        return _obstruction_factors(eq.n - 1)
-    return _obstruction_factors(eq.a)
+    return _obstruction_factors(_shift(eq))
 
 
 def obstruction_product(eq: EquationSpec) -> int:
@@ -189,25 +192,12 @@ def check_admissible(eq, G: GroupSpec) -> None:
                 factor_name=name,
                 factor=factor,
             )
-    a = None
-    if eq.id == "fe3_0":
-        a = int(eq.a)
-    elif eq.id == "fe3":
-        a = int(eq.n) - 1
-    if a is not None:
-        r = a % G.q
-        if r in (1, G.q - 1) and abs(a) != 1:
-            raise InadmissibleGroupError(
-                f"a={a} reduces to +-1 mod q={G.q} for {eq.label()}",
-                factor_name="a mod q",
-                factor=a,
-            )
-        if r == 0 and a != 0:
-            raise InadmissibleGroupError(
-                f"a={a} reduces to 0 mod q={G.q} for {eq.label()}",
-                factor_name="a mod q",
-                factor=a,
-            )
+    a = _shift(eq)  # 2 for fe1 and fe2, which no prime q >= 5 reduces to 0 or +-1
+    r = a % G.q
+    residue = "+-1" if r in (1, G.q - 1) and abs(a) != 1 else "0" if r == 0 and a != 0 else None
+    if residue is not None:
+        raise InadmissibleGroupError(f"a={a} reduces to {residue} mod q={G.q} for {eq.label()}",
+                                     factor_name="a mod q", factor=a)
 
 
 # ---------------------------------------------------------------------------

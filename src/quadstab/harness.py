@@ -12,6 +12,10 @@ Scenario kinds:
   deadzone        sweep the constant-budget denominator across zero
   bound_equality  closed-form/series agreement between the K=1 and p=1 routes
 
+`_KINDS` maps each kind to its runner and the sections it requires; the
+schema's kind enum and its `allOf` are built from it.  A runner returns its
+rows and summary, and `run_scenario` writes the run's name on every row.
+
 Runs are deterministic given (config, seed); result CSVs are byte-identical
 across repeat runs.  Exit codes: 0 all rows pass, 2 validation error,
 3 bound violation or unexpected failure, 4 expected rejections only.
@@ -47,6 +51,7 @@ from .stability import (
     DivergenceError,
     OpenProblemError,
     StabilityConfig,
+    _check_origin,
     closed_form_bounds,
     constant,
     fit_constant_level,
@@ -83,11 +88,19 @@ class ScenarioValidationError(ValueError):
         self.path = path
 
 
+# norm kind -> spec builder; each is called under _at
+_NORMS = {
+    "euclidean": lambda c: algebra.euclidean(c["dim"]),
+    "l1": lambda c: algebra.l1(c["dim"]),
+    "lp_quasi": lambda c: algebra.lp_quasi(c["p"], c["dim"]),
+    "weighted": lambda c: algebra.weighted(c["weights"]),
+}
+
 _NORM_SCHEMA = {
     "type": "object",
     "required": ["kind", "dim"],
     "properties": {
-        "kind": {"enum": ["euclidean", "l1", "lp_quasi", "weighted"]},
+        "kind": {"enum": list(_NORMS)},
         "dim": {"type": "integer", "minimum": 1},
         "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -127,108 +140,6 @@ _PROBES_SCHEMA = {
     ]
 }
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "quadstab scenario",
-    "type": "object",
-    "required": ["name", "kind"],
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "kind": {"enum": ["stability", "oracle", "dimension", "inner_product",
-                           "covariance", "deadzone", "bound_equality"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "expected_status": {"enum": [STATUS_REJECTED_DIVERGENT, STATUS_REJECTED_OPEN_PROBLEM]},
-        "output": {
-            "type": "object",
-            "properties": {"results_csv": {"type": "string", "minLength": 1}},
-        },
-        "equation": _EQUATION_SCHEMA,
-        "equation_a": _EQUATION_SCHEMA,
-        "equation_b": _EQUATION_SCHEMA,
-        "group": _GROUP_SCHEMA,
-        "expected_dim": {"type": "integer", "minimum": 0},
-        "norm": _NORM_SCHEMA,
-        "domain_norm": _NORM_SCHEMA,
-        "mapping": {"type": "object", "required": ["family"]},
-        "control": {
-            "type": "object",
-            "required": ["variant"],
-            "properties": {
-                "variant": {"enum": ["power", "constant"]},
-                "epsilon": {"type": ["number", "null"], "minimum": 0},
-                "r": {"type": "number", "exclusiveMinimum": 0},
-                "theta": {"type": ["number", "null"], "minimum": 0},
-                "fit_trials": {"type": "integer", "minimum": 1},
-                "fit_box": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "stability": {
-            "type": "object",
-            "properties": {
-                "direction": {"enum": ["forward", "backward"]},
-                "m_max": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "series_tol": {"type": "number", "exclusiveMinimum": 0},
-                "bound_mode": {"enum": ["quasi", "p"]},
-                "probes": _PROBES_SCHEMA,
-            },
-        },
-        "mode": {"enum": ["b", "c"]},
-        "param": {"type": "integer"},
-        "trials": {"type": "integer", "minimum": 1},
-        "expect": {"enum": ["pass", "witness"]},
-        "witness": {"type": "object"},
-        "n": {"type": "integer", "minimum": 3},
-        "unitaries": {"type": "integer", "minimum": 1},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "probes": _PROBES_SCHEMA,
-        "theta": {"type": "number", "minimum": 0},
-        "K_sweep": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
-        "grid": {
-            "type": "object",
-            "properties": {
-                "n": {"type": "array", "items": {"type": "integer", "minimum": 3}, "minItems": 1},
-                "r": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-                      "minItems": 1},
-                "norm_x": {"type": "array", "items": {"type": "number", "minimum": 0},
-                           "minItems": 1},
-                "epsilon": {"type": "number", "minimum": 0},
-                "series_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-    "allOf": [
-        {"if": {"properties": {"kind": {"const": "stability"}}, "required": ["kind"]},
-         "then": {"required": ["equation", "norm", "mapping", "control", "stability"]}},
-        {"if": {"properties": {"kind": {"const": "oracle"}}, "required": ["kind"]},
-         "then": {"required": ["equation_a", "equation_b", "group"]}},
-        {"if": {"properties": {"kind": {"const": "dimension"}}, "required": ["kind"]},
-         "then": {"required": ["equation", "group", "expected_dim"]}},
-        {"if": {"properties": {"kind": {"const": "inner_product"}}, "required": ["kind"]},
-         "then": {"required": ["norm", "mode", "param"]}},
-        {"if": {"properties": {"kind": {"const": "covariance"}}, "required": ["kind"]},
-         "then": {"required": ["mapping", "n", "probes"]}},
-        {"if": {"properties": {"kind": {"const": "deadzone"}}, "required": ["kind"]},
-         "then": {"required": ["n", "theta", "K_sweep"]}},
-        {"if": {"properties": {"kind": {"const": "bound_equality"}}, "required": ["kind"]},
-         "then": {"required": ["grid"]}},
-    ],
-}
-
-
-def config_schema() -> dict:
-    """The published JSON schema for scenario configs."""
-    return json.loads(json.dumps(SCENARIO_SCHEMA))
-
-
-def validate_config(config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ScenarioValidationError(path, err.message)
-
 
 # ---------------------------------------------------------------------------
 # config -> objects
@@ -246,15 +157,6 @@ def _at(path: str):
         why = (f"value out of floating-point range ({e})" if isinstance(e, OverflowError)
                else f"missing field {e}" if isinstance(e, KeyError) else str(e))
         raise ScenarioValidationError(path, why) from e
-
-
-# norm kind -> spec builder; each is called under _at
-_NORMS = {
-    "euclidean": lambda c: algebra.euclidean(c["dim"]),
-    "l1": lambda c: algebra.l1(c["dim"]),
-    "lp_quasi": lambda c: algebra.lp_quasi(c["p"], c["dim"]),
-    "weighted": lambda c: algebra.weighted(c["weights"]),
-}
 
 
 def _equation(config: dict, key: str) -> EquationSpec:
@@ -335,9 +237,12 @@ def _stability_config(config: dict, n: int, norm_spec, probes: tuple, m_max: int
 
 @dataclass(kw_only=True)
 class ResultRow:
-    """One CSV row; a column a runner leaves out is written empty (0 for iterations)."""
+    """One CSV row; a column a runner leaves out is written empty (0 for iterations).
 
-    scenario: str
+    `run_scenario` writes the run's name into `scenario` on every row.
+    """
+
+    scenario: str = ""
     probe: str
     norm_x: float | None = None
     q_estimate: str = ""
@@ -376,10 +281,10 @@ class RunResult:
     csv_path: str | None = None
 
 
-def _rejected(name: str, probe: str, err: DivergenceError, q_estimate: str = "") -> ResultRow:
+def _rejected(probe: str, err: DivergenceError, q_estimate: str = "") -> ResultRow:
     status = (STATUS_REJECTED_OPEN_PROBLEM if isinstance(err, OpenProblemError)
               else STATUS_REJECTED_DIVERGENT)
-    return ResultRow(scenario=name, probe=probe, q_estimate=q_estimate, status=status)
+    return ResultRow(probe=probe, q_estimate=q_estimate, status=status)
 
 
 def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
@@ -398,7 +303,6 @@ def _exit_code(rows: list[ResultRow], expected_status: str | None) -> int:
 
 
 def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     seed = int(config.get("seed", 0))
     eq = _equation(config, "equation")
     if eq.id != "fe3":
@@ -411,8 +315,8 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     with _at("domain_norm"):  # the domain norm must measure f's arguments (None: any point)
         algebra.norm_eval(domain_norm_spec, f.domain.zero())
     st = config["stability"]
-    if st.get("direction") == "backward" and float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
-        raise ScenarioValidationError("stability.direction", "the backward scheme needs f(0) = 0")
+    with _at("stability.direction"):
+        _check_origin(f0, st.get("direction", "forward"))
     probes = _probes_from_config(st.get("probes", {"count": 20}), seed, f.domain, "stability.probes")
     cfg = _stability_config(config, eq.n, norm_spec, probes, 40, 1e-9, domain_norm_spec)
     with _at("control"):
@@ -422,12 +326,10 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
             warnings.simplefilter("always")
             report = stabilize(f, phi, cfg)
     except DivergenceError as e:
-        return [_rejected(name, "-", e)], {"text": f"rejected: {e}",
-                                               "control": _control_summary(phi)}
+        return [_rejected("-", e)], {"text": f"rejected: {e}", "control": phi.summary()}
     caught = list(dict.fromkeys(str(w.message) for w in wlist))  # each message once
     rows = [
         ResultRow(
-            scenario=name,
             probe=_fmt_value(p.probe),
             norm_x=p.norm_x,
             q_estimate=_fmt_value(p.q_estimate),
@@ -442,7 +344,7 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     n_pass = sum(1 for r in rows if r.status == STATUS_PASS)
     summary = {
         "text": f"{n_pass}/{len(rows)} probes within bound",
-        "control": _control_summary(phi),
+        "control": phi.summary(),
         "worst_margin": report.worst_margin,
     }
     if failures := Counter(p.reason for p in report.probes if p.reason is not None):
@@ -452,16 +354,7 @@ def _run_stability(config: dict) -> tuple[list[ResultRow], dict]:
     return rows, summary
 
 
-def _control_summary(phi: ControlFunction) -> dict:
-    if phi.variant == "power":
-        return {"variant": "power", "epsilon": phi.epsilon, "r": phi.r}
-    if phi.variant == "constant":
-        return {"variant": "constant", "theta": phi.theta}
-    return {"variant": "custom"}
-
-
 def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     eqs = [_equation(config, key) for key in ("equation_a", "equation_b")]
     with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
         cmp = finite.spaces_equal(*eqs, finite.GroupSpec(int(config["group"]["q"]),
@@ -472,24 +365,22 @@ def _run_oracle(config: dict) -> tuple[list[ResultRow], dict]:
     else:
         text = (f"spaces differ: dims {cmp.dim_left} vs {cmp.dim_right}"
                 + (f", certificate on side {cmp.side}" if cmp.side else ""))
-    row = ResultRow(scenario=name, probe="-", q_estimate=f"dim={cmp.dim_left}", status=status)
+    row = ResultRow(probe="-", q_estimate=f"dim={cmp.dim_left}", status=status)
     return [row], {"text": text, "dim_left": cmp.dim_left, "dim_right": cmp.dim_right}
 
 
 def _run_dimension(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     eq = _equation(config, "equation")
     expected = int(config["expected_dim"])
     with _at("group"):  # not a prime >= 5, inadmissible, or over the column cap
         group = finite.GroupSpec(int(config["group"]["q"]), int(config["group"]["d"]))
         dim = len(finite.nullspace_basis(finite.enumerate_constraints(eq, group)))
     status = STATUS_PASS if dim == expected else STATUS_FAIL
-    row = ResultRow(scenario=name, probe="-", q_estimate=f"dim={dim}", status=status)
+    row = ResultRow(probe="-", q_estimate=f"dim={dim}", status=status)
     return [row], {"text": f"nullspace dim {dim}, expected {expected}", "dim": dim}
 
 
 def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     seed = int(config.get("seed", 0))
     spec = _norm(config, "norm")
     mode = config["mode"]
@@ -517,13 +408,11 @@ def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
     if result.witness is not None:
         probe = ";".join(_fmt_value(p) for p in result.witness[:2])
         deviation = abs(result.witness_residual)
-    row = ResultRow(scenario=name, probe=probe, deviation=deviation,
-                    status=STATUS_PASS if ok else STATUS_FAIL)
+    row = ResultRow(probe=probe, deviation=deviation, status=STATUS_PASS if ok else STATUS_FAIL)
     return [row], {"text": text, "sup_residual": result.sup_residual}
 
 
 def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     seed = int(config.get("seed", 0))
     f, f0 = _mapping_from_config(config["mapping"], "mapping")
     with _at("n"):  # the fitted budget samples fe3's terms, whose arity is capped
@@ -542,9 +431,8 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
             rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
                                             seed=seed, tol=tol)
     except DivergenceError as e:
-        return [_rejected(name, f"{len(probes)} probes", e)], {"text": f"rejected: {e}"}
-    row = ResultRow(scenario=name, probe=f"{len(probes)} probes",
-                    deviation=rep.max_relative_deviation, bound=tol,
+        return [_rejected(f"{len(probes)} probes", e)], {"text": f"rejected: {e}"}
+    row = ResultRow(probe=f"{len(probes)} probes", deviation=rep.max_relative_deviation, bound=tol,
                     margin=tol - rep.max_relative_deviation, iterations=rep.iterations_used,
                     status=STATUS_PASS if rep.passed else STATUS_FAIL)
     finite = "" if math.isfinite(rep.max_relative_deviation) else " (non-finite)"
@@ -554,7 +442,6 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
 
 
 def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     n = int(config["n"])
     with _at("theta"):
         theta = float(config["theta"])
@@ -570,11 +457,10 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
         try:
             bound = closed_form_bounds(n, "constant", "forward", K=K, theta=theta)
             entry["bound"] = bound
-            rows.append(ResultRow(scenario=name, probe=_fmt(K),
-                                  q_estimate=f"denominator={_fmt(denom)}", bound=bound,
+            rows.append(ResultRow(probe=_fmt(K), q_estimate=f"denominator={_fmt(denom)}", bound=bound,
                                   status=STATUS_PASS))
         except DivergenceError as e:
-            rows.append(_rejected(name, _fmt(K), e, f"denominator={_fmt(denom)}"))
+            rows.append(_rejected(_fmt(K), e, f"denominator={_fmt(denom)}"))
         sweep.append(entry)
     denoms = [e["denominator"] for e in sweep]
     crossing = (min(denoms) <= 0.0) and (max(denoms) > 0.0)
@@ -584,7 +470,6 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
 
 
 def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
-    name = config["name"]
     grid = config["grid"]
     with _at("tol"):
         tol = float(config.get("tol", 1e-12))
@@ -612,27 +497,119 @@ def _run_bound_equality(config: dict) -> tuple[list[ResultRow], dict]:
                             s_quasi = series_bound_backward(phi, n, 1.0, x, series_tol)
                             s_p = series_bound_backward_p(phi, n, 1.0, x, series_tol)
                     except DivergenceError as e:
-                        rows.append(_rejected(name, label, e))
+                        rows.append(_rejected(label, e))
                         continue
                     scale = max(abs(b_quasi), abs(b_p), 1e-300)
                     rel = max(abs(b_quasi - b_p), abs(s_quasi - s_p)) / scale
                     worst = max(worst, rel)
                     rows.append(ResultRow(
-                        scenario=name, probe=label, norm_x=float(norm_x), q_estimate=_fmt(b_quasi),
+                        probe=label, norm_x=float(norm_x), q_estimate=_fmt(b_quasi),
                         deviation=rel, bound=tol, margin=tol - rel,
                         status=STATUS_PASS if rel <= tol else STATUS_FAIL))
     return rows, {"text": f"worst relative disagreement {worst:.3e}", "worst": worst}
 
 
-_RUNNERS = {
-    "stability": _run_stability,
-    "oracle": _run_oracle,
-    "dimension": _run_dimension,
-    "inner_product": _run_inner_product,
-    "covariance": _run_covariance,
-    "deadzone": _run_deadzone,
-    "bound_equality": _run_bound_equality,
+# ---------------------------------------------------------------------------
+# scenario kinds and the published schema
+
+
+# scenario kind -> (runner, sections it requires); the schema's kind enum and allOf come from here
+_KINDS = {
+    "stability": (_run_stability, ["equation", "norm", "mapping", "control", "stability"]),
+    "oracle": (_run_oracle, ["equation_a", "equation_b", "group"]),
+    "dimension": (_run_dimension, ["equation", "group", "expected_dim"]),
+    "inner_product": (_run_inner_product, ["norm", "mode", "param"]),
+    "covariance": (_run_covariance, ["mapping", "n", "probes"]),
+    "deadzone": (_run_deadzone, ["n", "theta", "K_sweep"]),
+    "bound_equality": (_run_bound_equality, ["grid"]),
 }
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "quadstab scenario",
+    "type": "object",
+    "required": ["name", "kind"],
+    "properties": {
+        "name": {"type": "string", "minLength": 1},
+        "kind": {"enum": list(_KINDS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "expected_status": {"enum": [STATUS_REJECTED_DIVERGENT, STATUS_REJECTED_OPEN_PROBLEM]},
+        "output": {
+            "type": "object",
+            "properties": {"results_csv": {"type": "string", "minLength": 1}},
+        },
+        "equation": _EQUATION_SCHEMA,
+        "equation_a": _EQUATION_SCHEMA,
+        "equation_b": _EQUATION_SCHEMA,
+        "group": _GROUP_SCHEMA,
+        "expected_dim": {"type": "integer", "minimum": 0},
+        "norm": _NORM_SCHEMA,
+        "domain_norm": _NORM_SCHEMA,
+        "mapping": {"type": "object", "required": ["family"]},
+        "control": {
+            "type": "object",
+            "required": ["variant"],
+            "properties": {
+                "variant": {"enum": ["power", "constant"]},
+                "epsilon": {"type": ["number", "null"], "minimum": 0},
+                "r": {"type": "number", "exclusiveMinimum": 0},
+                "theta": {"type": ["number", "null"], "minimum": 0},
+                "fit_trials": {"type": "integer", "minimum": 1},
+                "fit_box": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "stability": {
+            "type": "object",
+            "properties": {
+                "direction": {"enum": ["forward", "backward"]},
+                "m_max": {"type": "integer", "minimum": 1},
+                "tol": {"type": "number", "exclusiveMinimum": 0},
+                "series_tol": {"type": "number", "exclusiveMinimum": 0},
+                "bound_mode": {"enum": ["quasi", "p"]},
+                "probes": _PROBES_SCHEMA,
+            },
+        },
+        "mode": {"enum": ["b", "c"]},
+        "param": {"type": "integer"},
+        "trials": {"type": "integer", "minimum": 1},
+        "expect": {"enum": ["pass", "witness"]},
+        "witness": {"type": "object"},
+        "n": {"type": "integer", "minimum": 3},
+        "unitaries": {"type": "integer", "minimum": 1},
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "probes": _PROBES_SCHEMA,
+        "theta": {"type": "number", "minimum": 0},
+        "K_sweep": {"type": "array", "items": {"type": "number", "minimum": 1}, "minItems": 1},
+        "grid": {
+            "type": "object",
+            "properties": {
+                "n": {"type": "array", "items": {"type": "integer", "minimum": 3}, "minItems": 1},
+                "r": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                      "minItems": 1},
+                "norm_x": {"type": "array", "items": {"type": "number", "minimum": 0},
+                           "minItems": 1},
+                "epsilon": {"type": "number", "minimum": 0},
+                "series_tol": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+    },
+    "allOf": [{"if": {"properties": {"kind": {"const": kind}}, "required": ["kind"]},
+               "then": {"required": sections}} for kind, (_, sections) in _KINDS.items()],
+}
+
+
+def config_schema() -> dict:
+    """The published JSON schema for scenario configs."""
+    return json.loads(json.dumps(SCENARIO_SCHEMA))
+
+
+def validate_config(config: dict) -> None:
+    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    if errors:
+        err = errors[0]
+        path = ".".join(str(p) for p in err.absolute_path) or "<root>"
+        raise ScenarioValidationError(path, err.message)
 
 
 def _resolve_outdir(outdir: str | None) -> str:
@@ -668,8 +645,10 @@ def _write_csv(path: str, rows: list[ResultRow]) -> None:
 def run_scenario(config: dict, outdir: str | None = None, write_csv: bool = True) -> RunResult:
     """Validate and execute one scenario; deterministic given (config, seed)."""
     validate_config(config)
-    runner = _RUNNERS[config["kind"]]
+    runner, _ = _KINDS[config["kind"]]
     rows, summary = runner(config)
+    for row in rows:
+        row.scenario = config["name"]
     exit_code = _exit_code(rows, config.get("expected_status"))
     csv_path = None
     if write_csv:

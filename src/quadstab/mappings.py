@@ -2,6 +2,7 @@
 
 Mappings are closed-form families rather than bare callables so experiment
 configurations stay serializable; ``Custom`` is the escape hatch for tests.
+``SumMapping`` and ``Stack`` check their parts in one place, ``_Parts``.
 Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
 
@@ -245,15 +246,23 @@ class Scaled(Mapping):
         return self.factor * self.inner._eval(x)
 
 
-class SumMapping(Mapping):
+class _Parts(Mapping):
+    """A combinator of `parts`: at least one mapping, all on one domain."""
+
+    combinator, members = "", ""  # the names its refusals use
+
     def __init__(self, parts):
         parts = list(parts)
         if not parts:
-            raise ValueError("sum needs at least one part")
+            raise ValueError(f"{self.combinator} needs at least one part")
         if any(p.domain != parts[0].domain for p in parts):
-            raise ValueError("summands must share a domain")
+            raise ValueError(f"{self.members} must share a domain")
         self.parts = parts
         self.domain = parts[0].domain
+
+
+class SumMapping(_Parts):
+    combinator, members = "sum", "summands"
 
     def _eval(self, x):
         total = np.asarray(self.parts[0]._eval(x))
@@ -262,17 +271,10 @@ class SumMapping(Mapping):
         return total
 
 
-class Stack(Mapping):
+class Stack(_Parts):
     """Stack scalar-codomain mappings into a vector-valued one."""
 
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("stack needs at least one part")
-        if any(p.domain != parts[0].domain for p in parts):
-            raise ValueError("stacked parts must share a domain")
-        self.parts = parts
-        self.domain = parts[0].domain
+    combinator, members = "stack", "stacked parts"
 
     def _eval(self, x):
         values = np.array([p._eval(x) for p in self.parts], dtype=float).T

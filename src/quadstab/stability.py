@@ -9,7 +9,8 @@ fit of eps and the consistency check, and the fits and the check reduce
 whole blocks of `mappings._residual_blocks`.  One bound engine `bound` sits
 under `series_bound_*`, `closed_form_bounds` and `probe_bound`.  `stabilize`
 and `verify_unitary_covariance` make one `hyers_iterate` call per level of
-probes or block of unitaries x probes.
+probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the
+direction for all of them, and `_check_origin` f(0) = 0 for the backward scheme.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -74,6 +75,8 @@ class ControlFunction:
     power    phi(xs) = epsilon * sum_i ||x_i||^r
     constant phi(xs) = theta
     custom   phi(xs) = fn(xs)   (tests and ad-hoc experiments)
+
+    Only a power budget measures points, so only it takes a `norm`.
     """
 
     variant: str
@@ -94,6 +97,8 @@ class ControlFunction:
             raise ValueError("custom control needs a callable")
         if self.norm is not None and not isinstance(self.norm, QuasiNormSpec):
             raise TypeError("the control's norm is a QuasiNormSpec or None")
+        if self.norm is not None and self.variant != "power":
+            raise ValueError("only a power control measures points with a norm")
 
     def _weight(self, xs) -> float:
         """sum_i ||x_i||^r over one tuple of points."""
@@ -109,6 +114,14 @@ class ControlFunction:
 
     __call__ = evaluate
 
+    def summary(self) -> dict:
+        """The variant and the parameters that a run reports."""
+        if self.variant == "power":
+            return {"variant": "power", "epsilon": self.epsilon, "r": self.r}
+        if self.variant == "constant":
+            return {"variant": "constant", "theta": self.theta}
+        return {"variant": "custom"}
+
 
 def power(epsilon: float, r: float, norm: QuasiNormSpec | None = None) -> ControlFunction:
     return ControlFunction("power", epsilon=float(epsilon), r=float(r), norm=norm)
@@ -118,8 +131,8 @@ def constant(theta: float) -> ControlFunction:
     return ControlFunction("constant", theta=float(theta))
 
 
-def custom_control(fn, norm: QuasiNormSpec | None = None) -> ControlFunction:
-    return ControlFunction("custom", fn=fn, norm=norm)
+def custom_control(fn) -> ControlFunction:
+    return ControlFunction("custom", fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +192,20 @@ def phi_cap(phi: ControlFunction, n: int, x) -> float:
 
 # ---------------------------------------------------------------------------
 # the bound engine
+
+
+def _check_scheme(n: int, direction: str) -> None:
+    """Refuse what no rescaling scheme takes: n < 3, or a direction other than forward or backward."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be forward or backward")
+
+
+def _check_origin(f0, direction: str) -> None:
+    """Refuse the backward scheme for f with ||f(0)|| > 1e-9: its iterates need f(0) = 0."""
+    if direction == "backward" and float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
+        raise ValueError("the backward scheme needs f(0) = 0")
 
 
 def power_regime(n: int, K: float, r: float) -> str:
@@ -281,10 +308,7 @@ def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float 
     Raises OpenProblemError in the dead zone, and DivergenceError when the
     requested scheme diverges (always for a constant budget run backward).
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
+    _check_scheme(n, direction)
     if K < 1.0 or not 0.0 < p <= 1.0 or (K > 1.0 and p < 1.0):
         raise ValueError("need K >= 1 and 0 < p <= 1, and not both K > 1 and p < 1")
     if series_tol is not None and series_tol <= 0:
@@ -371,8 +395,7 @@ def iterate_gap_bound(phi: ControlFunction, n: int, K: float, x, l: int, m: int,
     """
     if not 0 <= l < m:
         raise ValueError("need 0 <= l < m")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
+    _check_scheme(n, direction)
     x = np.asarray(x)
     total = sum(K ** (i + 1 - l) * _term(phi, n, x, i, direction) for i in range(l, m - 1))
     return (total + K ** (m - 1 - l) * _term(phi, n, x, m - 1, direction)) / (n - 1.0) ** 2
@@ -389,23 +412,19 @@ def hyers_iterate(f: Mapping, n: int, m: int, x, direction: str = "forward"):
     point is a block of one.  f(0) is evaluated once and the block in one `f.batch`
     call, so row i of a block's iterates equals the iterate at its point i bit for bit.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    _check_scheme(n, direction)
     if m < 0:
         raise ValueError("m must be >= 0")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be forward or backward")
     lam = float(n - 1)
     if lam**m > SCALE_GUARD:
         raise ValueError(f"(n-1)^m exceeds the overflow guard {SCALE_GUARD:g}")
     one = np.ndim(x) <= len(f.domain.shape)
     X = f._coerce(x)[np.newaxis] if one else np.asarray(x)
     f0 = np.asarray(f(np.zeros_like(X[0])))
+    _check_origin(f0, direction)
     if direction == "forward":
         V = (f.batch(X * lam**m) + (n - 1) / 2.0 * f0) / lam ** (2 * m)
     else:
-        if float(np.linalg.norm(np.atleast_1d(f0))) > 1e-9:
-            raise ValueError("backward scheme requires f(0) = 0")
         V = lam ** (2 * m) * f.batch(X / lam**m)
     return V[0] if one else V
 
@@ -429,14 +448,11 @@ class StabilityConfig:
     domain_norm: QuasiNormSpec | None = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("n must be >= 3")
+        _check_scheme(self.n, self.direction)
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
         if self.tol <= 0 or self.series_tol <= 0:
             raise ValueError("tol and series_tol must be positive")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be forward or backward")
         if self.bound_mode not in ("quasi", "p"):
             raise ValueError("bound_mode must be quasi or p")
 
@@ -584,7 +600,7 @@ def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: i
         sup_res = float(np.max(codomain_norms(codomain, R), initial=sup_res))
         weights = _power_weights(domain_norm, _magnitudes(P, f.domain.matrix), r)
         sup_weight = float(np.max(weights, initial=sup_weight))
-    if sup_weight == 0.0:
+    if not 0.0 < sup_weight < np.inf:  # all zero, or a domain norm out of floating-point range
         raise ValueError("sample produced no usable weight")
     return sup_res / sup_weight
 
@@ -617,8 +633,10 @@ def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
     """Check Q_est(u x) = u Q_est(x) u* for the stabilized limit over sampled unitaries.
 
     Relative to 1 + ||Q_est(x)||; for scalar algebras the conjugation
-    degenerates to multiplication by |u|^2.
+    degenerates to multiplication by |u|^2.  n must equal cfg.n, which sets m*.
     """
+    if n != cfg.n:
+        raise ValueError(f"n={n} differs from cfg.n={cfg.n}")
     if phi is None:
         level = fit_constant_level(f, n, seed=seed, codomain=cfg.norm_spec)
         phi = constant(level * 1.05 + 1e-12)

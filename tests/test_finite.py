@@ -151,6 +151,27 @@ def test_admissibility():
     qs.enumerate_constraints(EquationSpec("fe3", n=3), GroupSpec(5, 1))
 
 
+# the refused primes 5..31 of each equation, with the factor that refuses each;
+# every prime not listed is admissible
+_ADMISSIBLE_REFERENCE = {
+    "fe1": {}, "fe2": {}, "fe3:3": {}, "fe3:4": {5: "2a-1", 7: "2a+1"},
+    "fe3:5": {5: "a+1", 7: "2a-1"}, "fe3:6": {5: "a mod q", 11: "2a+1"},
+    "fe3_0:-3": {5: "2a-1", 7: "2a+1"}, "fe3_0:0": {}, "fe3_0:2": {},
+    "fe3_0:3": {5: "2a-1", 7: "2a+1"}, "fe3_0:4": {5: "a+1", 7: "2a-1"},
+}
+
+
+@pytest.mark.parametrize("text", sorted(_ADMISSIBLE_REFERENCE))
+def test_check_admissible_matches_the_reference_table(text):
+    eq = qs.parse_equation(text)
+    refused = {}
+    for q in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        try:
+            qs.check_admissible(eq, GroupSpec(q, 1))
+        except qs.InadmissibleGroupError as e:
+            refused[q] = e.factor_name
+    assert refused == _ADMISSIBLE_REFERENCE[text]
+
 def test_obstruction_product():
     assert qs.obstruction_product(EquationSpec("fe1")) == 6
     assert qs.obstruction_product(EquationSpec("fe3", n=3)) == 6

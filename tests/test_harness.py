@@ -546,3 +546,38 @@ def test_worst_margin_keeps_a_nan_margin_whatever_the_probe_order():
         assert (np.isnan(margins).sum(), np.isneginf(margins).sum()) == (35, 65)
         summaries.append(res.summary["worst_margin"])
     assert all(np.isnan(worst) for worst in summaries)
+
+
+def test_schema_kinds_come_from_the_runner_table():
+    schema = h.config_schema()
+    kinds = list(h._KINDS)
+    assert schema["properties"]["kind"]["enum"] == kinds
+    assert [block["if"]["properties"]["kind"]["const"] for block in schema["allOf"]] == kinds
+    assert [block["then"]["required"] for block in schema["allOf"]] == [s for _, s in h._KINDS.values()]
+    assert schema["properties"]["norm"]["properties"]["kind"]["enum"] == list(h._NORMS)
+
+
+def test_every_row_carries_the_run_name(tmp_path):
+    cfg = h.preset_config("open-problem-deadzone")
+    cfg["name"] = "sweep"
+    res = h.run_scenario(cfg, outdir=str(tmp_path))
+    assert len(res.rows) == len(cfg["K_sweep"])
+    assert {row.scenario for row in res.rows} == {"sweep"}
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["sweep"] * len(cfg["K_sweep"])
+
+
+def test_power_fit_with_an_overflowing_weight_is_a_control_error(tmp_path):
+    # sine stays bounded on a 1e200 box, but the Euclidean norm of its points overflows
+    cfg = {"name": "sine-overflow", "kind": "stability", "equation": {"id": "fe3", "n": 3},
+           "norm": {"kind": "euclidean", "dim": 1}, "mapping": {"family": "sine", "d": 2},
+           "control": {"variant": "power", "epsilon": None, "r": 1.0, "fit_box": 1e200},
+           "stability": {"probes": {"count": 5}}}
+    with np.errstate(all="ignore"), pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == "control"
+    assert "no usable weight" in str(err.value)
+    path = tmp_path / "sine-overflow.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION

@@ -227,6 +227,12 @@ def test_domain_mismatch_rejected():
         f([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="domain mismatch"):
         qs.residual_fe1(f, [1.0], [2.0])
+    # a sum or a stack needs parts, all on one domain
+    for combinator, name, members in ((qs.SumMapping, "sum", "summands"), (qs.Stack, "stack", "stacked parts")):
+        with pytest.raises(ValueError, match=f"^{name} needs at least one part$"):
+            combinator([])
+        with pytest.raises(ValueError, match=f"^{members} must share a domain$"):
+            combinator([f, qs.Sine()])
 
 
 def test_mapping_families():

@@ -764,3 +764,56 @@ def test_control_norm_is_a_spec():
     got = qs.closed_form_bounds(3, "power", "forward", norm_x=1e200, K=1.0, epsilon=1.0, r=1.0)
     assert got == pytest.approx(1e200 * qs.closed_form_bounds(3, "power", "forward", norm_x=1.0, K=1.0,
                                                                epsilon=1.0, r=1.0), rel=1e-15)
+
+
+_SCHEME_ENTRY_POINTS = {
+    "bound": lambda n, direction: qs.bound(qs.power(1.0, 1.0), n, np.array([1.0]), direction),
+    "iterate_gap_bound": lambda n, direction: qs.iterate_gap_bound(
+        qs.power(1.0, 1.0), n, 1.0, np.array([1.0]), 0, 2, direction),
+    "hyers_iterate": lambda n, direction: qs.hyers_iterate(
+        qs.QuadraticForm([[1.0]]), n, 1, np.array([1.0]), direction),
+    "StabilityConfig": lambda n, direction: qs.StabilityConfig(
+        n=n, norm_spec=qs.euclidean(1), direction=direction),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SCHEME_ENTRY_POINTS))
+def test_scheme_entry_points_refuse_a_bad_direction_and_n_below_3(entry):
+    call = _SCHEME_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="^direction must be forward or backward$"):
+        call(3, "sideways")
+    with pytest.raises(ValueError, match="^n must be >= 3$"):
+        call(2, "forward")
+    call(3, "forward")
+
+
+def test_control_summary_reports_each_variant():
+    assert qs.power(0.5, 3.0).summary() == {"variant": "power", "epsilon": 0.5, "r": 3.0}
+    assert qs.constant(2.0).summary() == {"variant": "constant", "theta": 2.0}
+    assert qs.custom_control(lambda xs: 1.0).summary() == {"variant": "custom"}
+
+
+def test_only_a_power_control_takes_a_norm():
+    with pytest.raises(ValueError, match="power"):
+        qs.ControlFunction("constant", theta=1.0, norm=qs.l1(1))
+    with pytest.raises(ValueError, match="power"):
+        qs.ControlFunction("custom", fn=lambda xs: 1.0, norm=qs.l1(1))
+    with pytest.raises(TypeError):
+        qs.custom_control(lambda xs: 1.0, norm=qs.l1(1))  # no code would read it
+    assert qs.power(1.0, 1.0, norm=qs.l1(1)).norm == qs.l1(1)
+
+
+def test_power_fit_refuses_an_infinite_weight():
+    # the Euclidean norm of a point in a 1e200 box overflows, so every weight is inf
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="no usable weight"):
+        qs.fit_power_amplitude(qs.Sine(2), 3, 1.0, trials=20, box=1e200)
+    with pytest.raises(ValueError, match="no usable weight"):  # all weights 0
+        qs.fit_power_amplitude(qs.Sine(2), 3, 1.0, trials=20, box=1e-320)
+
+
+def test_covariance_refuses_an_n_other_than_the_config_n():
+    f = qs.QuadraticForm([[1.0]])
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=(np.array([1.0]),))
+    with pytest.raises(ValueError, match="n=5 differs from cfg.n=3"):
+        qs.verify_unitary_covariance(f, 5, cfg, unitary_count=2)
+    assert qs.verify_unitary_covariance(f, 3, cfg, unitary_count=2).passed
