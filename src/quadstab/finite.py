@@ -14,8 +14,7 @@ oracle's peak memory does not grow with the candidate count.
 Each equation's constraints are streamed once; two solution spaces are
 compared as the column spans of their nullspace matrices.  Groups over the
 dense-elimination column cap are refused when the group or system is built.
-A modulus is admissible for an equation as its derivation's shift a allows
-(`_shift`: 2 for fe1 and fe2, n-1 for fe3, a for fe3_0).
+Admissibility reads the equation's shift a from one place, `_shift`.
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.

@@ -2,7 +2,6 @@
 
 Mappings are closed-form families rather than bare callables so experiment
 configurations stay serializable; ``Custom`` is the escape hatch for tests.
-``SumMapping`` and ``Stack`` check their parts in one place, ``_Parts``.
 Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
 
