@@ -26,7 +26,7 @@ print(f"raw covariance defect of f at one unitary: {raw_dev:.3e}")
 # ... but the stabilized limit is, to machine precision
 probes = tuple(qs.random_point(rng, d=1, k=2, box=3.0) for _ in range(3))
 cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes, m_max=25, tol=1e-10)
-report = qs.verify_unitary_covariance(f, 3, cfg, unitary_count=100, seed=2, tol=1e-6)
+report = qs.verify_unitary_covariance(f, cfg, unitary_count=100, seed=2, tol=1e-6)
 print(f"stabilized limit over 100 Haar unitaries: max relative defect "
       f"{report.max_relative_deviation:.3e} (iterations used: {report.iterations_used})")
 

@@ -8,11 +8,12 @@ point is a length-d vector whose coordinates are either scalars or
 k x k matrices, and matrix coordinates enter every norm through their
 Frobenius norm before the scalar aggregation.
 
-The module action and the conjugation u v u* are written once, on blocks of
-B elements (`act_block`, `conjugate_block`); `act` and `conjugate_value` are
-those on a block of one.  All values are immutable after construction and
-every operation here is pure given its inputs, so concurrent evaluation
-needs no coordination.
+The module action, the conjugation u v u* and the uniform point draw are
+written once, on blocks of B elements (`act_block`, `conjugate_block`,
+`_draw_points`); `act`, `conjugate_value` and `random_point` are those on a
+block of one.  All values are immutable after construction and every
+operation here is pure given its inputs, so concurrent evaluation needs no
+coordination.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def module_point(coords) -> np.ndarray:
         raise ValueError("module points are 1-d scalar vectors or 3-d stacks of square matrices")
     if x.ndim == 3 and x.shape[1] != x.shape[2]:
         raise ValueError("matrix coordinates must be square")
-    if not np.all(np.isfinite(x if not np.iscomplexobj(x) else x.view(float))):
+    if not np.all(np.isfinite(x)):
         raise ValueError("module point entries must be finite")
     return x
 
@@ -295,11 +296,15 @@ def _lead(a, ndim: int):
 
 def random_point(rng: np.random.Generator, d: int, k: int = 1, box: float = 10.0,
                  complex_coords: bool | None = None) -> np.ndarray:
-    """Uniform module point with coordinates in [-box, box] (per real component)."""
-    if complex_coords is None:
-        complex_coords = k > 1
+    """Uniform module point with coordinates in [-box, box] (per real component); `_draw_points` of one."""
     shape = (d,) if k == 1 else (d, k, k)
-    x = rng.uniform(-box, box, shape)
-    if complex_coords:
-        x = x + 1j * rng.uniform(-box, box, shape)
-    return x
+    return _draw_points(rng, shape, k > 1 if complex_coords is None else complex_coords, 1, box)[0]
+
+
+def _draw_points(rng: np.random.Generator, shape: tuple, complex_coords: bool, count: int,
+                 box: float) -> np.ndarray:
+    """`count` uniform points of `shape` on a leading axis; a complex block draws its real parts first."""
+    if not complex_coords:
+        return rng.uniform(-box, box, (count,) + shape)
+    re, im = np.moveaxis(rng.uniform(-box, box, (count, 2) + shape), 1, 0)
+    return re + 1j * im

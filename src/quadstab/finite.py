@@ -241,21 +241,21 @@ class ConstraintMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.group.size)
 
-    def tuple_batches(self, chunk: int = _CHUNK):
-        """The one row stream: the patterns leading the first chunk of pairs (tuple
-        indices below size^2, decoded into digits), then the indices from size^2 on
-        in the full plan, or a fixed-seed sample in the subsample plan."""
+    def tuple_batches(self):
+        """The one row stream, in chunks of _CHUNK tuples: the patterns leading the first
+        chunk of pairs (tuple indices below size^2, decoded into digits), then the indices
+        from size^2 on in the full plan, or a fixed-seed sample in the subsample plan."""
         size = self.group.size
         patterns = structured_tuples(self.group, self.arity)
         end = size**self.arity if self.plan == "full" else size * size
         for lo, hi in ((0, min(size * size, end)), (size * size, end)):
-            for start in range(lo, hi, chunk):
-                batch = _digits(start, min(start + chunk, hi), size, self.arity)
+            for start in range(lo, hi, _CHUNK):
+                batch = _digits(start, min(start + _CHUNK, hi), size, self.arity)
                 yield np.concatenate([patterns, batch]) if start == 0 else batch
         if self.plan == "subsample":
             rng = np.random.default_rng(SAMPLE_SEED)
-            for start in range(0, SAMPLE_TUPLES, chunk):
-                take = min(chunk, SAMPLE_TUPLES - start)
+            for start in range(0, SAMPLE_TUPLES, _CHUNK):
+                take = min(_CHUNK, SAMPLE_TUPLES - start)
                 yield rng.integers(0, size, size=(take, self.arity), dtype=np.int64)
 
     def densify(self, tuples: np.ndarray) -> np.ndarray:

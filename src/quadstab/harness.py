@@ -428,7 +428,7 @@ def _run_covariance(config: dict) -> tuple[list[ResultRow], dict]:
         tol = float(config.get("tol", 1e-6))
     try:
         with _at("mapping"):  # a non-finite residual while fitting the constant budget
-            rep = verify_unitary_covariance(f, n, cfg, unitary_count=int(config.get("unitaries", 100)),
+            rep = verify_unitary_covariance(f, cfg, unitary_count=int(config.get("unitaries", 100)),
                                             seed=seed, tol=tol)
     except DivergenceError as e:
         return [_rejected(f"{len(probes)} probes", e)], {"text": f"rejected: {e}"}

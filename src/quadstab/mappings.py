@@ -10,9 +10,10 @@ shape (B, *domain.shape), from one formula, so the two agree bit for bit.
 `_residuals` evaluates all term arguments of a block of tuples in one
 `f.batch` call, twisted by the algebra's block action and conjugation;
 `equation_residual` and `approximate_remainder` run it on one tuple.
-`_residual_blocks`, the one seeded sampler, yields blocks of tuples and
-residuals that the empirical sup, the control fits and the consistency
-check reduce whole; `sample_residuals` is its per-tuple view.
+`_residual_blocks`, the one seeded sampler, draws its points with
+`algebra._draw_points` and yields blocks of tuples and residuals that the
+empirical sup, the control fits and the consistency check reduce whole;
+`sample_residuals` is its per-tuple view.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (QuasiNormSpec, _ginibre, _haar_from_ginibre, _haar_unitary, act_block,
+from .algebra import (QuasiNormSpec, _draw_points, _ginibre, _haar_from_ginibre, _haar_unitary, act_block,
                       codomain_norm, codomain_norms, conjugate_block, hat, multiply_block, random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
@@ -461,14 +462,6 @@ class NonFiniteResidualError(ValueError):
     """A sampled residual is NaN or infinite, so it has no place in a sup."""
 
 
-def _draw_points(rng: np.random.Generator, domain: Domain, count: int, box: float) -> np.ndarray:
-    """`count` points stacked on a leading axis, drawn as `count` `domain.random` calls would."""
-    if not (domain.complex_scalars or domain.matrix):
-        return rng.uniform(-box, box, (count,) + domain.shape)
-    re, im = np.moveaxis(rng.uniform(-box, box, (count, 2) + domain.shape), 1, 0)
-    return re + 1j * im
-
-
 def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
     """Yield blocks (P, R): tuples of shape (B, eq.arity, *domain.shape) and their B residuals.
 
@@ -489,7 +482,8 @@ def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
         count = min(step, trials - start)
         points, draws = [], []
         for _ in range(count):
-            points.append(_draw_points(rng, domain, eq.arity, box))
+            points.append(_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
+                                       eq.arity, box))
             if twisted:
                 draws.append(_ginibre(rng, domain.k) if domain.matrix else draw_unitary(rng, domain))
         P, U = np.stack(points), None

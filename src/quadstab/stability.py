@@ -7,10 +7,12 @@ None means `point_norm` on the domain and `value_norm` on the codomain.  The
 power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
 fit of eps and the consistency check, and the fits and the check reduce
 whole blocks of `mappings._residual_blocks`.  One bound engine `bound` sits
-under `series_bound_*`, `closed_form_bounds` and `probe_bound`.  `stabilize`
-and `verify_unitary_covariance` make one `hyers_iterate` call per level of
-probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the
-direction for all of them, and `_check_origin` f(0) = 0 for the backward scheme.
+under `series_bound_*`, `closed_form_bounds` and `probe_bound`, and of phi's
+slot values only `phi_cap` has closed forms.  `stabilize` and
+`verify_unitary_covariance` (under its fitted constant budget) make one
+`hyers_iterate` call per level of probes or block of unitaries x probes.
+`_check_scheme` checks n >= 3 and the direction for all of them, and
+`_check_origin` f(0) = 0 for the backward scheme.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -140,15 +142,9 @@ def custom_control(fn) -> ControlFunction:
 
 
 def phi_component(phi: ControlFunction, n: int, i: int, x) -> float:
-    """phi on the one-hot tuple with x in slot i (1-indexed).
-
-    Slot-independent for the power and constant families (evaluated in
-    closed form); the generic one-hot evaluation handles custom controls.
-    """
+    """phi on the one-hot tuple with x in slot i (1-indexed)."""
     if not 1 <= i <= n:
         raise ValueError(f"slot index {i} out of range 1..{n}")
-    if phi.variant != "custom":
-        return phi.evaluate([x])
     x = np.asarray(x)
     zero = np.zeros_like(x)
     return phi.evaluate([x if j == i else zero for j in range(1, n + 1)])
@@ -158,8 +154,6 @@ def phi_tilde(phi: ControlFunction, n: int, x) -> float:
     """min over adjacent slot pairs of phi_i(x) + phi_{i+1}(x)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if phi.variant != "custom":
-        return 2.0 * phi.evaluate([x])
     comps = [phi_component(phi, n, i, x) for i in range(1, n + 1)]
     return min(comps[i] + comps[i + 1] for i in range(n - 1))
 
@@ -481,8 +475,6 @@ class ProbeResult:
 
 @dataclass
 class StabilityReport:
-    config: StabilityConfig
-    control: ControlFunction
     probes: list[ProbeResult] = field(default_factory=list)
 
     @property
@@ -535,8 +527,8 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     Level m iterates the probes not yet converged in one `hyers_iterate` call
     and stops each by its own gap and tail.  Raises DivergenceError/
     OpenProblemError when the configured series does not converge.  A probe
-    that meets a non-finite iterate, fails to converge within m_max, or whose
-    deviation exceeds bound + tol is a failure with that reason.
+    that meets a non-finite iterate, stops unconverged (at m_max or the scale
+    guard), or whose deviation exceeds bound + tol is a failure with that reason.
     """
     if not cfg.probes:
         raise ValueError("config needs at least one probe")
@@ -573,12 +565,13 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
         active = active[[not converged[i] for i in active]]
     deviations = codomain_norms(cfg.norm_spec, first - last).tolist()
     norms = _norms(cfg.domain_norm, _magnitudes(X, f.domain.matrix)).tolist()
-    report = StabilityReport(config=cfg, control=phi)
+    report = StabilityReport()
     for i, (x, deviation) in enumerate(zip(probes, deviations)):
         margin = bounds[i] - deviation
         passed = converged[i] and margin >= -cfg.tol
         reason = (None if passed else f"non-finite iterate at m={non_finite[i]}" if i in non_finite
                   else "deviation above bound + tol" if converged[i]
+                  else f"not converged when (n-1)^m passed {SCALE_GUARD:g} at m={m}" if lam**m > SCALE_GUARD
                   else f"not converged within m_max={cfg.m_max}")
         report.probes.append(ProbeResult(
             probe=x, norm_x=norms[i], q_estimate=last[i], iterations=iterations[i],
@@ -626,25 +619,20 @@ class CovarianceReport:
         return self.passed
 
 
-def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
-                              phi: ControlFunction | None = None,
-                              unitary_count: int = 100, seed: int = 0,
-                              tol: float = 1e-6) -> CovarianceReport:
+def verify_unitary_covariance(f: Mapping, cfg: StabilityConfig, unitary_count: int = 100,
+                              seed: int = 0, tol: float = 1e-6) -> CovarianceReport:
     """Check Q_est(u x) = u Q_est(x) u* for the stabilized limit over sampled unitaries.
 
-    Relative to 1 + ||Q_est(x)||; for scalar algebras the conjugation
-    degenerates to multiplication by |u|^2.  n must equal cfg.n, which sets m*.
+    m* is the most iterations `stabilize` takes on cfg's probes under the fitted
+    constant budget 1.05 theta + 1e-12.  Relative to 1 + ||Q_est(x)||; for scalar
+    algebras the conjugation degenerates to multiplication by |u|^2.
     """
-    if n != cfg.n:
-        raise ValueError(f"n={n} differs from cfg.n={cfg.n}")
-    if phi is None:
-        level = fit_constant_level(f, n, seed=seed, codomain=cfg.norm_spec)
-        phi = constant(level * 1.05 + 1e-12)
-    report = stabilize(f, phi, cfg, check_consistency=False)
+    level = fit_constant_level(f, cfg.n, seed=seed, codomain=cfg.norm_spec)
+    report = stabilize(f, constant(level * 1.05 + 1e-12), cfg, check_consistency=False)
     m_star = max(1, *(p.iterations for p in report.probes))
 
     X = np.stack([f._coerce(x) for x in cfg.probes])
-    bases = hyers_iterate(f, n, m_star, X, cfg.direction)  # Q_est(x) does not depend on the unitary
+    bases = hyers_iterate(f, cfg.n, m_star, X, cfg.direction)  # Q_est(x) does not depend on the unitary
     scales = 1.0 + codomain_norms(cfg.norm_spec, bases)
     rng = np.random.default_rng(seed)
     step = block_length(X.size)  # unitaries per block
@@ -653,7 +641,7 @@ def verify_unitary_covariance(f: Mapping, n: int, cfg: StabilityConfig,
         U = np.array([draw_unitary(rng, f.domain) for _ in range(min(step, unitary_count - start))])
         # row j of the block pairs unitary j // len(X) with probe j % len(X)
         Uj = np.repeat(U, len(X), axis=0)
-        moved = hyers_iterate(f, n, m_star, act_block(Uj, np.concatenate([X] * len(U))), cfg.direction)
+        moved = hyers_iterate(f, cfg.n, m_star, act_block(Uj, np.concatenate([X] * len(U))), cfg.direction)
         dev = codomain_norms(cfg.norm_spec, moved - conjugate_block(Uj, np.concatenate([bases] * len(U))))
         # np.max keeps a NaN deviation, where max(worst, nan) would drop it
         worst = float(np.max(dev.reshape(len(U), -1) / scales, initial=worst))

@@ -152,6 +152,12 @@ def test_module_point_validation():
         qs.module_point(np.zeros((2, 2, 3)))
     p = qs.module_point(2.5)
     assert p.shape == (1,)
+    # a transposed complex matrix is not C-contiguous; its entries are checked all the same
+    m = (np.arange(4).reshape(2, 2) + 1j).T
+    np.testing.assert_array_equal(qs.module_point(m), m[np.newaxis])
+    for bad in (np.inf, np.nan, 1j * np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            qs.module_point((np.arange(4).reshape(2, 2) + bad).T)
 
 
 def test_conjugate_value_scalar_degeneration():
@@ -254,3 +260,28 @@ def test_concavity_estimate_matches_per_pair_reference(spec):
             == _reference_concavity(spec, matrices, 50, 6))
     zero = lambda r: (np.zeros(spec.dim), np.zeros(spec.dim))  # every pair skipped
     assert qs.concavity_modulus_estimate(spec, sampler=zero, trials=3) == 0.0
+
+
+def _two_call_point(rng, d, k, box, complex_coords):
+    # the draw random_point made before it became _draw_points of one point
+    if complex_coords is None:
+        complex_coords = k > 1
+    shape = (d,) if k == 1 else (d, k, k)
+    x = rng.uniform(-box, box, shape)
+    if complex_coords:
+        x = x + 1j * rng.uniform(-box, box, shape)
+    return x
+
+
+@pytest.mark.parametrize("complex_coords", [None, True, False])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_random_point_draws_as_the_two_call_draw(d, k, complex_coords):
+    a, b = np.random.default_rng(29), np.random.default_rng(29)
+    for _ in range(2):
+        got = qs.random_point(a, d, k, 4.0, complex_coords)
+        want = _two_call_point(b, d, k, 4.0, complex_coords)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    assert a.uniform() == b.uniform()  # the stream goes on in step
+

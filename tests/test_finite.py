@@ -115,15 +115,17 @@ def _streamed_rows(m):
     return sum(batch.shape[0] for batch in m.tuple_batches())
 
 
-def test_subsample_plan_contract():
+def test_subsample_plan_contract(monkeypatch):
     # arity > 3 with |G|^n beyond the cap: patterns, pairs and 10^6 fixed-seed
     # random tuples, deterministic across calls
     g = GroupSpec(11, 2)
     m = qs.enumerate_constraints(EquationSpec("fe3", n=4), g)
     assert m.plan == "subsample"
     assert m.shape == (_streamed_rows(m), g.size)
-    first_a = next(iter(m.tuple_batches(chunk=1000)))
-    first_b = next(iter(m.tuple_batches(chunk=1000)))
+    monkeypatch.setattr(qs.finite, "_CHUNK", 1000)
+    first_a = next(iter(m.tuple_batches()))
+    first_b = next(iter(m.tuple_batches()))
+    assert len(first_a) == len(qs.finite.structured_tuples(g, 4)) + 1000
     assert np.array_equal(first_a, first_b)
     # small systems stream the full enumeration
     assert qs.enumerate_constraints(EquationSpec("fe3", n=4), GroupSpec(11, 1)).plan == "full"

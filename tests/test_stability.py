@@ -434,8 +434,7 @@ def test_verify_unitary_covariance_exact():
     probes = tuple(qs.random_point(rng, d=1, k=2, box=3.0) for _ in range(3))
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes,
                              m_max=12, tol=1e-10)
-    rep = qs.verify_unitary_covariance(f, 3, cfg, phi=qs.constant(1e-6),
-                                       unitary_count=40, seed=0, tol=1e-10)
+    rep = qs.verify_unitary_covariance(f, cfg, unitary_count=40, seed=0, tol=1e-10)
     assert rep.passed
     assert rep.max_relative_deviation <= 1e-10
 
@@ -451,7 +450,7 @@ def test_verify_unitary_covariance_scalar_hat_case():
     probes = tuple(rng.uniform(-3, 3, 1) + 1j * rng.uniform(-3, 3, 1) for _ in range(3))
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes,
                              m_max=25, tol=1e-10)
-    rep = qs.verify_unitary_covariance(f, 3, cfg, unitary_count=50, seed=1, tol=1e-6)
+    rep = qs.verify_unitary_covariance(f, cfg, unitary_count=50, seed=1, tol=1e-6)
     assert rep.passed
 
 
@@ -543,9 +542,10 @@ def stabilize_per_probe(f, phi, cfg):
         x = np.asarray(x)
         b = qs.stability.probe_bound(phi, cfg, x)
         tail0 = None if phi.variant == "custom" else qs.bound(phi, cfg.n, x, cfg.direction, K, p)
-        converged, iterations, tail, first, prev, bad = False, 0, None, None, None, None
+        converged, iterations, tail, first, prev, bad, guard = False, 0, None, None, None, None, None
         for m in range(cfg.m_max + 1):
             if float(lam) ** m > qs.stability.SCALE_GUARD:
+                guard = m
                 break
             val = hyers_point(f, cfg.n, m, x, cfg.direction)
             if bad is None and not np.all(np.isfinite(val)):
@@ -567,6 +567,8 @@ def stabilize_per_probe(f, phi, cfg):
         if not passed:
             if bad is not None:
                 reason = f"non-finite iterate at m={bad}"
+            elif not converged and guard is not None:
+                reason = f"not converged when (n-1)^m passed {qs.stability.SCALE_GUARD:g} at m={guard}"
             elif not converged:
                 reason = f"not converged within m_max={cfg.m_max}"
             else:
@@ -578,9 +580,11 @@ def stabilize_per_probe(f, phi, cfg):
     return out
 
 
-def covariance_per_unitary(f, n, cfg, phi, unitary_count, seed, tol):
-    # one unitary and one probe at a time
-    rep = qs.stabilize(f, phi, cfg, check_consistency=False)
+def covariance_per_unitary(f, cfg, unitary_count, seed, tol):
+    # one unitary and one probe at a time, under the fitted constant budget
+    n = cfg.n
+    level = qs.fit_constant_level(f, n, seed=seed, codomain=cfg.norm_spec)
+    rep = qs.stabilize(f, qs.constant(level * 1.05 + 1e-12), cfg, check_consistency=False)
     m_star = max(max(p.iterations for p in rep.probes), 1)
     probes = [np.asarray(x) for x in cfg.probes]
     bases = [hyers_point(f, n, m_star, x, cfg.direction) for x in probes]
@@ -714,7 +718,7 @@ def test_stabilize_matches_reference_at_the_scale_guard():
     got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
     assert_same_probes(got, stabilize_per_probe(f, phi, cfg))
     assert all(p.iterations == 55 and not p.converged for p in got)
-    assert got[0].reason == "not converged within m_max=60"
+    assert got[0].reason == "not converged when (n-1)^m passed 1e+100 at m=56"
 
 
 def test_stabilize_names_the_first_non_finite_iterate():
@@ -735,12 +739,11 @@ def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatc
     probes = _probes(f, 3, 4)
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1),
                              probes=probes, m_max=25, tol=1e-10)
-    phi = qs.constant(1.0)
     # 7 unitaries per block: 30 unitaries take 5 blocks, the last one short
     monkeypatch.setattr("quadstab.equations._BLOCK_ENTRIES", 7 * len(probes) * f.domain.zero().size)
-    want = covariance_per_unitary(f, 3, cfg, phi, 30, 6, 1e-6)
+    want = covariance_per_unitary(f, cfg, 30, 6, 1e-6)
     calls = count_iterate_calls(monkeypatch)
-    rep = qs.verify_unitary_covariance(f, 3, cfg, phi=phi, unitary_count=30, seed=6, tol=1e-6)
+    rep = qs.verify_unitary_covariance(f, cfg, unitary_count=30, seed=6, tol=1e-6)
     assert (rep.max_relative_deviation, rep.passed, rep.iterations_used) == want
     assert rep.passed
     # the stabilize levels, the probes' own limit, then one call per block of
@@ -811,9 +814,33 @@ def test_power_fit_refuses_an_infinite_weight():
         qs.fit_power_amplitude(qs.Sine(2), 3, 1.0, trials=20, box=1e-320)
 
 
-def test_covariance_refuses_an_n_other_than_the_config_n():
-    f = qs.QuadraticForm([[1.0]])
-    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=(np.array([1.0]),))
-    with pytest.raises(ValueError, match="n=5 differs from cfg.n=3"):
-        qs.verify_unitary_covariance(f, 5, cfg, unitary_count=2)
-    assert qs.verify_unitary_covariance(f, 3, cfg, unitary_count=2).passed
+def _slot_shortcut(phi, n, x):
+    # the closed forms phi_component and phi_tilde once took for power and constant
+    # budgets: phi of x alone for every slot, and twice that for adjacent slots
+    return phi.evaluate([x]), 2.0 * phi.evaluate([x])
+
+
+_SLOT_NORMS = {"none": None, "euclidean": qs.euclidean(2), "l1": qs.l1(2),
+               "weighted": qs.weighted([0.5, 3.0]), "lp_quasi": qs.lp_quasi(0.5, 2)}
+
+
+@pytest.mark.parametrize("norm", list(_SLOT_NORMS))
+def test_slot_values_equal_the_old_closed_forms_bit_for_bit(norm):
+    # a one-hot tuple's weight adds exact zeros for r > 0, and phi_i + phi_{i+1}
+    # doubles exactly, so the slot enumeration gives the old closed forms
+    rng = np.random.default_rng(11)
+    points = [np.zeros(2), np.array([1.0, 0.0]), np.array([1e-100, 3e50])]
+    points += [rng.uniform(-10, 10, 2) for _ in range(4)]
+    points += [qs.random_point(rng, d=2, k=2, box=5.0) for _ in range(2)]
+    budgets = [qs.power(eps, r, norm=_SLOT_NORMS[norm]) for eps in (0.0, 0.37, 2.0)
+               for r in (0.5, 1.0, 1.75, 3.0)]
+    budgets += [qs.constant(theta) for theta in (0.0, 0.37, 2.0)]
+    compared = 0
+    for phi in budgets:
+        for n in (3, 4, 7):
+            for x in points:
+                comp, tilde = _slot_shortcut(phi, n, x)
+                assert all(qs.phi_component(phi, n, i, x) == comp for i in range(1, n + 1))
+                assert qs.phi_tilde(phi, n, x) == tilde
+                compared += n + 1
+    assert compared == len(budgets) * len(points) * (4 + 5 + 8)
