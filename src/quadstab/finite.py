@@ -298,13 +298,12 @@ def enumerate_constraints(eq, G: GroupSpec) -> ConstraintMatrix:
 def gf_rref(mat: np.ndarray, q: int) -> np.ndarray:
     """Reduced row-echelon form over GF(q); returns the nonzero rows.
 
-    In both passes the pivot row of column c is zero left of c, so scaling
-    it and eliminating with it touch only columns c:.
+    One Gauss-Jordan pass: the pivot row of column c is zero left of c, so
+    scaling it and clearing column c in every other row touch only columns c:.
     """
     A = np.array(mat, dtype=np.int64) % q
     rows, cols = A.shape
     r = 0
-    pivots = []
     for c in range(cols):
         if r == rows:
             break
@@ -315,18 +314,12 @@ def gf_rref(mat: np.ndarray, q: int) -> np.ndarray:
         if p != r:
             A[[r, p]] = A[[p, r]]
         A[r, c:] = (A[r, c:] * pow(int(A[r, c]), -1, q)) % q
-        bnz = r + 1 + np.nonzero(A[r + 1:, c])[0]
-        if bnz.size:
-            A[bnz, c:] = (A[bnz, c:] - np.outer(A[bnz, c], A[r, c:])) % q
-        pivots.append(c)
+        other = np.nonzero(A[:, c])[0]
+        other = other[other != r]
+        if other.size:
+            A[other, c:] = (A[other, c:] - np.outer(A[other, c], A[r, c:])) % q
         r += 1
-    R = A[:r]
-    for i in range(r - 1, -1, -1):
-        c = pivots[i]
-        anz = np.nonzero(R[:i, c])[0]
-        if anz.size:
-            R[anz, c:] = (R[anz, c:] - np.outer(R[anz, c], R[i, c:])) % q
-    return R
+    return A[:r]
 
 
 def _pivot_columns(R: np.ndarray) -> np.ndarray:
@@ -340,10 +333,8 @@ def gf_nullspace(R: np.ndarray, q: int, cols: int) -> np.ndarray:
     pivots = _pivot_columns(R)
     free = np.setdiff1d(np.arange(cols), pivots)
     N = np.zeros((cols, free.shape[0]), dtype=np.int64)
-    for j, fc in enumerate(free):
-        N[fc, j] = 1
-        if R.shape[0]:
-            N[pivots, j] = (-R[:, fc]) % q
+    N[free, np.arange(free.shape[0])] = 1
+    N[pivots] = -R[:, free] % q
     return N
 
 

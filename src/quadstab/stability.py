@@ -8,10 +8,11 @@ power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
 fit of eps and the consistency check, and the fits and the check reduce
 whole blocks of `mappings._residual_blocks`.  One bound engine `bound` sits
 under `series_bound_*`, `closed_form_bounds` and `probe_bound`, and of phi's
-slot values only `phi_cap` has closed forms.  `stabilize` and
-`verify_unitary_covariance` (under its fitted constant budget) make one
-`hyers_iterate` call per level of probes or block of unitaries x probes.
-`_check_scheme` checks n >= 3 and the direction for all of them, and
+slot values only `phi_cap` has closed forms.  `probe_bound` gives power and
+constant budgets their exact sum; the truncated series is its test reference.
+`stabilize` and `verify_unitary_covariance` (under its fitted constant budget)
+make one `hyers_iterate` call per level of probes or block of unitaries x
+probes.  `_check_scheme` checks n >= 3 and the direction for all of them, and
 `_check_origin` f(0) = 0 for the backward scheme.
 
 Conventions:
@@ -22,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -229,12 +231,15 @@ def _truncate_geometric(first_term: float, ratio: float, series_tol: float, tran
     """Truncated geometric sum, stopped when the transformed tail is below series_tol.
 
     `transform` maps the partial sum to the reported bound, so the stop rule
-    controls the error of the bound itself (matters for the 1/p-th root).
+    controls the error of the bound itself (matters for the 1/p-th root).  A
+    partial sum out of floating-point range is returned at once.
     """
     total = 0.0
     term = first_term
     for _ in range(MAX_SERIES_TERMS):
         total += term
+        if not math.isfinite(total):
+            return transform(total)
         term *= ratio
         tail = term / (1.0 - ratio)
         if transform(total + tail) - transform(total) < series_tol:
@@ -429,6 +434,7 @@ class StabilityConfig:
 
     norm_spec, the codomain quasi-norm, supplies K (bound_mode "quasi") or p
     (bound_mode "p"; p = 1 for genuine norms); domain_norm measures the probes.
+    series_tol truncates the series of a custom control, the only one read.
     """
 
     n: int
@@ -488,9 +494,9 @@ class StabilityReport:
 
 
 def probe_bound(phi: ControlFunction, cfg: StabilityConfig, x) -> float:
-    """The series bound matching the configured direction and bound mode."""
-    K, p = cfg.route
-    return bound(phi, cfg.n, x, cfg.direction, K=K, p=p, series_tol=cfg.series_tol)
+    """The bound at x: the exact sum for power and constant budgets, else the monitored series."""
+    return bound(phi, cfg.n, x, cfg.direction, *cfg.route,
+                 series_tol=cfg.series_tol if phi.variant == "custom" else None)
 
 
 def _budgets(phi: ControlFunction, P, matrix: bool) -> np.ndarray:
@@ -524,11 +530,12 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
               check_consistency: bool = True) -> StabilityReport:
     """Run the direct-method iteration on every probe and audit the bound.
 
-    Level m iterates the probes not yet converged in one `hyers_iterate` call
-    and stops each by its own gap and tail.  Raises DivergenceError/
-    OpenProblemError when the configured series does not converge.  A probe
-    that meets a non-finite iterate, stops unconverged (at m_max or the scale
-    guard), or whose deviation exceeds bound + tol is a failure with that reason.
+    One `probe_bound` call gives each probe's bound and tail.  Level m iterates
+    the probes not yet converged in one `hyers_iterate` call and stops each by
+    its own gap and tail.  Raises DivergenceError/OpenProblemError when the
+    configured series does not converge.  A probe that meets a non-finite
+    iterate or bound, stops unconverged (at m_max or the scale guard), or whose
+    deviation exceeds bound + tol is a failure with that reason.
     """
     if not cfg.probes:
         raise ValueError("config needs at least one probe")
@@ -536,14 +543,11 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     if check_consistency:
         _consistency_warn(f, phi, cfg)
     lam = float(cfg.n - 1)
-    K, p = cfg.route
-    # the closed form is homogeneous of degree r in x, so the distance left to
-    # the limit after iterate m is bound(x) * decay**m
+    # the exact sum is homogeneous of degree r in x, so the distance left to
+    # the limit after iterate m is bound(x) * decay**m; a custom control has no tail
     r = _degree(phi)
     decay = lam ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
     probes = [np.asarray(x) for x in cfg.probes]
-    tail0 = [None if phi.variant == "custom" else bound(phi, cfg.n, x, cfg.direction, K, p)
-             for x in probes]
     iterations, converged, tails = ([v] * len(probes) for v in (0, False, None))
     non_finite = {}  # probe -> first level with a non-finite iterate
     X, active = np.stack([f._coerce(x) for x in probes]), np.arange(len(probes))
@@ -559,7 +563,7 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
         gaps = codomain_norms(cfg.norm_spec, V - last[active])
         last[active] = V
         for i, gap in zip(active, gaps):
-            tails[i] = None if tail0[i] is None else tail0[i] * decay**m
+            tails[i] = None if phi.variant == "custom" else bounds[i] * decay**m
             iterations[i] = m
             converged[i] = bool(gap < cfg.tol) and (tails[i] is None or tails[i] < cfg.tol)
         active = active[[not converged[i] for i in active]]
@@ -568,8 +572,9 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     report = StabilityReport()
     for i, (x, deviation) in enumerate(zip(probes, deviations)):
         margin = bounds[i] - deviation
-        passed = converged[i] and margin >= -cfg.tol
+        passed = converged[i] and margin >= -cfg.tol and math.isfinite(bounds[i])
         reason = (None if passed else f"non-finite iterate at m={non_finite[i]}" if i in non_finite
+                  else "bound is not finite" if not math.isfinite(bounds[i])
                   else "deviation above bound + tol" if converged[i]
                   else f"not converged when (n-1)^m passed {SCALE_GUARD:g} at m={m}" if lam**m > SCALE_GUARD
                   else f"not converged within m_max={cfg.m_max}")

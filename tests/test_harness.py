@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -581,3 +582,42 @@ def test_power_fit_with_an_overflowing_weight_is_a_control_error(tmp_path):
     path.write_text(json.dumps(cfg))
     with np.errstate(all="ignore"):
         assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("entries", ["[[NaN]]", "[[Infinity]]", "[[1.0], [-Infinity]]"])
+@pytest.mark.parametrize("preset, key", [("power-forward", "stability.probes"),
+                                         ("unitary-covariance", "probes")])
+def test_non_finite_probe_entries_are_refused_on_their_probe(entries, preset, key):
+    cfg = h.preset_config(preset)
+    probes = json.loads(entries)  # json reads NaN and Infinity
+    if preset == "unitary-covariance":  # points of M_2(C), written as their 4 entries
+        probes = [[[v[0], 0.0], [0.0, 1.0]] for v in probes]
+    section, _, field = key.rpartition(".")
+    (cfg[section] if section else cfg)[field] = probes
+    with pytest.raises(h.ScenarioValidationError) as err:
+        h.run_scenario(cfg, write_csv=False)
+    assert err.value.path == f"{key}.{len(probes) - 1}"
+    assert "finite" in str(err.value)
+
+
+def test_a_finite_probe_whose_run_overflows_fails_and_is_not_refused():
+    cfg = h.preset_config("power-forward")
+    cfg["stability"]["probes"] = [[1e300]]
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert [r.status for r in res.rows] == ["fail"]
+
+
+def test_bound_equality_reports_a_non_finite_disagreement():
+    # eps = 1e308 overflows every closed form, so their disagreement is NaN; a series
+    # whose sum overflows stops at once and is rejected, as it was at the term cap
+    cfg = h.preset_config("k1-equals-p1")
+    cfg["grid"]["epsilon"] = 1e308
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert Counter(r.status for r in res.rows) == {"fail": 25, "rejected-divergent": 29}
+    assert all(np.isnan(r.deviation) for r in res.rows if r.status == "fail")
+    assert np.isnan(res.summary["worst"])
+    assert res.summary["text"] == "worst relative disagreement nan"

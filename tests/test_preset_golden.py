@@ -5,6 +5,7 @@ change is intended, update the table and say why in CHANGES.md.
 """
 
 import hashlib
+from collections import Counter
 
 import quadstab.harness as h
 
@@ -16,14 +17,34 @@ GOLDEN = {
     "inner-product-pass": "feefa1ca4773a59884e3f4261d0d8515762c2e770af4da595aa69cf63c7aa1af",
     "inner-product-centroid": "c4788c26b935e3be12674b75a3e83244d6c01684be8cf8971b087281a6504e88",
     "inner-product-fail": "3a90add214499bd7dfd2b593618279e1643fc56415fac54cebf1a3ae829aa781",
-    "power-forward": "a5d25c474eb5e962b90092781ecf3d713004ee93d5bb01936e75514d32369e9e",
-    "power-backward": "2d520c2137fa2be630dd69d776bbf85baa0f711e3148355979e24fcc74f69eef",
-    "constant-quasinorm": "6e3e76d490d56748256b67ef3352c13c296d051834b8b7b8d05dcfb18986388a",
-    "pnorm-p1": "17e639ddc1aad40d601c905fa6d63f50cd746ba991cae189821bfa3524477161",
-    "pnorm-phalf": "1b2399b65affb6492b31ca63079a06490f52d02d59acd59637e406ba00253a83",
+    "power-forward": "bcf0646104e85f32c4af50189b2e27f1831ac289ac1f9e1cc9e595a819247796",
+    "power-backward": "b956051f6ad92acb58b9b5d5092525330c5e159f6a2bf474e67236b548e69c21",
+    "constant-quasinorm": "109451cd95ab8cce8d5485755f023653645c613f01d36b1019645b102fb09968",
+    "pnorm-p1": "8a60c23b22cce464aba2c7009ab69bad95ac09f3dc56e083bdeaf1de9c0eb74d",
+    "pnorm-phalf": "ca41090e9190f36e46f1eeeabf7ddd4c21a5096e1b55737f1cc2b8581c361d99",
     "k1-equals-p1": "6dcf8316c4524931f6f7d068ed82247d954eb3d3e3f6c56743c69c777c31e86c",
     "unitary-covariance": "12a87b8b5661926699e4412a37b0b88bd9114011b53d6b3149b9fe6a41d99e84",
     "open-problem-deadzone": "d078da93c8aaee9fa8811b84eda41bc8991704ae438bcefc74ca9b9573b366e8",
+}
+
+
+# name -> (exit code, row count per status); a hash update must leave these as they are
+OUTCOMES = {
+    "oracle-fe2-fe1": (0, {"pass": 1}),
+    "oracle-fe3-fe1": (0, {"pass": 1}),
+    "oracle-fe3_0-fe1": (0, {"pass": 1}),
+    "fe1-dimension": (0, {"pass": 1}),
+    "inner-product-pass": (0, {"pass": 1}),
+    "inner-product-centroid": (0, {"pass": 1}),
+    "inner-product-fail": (0, {"pass": 1}),
+    "power-forward": (0, {"pass": 100}),
+    "power-backward": (0, {"pass": 100}),
+    "constant-quasinorm": (0, {"pass": 60}),
+    "pnorm-p1": (0, {"pass": 100}),
+    "pnorm-phalf": (0, {"pass": 60}),
+    "k1-equals-p1": (0, {"pass": 54}),
+    "unitary-covariance": (0, {"pass": 1}),
+    "open-problem-deadzone": (4, {"pass": 3, "rejected-open-problem": 3}),
 }
 
 
@@ -37,3 +58,10 @@ def test_preset_csvs_match_pinned_hashes(tmp_path):
         if digest != GOLDEN[name]:
             changed.append(f"{name}: {digest}")
     assert not changed, "preset CSVs changed: " + "; ".join(changed)
+
+
+def test_preset_exit_codes_and_row_statuses_are_pinned():
+    assert sorted(OUTCOMES) == sorted(GOLDEN)
+    for name, (code, statuses) in OUTCOMES.items():
+        res = h.run_preset(name, write_csv=False)
+        assert (res.exit_code, dict(Counter(r.status for r in res.rows))) == (code, statuses), name

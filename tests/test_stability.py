@@ -844,3 +844,82 @@ def test_slot_values_equal_the_old_closed_forms_bit_for_bit(norm):
                 assert qs.phi_tilde(phi, n, x) == tilde
                 compared += n + 1
     assert compared == len(budgets) * len(points) * (4 + 5 + 8)
+
+
+# ---------------------------------------------------------------------------
+# one bound evaluation per probe
+
+
+def count_bound_calls(monkeypatch):
+    calls = {"probe_bound": 0, "series_tol": []}
+    bound, probe_bound = qs.stability.bound, qs.stability.probe_bound
+
+    def counted_bound(*args, series_tol=None, **kw):
+        calls["series_tol"].append(series_tol)
+        return bound(*args, series_tol=series_tol, **kw)
+
+    def counted_probe_bound(*args):
+        calls["probe_bound"] += 1
+        return probe_bound(*args)
+
+    monkeypatch.setattr(qs.stability, "bound", counted_bound)
+    monkeypatch.setattr(qs.stability, "probe_bound", counted_probe_bound)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["quasi", "p"])
+@pytest.mark.parametrize("direction, control", [
+    ("forward", "power"), ("forward", "constant"), ("forward", "custom"),
+    ("backward", "power"), ("backward", "custom"),  # a constant budget has no backward scheme
+])
+def test_each_probe_gets_one_bound_evaluation(direction, control, mode, monkeypatch):
+    f = _stack_plane(direction)
+    power = qs.power(0.5, 0.5 if direction == "forward" else 3.5)
+    phi = {"power": power, "constant": qs.constant(0.4),
+           "custom": qs.custom_control(power.evaluate)}[control]
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.lp_quasi(0.5, 2), direction=direction,
+                             probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9,
+                             series_tol=1e-13)
+    K, p = cfg.route
+    calls = count_bound_calls(monkeypatch)
+    got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
+    monkeypatch.undo()
+    # the exact sum for power and constant budgets, the monitored series for a custom control
+    series_tol = cfg.series_tol if control == "custom" else None
+    assert calls == {"probe_bound": len(cfg.probes), "series_tol": [series_tol] * len(cfg.probes)}
+    for probe in got:
+        want = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=series_tol)
+        assert same(probe.bound, want)
+        if control == "custom":
+            assert probe.tail_bound is None
+            continue
+        # the truncated series stays within series_tol below the exact sum, up to rounding:
+        # its partial sum rounds once per term (at most about 100 terms here), and the
+        # square root of the p = 1/2 route doubles that relative error
+        truncated = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=cfg.series_tol)
+        rounding = 200 * 2.0**-53 * probe.bound
+        assert -rounding <= probe.bound - truncated <= cfg.series_tol + rounding
+        # the tail after the last iterate is the same exact sum, scaled
+        r = phi.r if control == "power" else 0.0
+        decay = 2.0 ** ((r - 2.0) if direction == "forward" else (2.0 - r))
+        assert same(probe.tail_bound, probe.bound * decay**probe.iterations)
+
+
+def test_a_probe_whose_bound_is_not_finite_fails_with_that_reason():
+    # eps |x|^50 overflows at x = 10 and not at x = 0.5; the iterates of an exact
+    # square are exact, so only the bound tells the two probes apart
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), direction="backward",
+                             probes=(np.array([0.5]), np.array([10.0])))
+    got = qs.stabilize(qs.QuadraticForm([[1.0]]), qs.power(1e300, 50.0), cfg,
+                       check_consistency=False).probes
+    assert [(p.status, p.reason) for p in got] == [("pass", None), ("fail", "bound is not finite")]
+    assert np.isfinite(got[0].bound) and got[1].bound == np.inf
+
+
+@pytest.mark.parametrize("phi, want", [(qs.constant(1e308), np.inf), (qs.constant(np.nan), np.nan),
+                                       (qs.power(1e308, 1.0), np.inf)])
+def test_truncated_series_returns_a_partial_sum_out_of_range_at_once(phi, want):
+    # the constant's first term is finite and its second overflows the sum;
+    # the others are not finite from the first term on
+    got = qs.series_bound_forward(phi, 3, 1.0, np.array([10.0]))
+    assert same(got, want)
