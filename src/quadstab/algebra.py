@@ -306,5 +306,5 @@ def _draw_points(rng: np.random.Generator, shape: tuple, complex_coords: bool, c
     """`count` uniform points of `shape` on a leading axis; a complex block draws its real parts first."""
     if not complex_coords:
         return rng.uniform(-box, box, (count,) + shape)
-    re, im = np.moveaxis(rng.uniform(-box, box, (count, 2) + shape), 1, 0)
-    return re + 1j * im
+    u = rng.uniform(-box, box, (count, 2) + shape)
+    return u[:, 0] + 1j * u[:, 1]

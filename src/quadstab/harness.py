@@ -267,10 +267,8 @@ def _fmt(v) -> str:
 
 def _fmt_value(v) -> str:
     arr = np.asarray(v)
-    return "|".join(
-        repr(complex(t)).strip("()") if np.iscomplexobj(arr) else repr(float(t))
-        for t in arr.reshape(-1)
-    )
+    fmt = (lambda t: repr(complex(t)).strip("()")) if np.iscomplexobj(arr) else (lambda t: repr(float(t)))
+    return "|".join(map(fmt, arr.reshape(-1).tolist()))
 
 
 @dataclass

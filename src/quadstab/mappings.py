@@ -10,8 +10,9 @@ shape (B, *domain.shape), from one formula, so the two agree bit for bit.
 `_residuals` evaluates all term arguments of a block of tuples in one
 `f.batch` call, twisted by the algebra's block action and conjugation;
 `equation_residual` and `approximate_remainder` run it on one tuple.
-`_residual_blocks`, the one seeded sampler, draws its points with
-`algebra._draw_points` and yields blocks of tuples and residuals that the
+`_residual_blocks`, the one seeded sampler, decodes a block of fe3 tuples on
+scalars from one raw draw, draws other points with `algebra._draw_points`
+tuple by tuple, and yields blocks of tuples and residuals that the
 empirical sup, the control fits and the consistency check reduce whole;
 `sample_residuals` is its per-tuple view.
 """
@@ -458,6 +459,46 @@ def draw_unitary(rng: np.random.Generator, domain: Domain):
     return (-1.0, 1.0)[int(rng.integers(2))]  # rng.choice((-1.0, 1.0))'s stream at a third of its cost
 
 
+def _draw_unitaries(rng: np.random.Generator, domain: Domain, count: int) -> np.ndarray:
+    """`count` draws of `draw_unitary` from its stream, stacked; matrix unitaries take one QR."""
+    if domain.matrix:
+        return _haar_from_ginibre(np.stack([_ginibre(rng, domain.k) for _ in range(count)]))
+    return np.array([draw_unitary(rng, domain) for _ in range(count)])
+
+
+def _raw_doubles(words: np.ndarray) -> np.ndarray:
+    """PCG64's next_double of each raw 64-bit word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _scalar_fe3_block(rng: np.random.Generator, domain: Domain, n: int, start: int, count: int,
+                      box: float, carry: np.uint64):
+    """Tuples start .. start+count-1 of the fe3 stream on a scalar domain, from one random_raw call.
+
+    Tuple by tuple the stream holds n box points and then one unitary, as
+    `_draw_points` and `draw_unitary` draw them, and this decodes it bit for bit.
+    A point is d doubles, or for complex scalars its d real parts and then its d
+    imaginary parts, scaled as `uniform` scales them; a complex unitary is
+    exp(i 2 pi u) of one more double.  A real unitary is the sign `rng.integers(2)` reads from bit 31 of a
+    buffered 32-bit half: an even tuple draws one more word for it and reads its
+    low half, the odd tuple after it reads that word's stored high half (bit 63).
+    `carry` is the last word drawn before the block.  Returns (P, U, carry).
+    """
+    width = n * domain.d * (2 if domain.complex_scalars else 1)  # doubles in one tuple's points
+    scale = lambda u: -box + (2.0 * box) * u
+    if domain.complex_scalars:
+        u = _raw_doubles(rng.bit_generator.random_raw(count * (width + 1))).reshape(count, width + 1)
+        xy = scale(u[:, :width]).reshape(count, n, 2, domain.d)
+        return xy[:, :, 0] + 1j * xy[:, :, 1], np.exp(1j * ((2.0 * np.pi) * u[:, width])), carry
+    fresh = (start + np.arange(count)) % 2 == 0  # the tuple draws a word for its sign
+    ends = np.cumsum(width + fresh)
+    starts = ends - width - fresh
+    words = np.concatenate(([carry], rng.bit_generator.random_raw(int(ends[-1]))))  # shifted by one
+    P = scale(_raw_doubles(words[1 + starts[:, np.newaxis] + np.arange(width)]))
+    signs = words[np.where(fresh, ends, starts)] >> np.where(fresh, 31, 63).astype(np.uint64) & 1
+    return P.reshape(count, n, domain.d), np.where(signs == 1, 1.0, -1.0), words[-1]
+
+
 class NonFiniteResidualError(ValueError):
     """A sampled residual is NaN or infinite, so it has no place in a sup."""
 
@@ -468,8 +509,11 @@ def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
     One default_rng(seed) draws, per tuple, eq.arity box points and then, for fe3
     only, one unitary; fits and preset CSVs depend on this order, and with a fixed
     seed the samples form a prefix chain in `trials`.  A block of `block_length`
-    tuples is one `_residuals` call.  At the first non-finite residual the finite
-    rows of its block are yielded, then NonFiniteResidualError names that sample.
+    tuples is one `_residuals` call.  fe3 on scalars decodes each block from one
+    raw draw (`_scalar_fe3_block`); matrix fe3, whose Ginibre draw takes a
+    variable number of words, and the other equations draw tuple by tuple.  At
+    the first non-finite residual the finite rows of its block are yielded, then
+    NonFiniteResidualError names that sample.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -478,17 +522,20 @@ def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
     twisted = eq.id == "fe3"
     terms = term_arrays(eq)
     step = block_length(len(terms[0]) * int(np.prod(domain.shape)))
+    carry = np.uint64(0)
     for start in range(0, trials, step):
         count = min(step, trials - start)
-        points, draws = [], []
-        for _ in range(count):
-            points.append(_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
-                                       eq.arity, box))
-            if twisted:
-                draws.append(_ginibre(rng, domain.k) if domain.matrix else draw_unitary(rng, domain))
-        P, U = np.stack(points), None
-        if twisted:
-            U = _haar_from_ginibre(np.stack(draws)) if domain.matrix else np.array(draws)
+        if twisted and not domain.matrix:
+            P, U, carry = _scalar_fe3_block(rng, domain, eq.arity, start, count, box, carry)
+        else:
+            points, draws = [], []
+            for _ in range(count):
+                points.append(_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
+                                           eq.arity, box))
+                if twisted:
+                    draws.append(_ginibre(rng, domain.k))
+            P = np.stack(points)
+            U = _haar_from_ginibre(np.stack(draws)) if twisted else None
         R = _residuals(f, P, terms, U)
         finite = np.isfinite(R.reshape(count, -1)).all(axis=1)
         if not finite.all():

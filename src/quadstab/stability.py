@@ -5,12 +5,13 @@ method builds the nearby exact solution as a limit of rescaled iterates,
 with an a-priori error bound built from phi.  Norms are QuasiNormSpec values;
 None means `point_norm` on the domain and `value_norm` on the codomain.  The
 power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
-fit of eps and the consistency check, and the fits and the check reduce
-whole blocks of `mappings._residual_blocks`.  One bound engine `bound` sits
-under `series_bound_*`, `closed_form_bounds` and `probe_bound`, and of phi's
-slot values only `phi_cap` has closed forms.  `probe_bound` gives power and
+bound, the fit of eps and the consistency check, and the fits and the check
+reduce whole blocks of `mappings._residual_blocks`.  One bound engine on
+blocks of points, `_bounds`, sits under `bound` (a block of one),
+`series_bound_*`, `closed_form_bounds` and `probe_bound`, and of phi's slot
+values only `phi_cap` has closed forms.  `probe_bound` gives power and
 constant budgets their exact sum; the truncated series is its test reference.
-`stabilize` and `verify_unitary_covariance` (under its fitted constant budget)
+`stabilize` makes one `probe_bound` call on its probe block, and it and `verify_unitary_covariance` (under its fitted constant budget)
 make one `hyers_iterate` call per level of probes or block of unitaries x
 probes.  `_check_scheme` checks n >= 3 and the direction for all of them, and
 `_check_origin` f(0) = 0 for the backward scheme.
@@ -29,13 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (QuasiNormSpec, _magnitudes, _norms, act_block, codomain_norms, conjugate_block,
-                      coordinate_magnitudes, l1, norm_eval)
+from .algebra import (QuasiNormSpec, _magnitudes, _norms, _scalar_pow, act_block, codomain_norms,
+                      conjugate_block, coordinate_magnitudes, l1, norm_eval)
 from .equations import EquationSpec, block_length, term_sum
 # approximate_remainder and norm_eval are no longer called here; they stay importable
 # from this namespace because bench/spans.py wraps them here by name
-from .mappings import (Mapping, NonFiniteResidualError, _residual_blocks, approximate_remainder,
-                       draw_unitary, empirical_sup_residual)
+from .mappings import (Mapping, NonFiniteResidualError, _draw_unitaries, _residual_blocks,
+                       approximate_remainder, empirical_sup_residual)
 
 MAX_SERIES_TERMS = 100_000
 SCALE_GUARD = 1e100
@@ -66,10 +67,11 @@ def point_norm(x) -> float:
 def _power_weights(norm: QuasiNormSpec | None, mags, r: float) -> np.ndarray:
     """sum_i ||x_i||^r of B tuples from their coordinate magnitudes (B, n, d), added in slot order.
 
-    norm None is `point_norm`.  Python float powers round as `_scalar_pow` does, but
-    one out of floating-point range raises OverflowError instead of giving inf.
+    norm None is `point_norm`.  The powers are `_scalar_pow`'s, and a power out of
+    floating-point range is inf.
     """
-    return term_sum(np.array([[v**r for v in row] for row in _norms(norm, mags).tolist()]))
+    with np.errstate(over="ignore"):
+        return term_sum(_scalar_pow(_norms(norm, mags), r))
 
 
 @dataclass(frozen=True)
@@ -300,12 +302,27 @@ def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float 
     series_tol None, power and constant budgets give the closed form
     (n+2) K eps ||x||^r / (n [(n-1)^{2p} - K^p (n-1)^{rp}]^{1/p}), a constant
     budget being r = 0 with eps = theta, and the two powers of (n-1) swapped
-    for the backward scheme.  With series_tol set, the series is truncated
-    once the bound itself is within series_tol; custom controls are always
-    summed that way, under empirical ratio monitoring.
+    for the backward scheme.  With series_tol set, the series is summed until
+    the estimated tail moves the bound by less than series_tol; custom controls
+    are always summed that way, under empirical ratio monitoring.  The stop
+    rule compares rounded values and each partial sum rounds, so the truncated
+    bound lies below the exact sum by at most series_tol plus about one ulp per
+    term summed, and above it by that rounding alone (measured: up to 66 ulps
+    below beyond series_tol, and up to 24 ulps above on the p route).
 
     Raises OpenProblemError in the dead zone, and DivergenceError when the
     requested scheme diverges (always for a constant budget run backward).
+    """
+    return float(_bounds(phi, n, np.asarray(x)[np.newaxis], direction, K, p, series_tol)[0])
+
+
+def _bounds(phi: ControlFunction, n: int, X, direction: str, K: float, p: float,
+            series_tol: float | None) -> np.ndarray:
+    """`bound` at each point of the block X, points stacked on its leading axis.
+
+    The closed form is one array expression on the block; a series is summed
+    point by point.  A closed form out of floating-point range is inf or NaN,
+    without a warning.
     """
     _check_scheme(n, direction)
     if K < 1.0 or not 0.0 < p <= 1.0 or (K > 1.0 and p < 1.0):
@@ -313,27 +330,34 @@ def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float 
     if series_tol is not None and series_tol <= 0:
         raise ValueError("series_tol must be positive")
     lam = float(n - 1)
-    x = np.asarray(x)
     pref = 1.0 / lam**2
     root = lambda s: pref * s ** (1.0 / p)
     if phi.variant == "custom":
         if series_tol is None:
             raise ValueError("a custom control has no closed form; pass series_tol")
-        return _truncate_monitored(lambda i: (K ** (i + 1) * _term(phi, n, x, i, direction)) ** p,
-                                   series_tol, root)
+        return np.array([_truncate_monitored(
+            lambda i: (K ** (i + 1) * _term(phi, n, x, i, direction)) ** p, series_tol, root) for x in X])
     if phi.variant == "constant" and direction == "backward":
         raise DivergenceError("no backward scheme for a constant budget")
     r = _degree(phi)
     _require_regime(direction, power_regime(n, K, r),
                     f"dead zone is -log_(n-1) K <= r-2 <= log_(n-1) K at K={K}, r={r}, p={p}")
-    if series_tol is None:
-        amp, weight = (phi.epsilon, phi._weight([x])) if phi.variant == "power" else (phi.theta, 1.0)
-        a, b = lam ** (2.0 * p), lam ** (r * p)
-        if direction == "backward":
-            a, b = b, a
+    if series_tol is not None:
+        ratio = K**p * lam ** (((r - 2.0) if direction == "forward" else (2.0 - r)) * p)
+        return np.array([_truncate_geometric((K * _term(phi, n, x, 0, direction)) ** p, ratio, series_tol,
+                                             root) for x in X])
+    if X.ndim not in (1, 2, 4):  # blocks of 0-d, 1-d or 3-d points
+        raise ValueError("module points are 1-d (scalars) or 3-d (matrix coordinates)")
+    a, b = lam ** (2.0 * p), lam ** (r * p)
+    if direction == "backward":
+        a, b = b, a
+    with np.errstate(over="ignore", invalid="ignore"):
+        if phi.variant == "constant":
+            amp, weight = phi.theta, np.ones(len(X))
+        else:  # one slot per point; a 0-d point is one coordinate
+            mags = _magnitudes(X, X.ndim == 4).reshape(len(X), 1, -1)
+            amp, weight = phi.epsilon, _power_weights(phi.norm, mags, r)
         return (n + 2) * K * amp * weight / (n * (a - K**p * b) ** (1.0 / p))
-    ratio = K**p * lam ** (((r - 2.0) if direction == "forward" else (2.0 - r)) * p)
-    return _truncate_geometric((K * _term(phi, n, x, 0, direction)) ** p, ratio, series_tol, root)
 
 
 def series_bound_forward(phi: ControlFunction, n: int, K: float, x,
@@ -493,10 +517,11 @@ class StabilityReport:
         return float(np.min([p.margin for p in self.probes], initial=np.inf))
 
 
-def probe_bound(phi: ControlFunction, cfg: StabilityConfig, x) -> float:
-    """The bound at x: the exact sum for power and constant budgets, else the monitored series."""
-    return bound(phi, cfg.n, x, cfg.direction, *cfg.route,
-                 series_tol=cfg.series_tol if phi.variant == "custom" else None)
+def probe_bound(phi: ControlFunction, cfg: StabilityConfig, X) -> np.ndarray:
+    """The bound at each point of the block X: the exact sum for power and constant budgets, else
+    the monitored series."""
+    return _bounds(phi, cfg.n, np.asarray(X), cfg.direction, *cfg.route,
+                   cfg.series_tol if phi.variant == "custom" else None)
 
 
 def _budgets(phi: ControlFunction, P, matrix: bool) -> np.ndarray:
@@ -530,16 +555,18 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
               check_consistency: bool = True) -> StabilityReport:
     """Run the direct-method iteration on every probe and audit the bound.
 
-    One `probe_bound` call gives each probe's bound and tail.  Level m iterates
-    the probes not yet converged in one `hyers_iterate` call and stops each by
-    its own gap and tail.  Raises DivergenceError/OpenProblemError when the
-    configured series does not converge.  A probe that meets a non-finite
+    One `probe_bound` call on the probe block gives each probe's bound and tail.
+    Level m iterates the probes not yet converged in one `hyers_iterate` call
+    and stops each by its own gap and tail.  Raises DivergenceError/OpenProblemError
+    when the configured series does not converge.  A probe that meets a non-finite
     iterate or bound, stops unconverged (at m_max or the scale guard), or whose
     deviation exceeds bound + tol is a failure with that reason.
     """
     if not cfg.probes:
         raise ValueError("config needs at least one probe")
-    bounds = [probe_bound(phi, cfg, x) for x in cfg.probes]
+    probes = [np.asarray(x) for x in cfg.probes]
+    X = np.stack([f._coerce(x) for x in probes])
+    bounds = probe_bound(phi, cfg, X)
     if check_consistency:
         _consistency_warn(f, phi, cfg)
     lam = float(cfg.n - 1)
@@ -547,10 +574,9 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
     # the limit after iterate m is bound(x) * decay**m; a custom control has no tail
     r = _degree(phi)
     decay = lam ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
-    probes = [np.asarray(x) for x in cfg.probes]
-    iterations, converged, tails = ([v] * len(probes) for v in (0, False, None))
+    iterations, converged, tails = np.zeros(len(X), int), np.zeros(len(X), bool), np.full(len(X), np.nan)
     non_finite = {}  # probe -> first level with a non-finite iterate
-    X, active = np.stack([f._coerce(x) for x in probes]), np.arange(len(probes))
+    active = np.arange(len(X))
     for m in range(cfg.m_max + 1):
         if lam**m > SCALE_GUARD or not active.size:
             break
@@ -562,13 +588,18 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
             continue
         gaps = codomain_norms(cfg.norm_spec, V - last[active])
         last[active] = V
-        for i, gap in zip(active, gaps):
-            tails[i] = None if phi.variant == "custom" else bounds[i] * decay**m
-            iterations[i] = m
-            converged[i] = bool(gap < cfg.tol) and (tails[i] is None or tails[i] < cfg.tol)
-        active = active[[not converged[i] for i in active]]
+        iterations[active] = m
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound out of range has its own reason
+            done = gaps < cfg.tol
+            if phi.variant != "custom":
+                tails[active] = bounds[active] * decay**m
+                done &= tails[active] < cfg.tol
+        converged[active] = done
+        active = active[~done]
     deviations = codomain_norms(cfg.norm_spec, first - last).tolist()
     norms = _norms(cfg.domain_norm, _magnitudes(X, f.domain.matrix)).tolist()
+    bounds, iterations, converged = bounds.tolist(), iterations.tolist(), converged.tolist()
+    tails = [None if phi.variant == "custom" or not it else t for t, it in zip(tails.tolist(), iterations)]
     report = StabilityReport()
     for i, (x, deviation) in enumerate(zip(probes, deviations)):
         margin = bounds[i] - deviation
@@ -643,7 +674,7 @@ def verify_unitary_covariance(f: Mapping, cfg: StabilityConfig, unitary_count: i
     step = block_length(X.size)  # unitaries per block
     worst = 0.0
     for start in range(0, unitary_count, step):
-        U = np.array([draw_unitary(rng, f.domain) for _ in range(min(step, unitary_count - start))])
+        U = _draw_unitaries(rng, f.domain, min(step, unitary_count - start))
         # row j of the block pairs unitary j // len(X) with probe j % len(X)
         Uj = np.repeat(U, len(X), axis=0)
         moved = hyers_iterate(f, cfg.n, m_star, act_block(Uj, np.concatenate([X] * len(U))), cfg.direction)

@@ -609,6 +609,17 @@ def test_a_finite_probe_whose_run_overflows_fails_and_is_not_refused():
     assert [r.status for r in res.rows] == ["fail"]
 
 
+def test_a_probe_whose_power_weight_overflows_fails_and_is_not_refused():
+    # |1e120|^3 is out of floating-point range: that probe's bound is inf, and the run goes on
+    cfg = h.preset_config("power-backward")
+    cfg["stability"]["probes"] = [[1e120], [1.0]]
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert [r.status for r in res.rows] == ["fail", "pass"]
+    assert res.rows[0].bound == np.inf
+
+
 def test_bound_equality_reports_a_non_finite_disagreement():
     # eps = 1e308 overflows every closed form, so their disagreement is NaN; a series
     # whose sum overflows stops at once and is rejected, as it was at the term cap

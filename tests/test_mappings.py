@@ -520,3 +520,128 @@ def test_real_sign_draw_keeps_the_stream_of_choice():
     assert got == [float(b.choice((-1.0, 1.0))) for _ in range(100_000)]
     assert all(type(u) is float for u in got[:100])
     assert a.random() == b.random()  # the draw after them
+
+
+# ---------------------------------------------------------------------------
+# fe3 blocks on scalars: one raw draw, decoded as the per-tuple stream
+
+
+def _fe3_stream_reference(domain, n, trials, seed, box):
+    # per tuple: n box points (a complex block draws its real parts first), then one unitary
+    rng = np.random.default_rng(seed)
+    points, unitaries = [], []
+    for _ in range(trials):
+        if domain.complex_scalars:
+            u = rng.uniform(-box, box, (n, 2, domain.d))
+            points.append(u[:, 0] + 1j * u[:, 1])
+        else:
+            points.append(rng.uniform(-box, box, (n, domain.d)))
+        unitaries.append(qs.mappings.draw_unitary(rng, domain))
+    return np.stack(points), np.array(unitaries)
+
+
+def _spy_blocks(monkeypatch):
+    """The list that collects the (P, U) blocks `_residual_blocks` hands to `_residuals`."""
+    blocks, residuals = [], qs.mappings._residuals
+
+    def spy(f, P, terms=None, U=None, hats=None):
+        blocks.append((P, U))
+        return residuals(f, P, terms, U, hats)
+
+    monkeypatch.setattr(qs.mappings, "_residuals", spy)
+    return blocks
+
+
+def _set_block(monkeypatch, f, eq, tuples):
+    entries = len(eq.terms()) * int(np.prod(f.domain.shape))
+    monkeypatch.setattr("quadstab.equations._BLOCK_ENTRIES", tuples * entries)
+    assert qs.mappings.block_length(entries) == tuples
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scalar_fe3_blocks_decode_the_per_tuple_stream(complex_scalars, n, d, monkeypatch):
+    f = qs.QuadraticForm(np.eye(d), complex_scalars=complex_scalars)
+    eq = EquationSpec("fe3", n=n)
+    blocks = _spy_blocks(monkeypatch)
+    # odd blocks end on a tuple whose sign word leaves its high half to the next block
+    for size in (1, 3, 7):
+        _set_block(monkeypatch, f, eq, size)
+        for trials in (size, 2 * size + 1, 3 * size):  # one to three blocks
+            blocks.clear()
+            list(qs.mappings._residual_blocks(f, eq, trials, 10 * n + d, 3.5))
+            assert len(blocks) == -(-trials // size)
+            P, U = (np.concatenate(parts) for parts in zip(*blocks))
+            want_P, want_U = _fe3_stream_reference(f.domain, n, trials, 10 * n + d, 3.5)
+            assert (P.dtype, U.dtype) == (want_P.dtype, want_U.dtype)
+            np.testing.assert_array_equal(P, want_P)
+            np.testing.assert_array_equal(U, want_U)
+
+
+class _RawOnly:
+    """default_rng(seed)'s bit generator, behind a generator that offers only raw words."""
+
+    def __init__(self, seed, calls):
+        self._words, self._calls = np.random.PCG64(seed), calls
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self._calls.append(size)
+        return self._words.random_raw(size)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_each_scalar_fe3_block_is_one_raw_draw(complex_scalars, monkeypatch):
+    f = qs.QuadraticForm(np.eye(2), complex_scalars=complex_scalars)
+    eq = EquationSpec("fe3", n=4)
+    _set_block(monkeypatch, f, eq, 5)
+    want = list(qs.mappings._residual_blocks(f, eq, 13, 4))
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RawOnly(seed, calls))
+    got = list(qs.mappings._residual_blocks(f, eq, 13, 4))
+    assert len(calls) == len(got) == 3  # blocks of 5, 5 and 3 tuples
+    for (P, R), (want_P, want_R) in zip(got, want):
+        np.testing.assert_array_equal(P, want_P)
+        np.testing.assert_array_equal(R, want_R)
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_numpy_stream_is_the_one_the_sampler_decodes(pending):
+    # the two facts `_scalar_fe3_block` rests on: random() is the top 53 bits of a
+    # raw word, and integers(2) is bit 31 of a buffered 32-bit half, the low half
+    # of a fresh word and then that word's stored high half
+    kinds = np.random.default_rng(3).integers(2, size=100_000).tolist()  # 1 a sign, 0 a double
+    rng = np.random.default_rng(17)
+    words = iter(np.random.default_rng(17).bit_generator.random_raw(len(kinds) + 1).tolist())
+    half = None
+    if pending:  # start with a high half stored
+        rng.integers(2)
+        half = next(words) >> 32
+    got, want = [], []
+    for kind in kinds:
+        if not kind:
+            got.append(rng.random())
+            want.append((next(words) >> 11) * 2.0**-53)
+        elif half is None:
+            got.append(int(rng.integers(2)))
+            word = next(words)
+            want.append(word >> 31 & 1)
+            half = word >> 32
+        else:
+            got.append(int(rng.integers(2)))
+            want.append(half >> 31 & 1)
+            half = None
+    assert got == want
+
+
+@pytest.mark.parametrize("domain", [qs.Domain(2), qs.Domain(2, complex_scalars=True),
+                                    qs.Domain(1, k=2), qs.Domain(2, k=3)])
+def test_stacked_unitaries_are_the_per_unitary_stream(domain):
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    for count in (1, 4, 7):
+        got = qs.mappings._draw_unitaries(a, domain, count)
+        want = np.array([qs.mappings.draw_unitary(b, domain) for _ in range(count)])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert a.random() == b.random()  # the stream goes on in step

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -540,7 +542,8 @@ def stabilize_per_probe(f, phi, cfg):
     out = []
     for x in cfg.probes:
         x = np.asarray(x)
-        b = qs.stability.probe_bound(phi, cfg, x)
+        b = qs.bound(phi, cfg.n, x, cfg.direction, K, p,
+                     series_tol=cfg.series_tol if phi.variant == "custom" else None)
         tail0 = None if phi.variant == "custom" else qs.bound(phi, cfg.n, x, cfg.direction, K, p)
         converged, iterations, tail, first, prev, bad, guard = False, 0, None, None, None, None, None
         for m in range(cfg.m_max + 1):
@@ -851,20 +854,15 @@ def test_slot_values_equal_the_old_closed_forms_bit_for_bit(norm):
 
 
 def count_bound_calls(monkeypatch):
-    calls = {"probe_bound": 0, "series_tol": []}
-    bound, probe_bound = qs.stability.bound, qs.stability.probe_bound
+    blocks = []
+    probe_bound = qs.stability.probe_bound
 
-    def counted_bound(*args, series_tol=None, **kw):
-        calls["series_tol"].append(series_tol)
-        return bound(*args, series_tol=series_tol, **kw)
+    def counted_probe_bound(phi, cfg, X):
+        blocks.append(np.array(X))
+        return probe_bound(phi, cfg, X)
 
-    def counted_probe_bound(*args):
-        calls["probe_bound"] += 1
-        return probe_bound(*args)
-
-    monkeypatch.setattr(qs.stability, "bound", counted_bound)
     monkeypatch.setattr(qs.stability, "probe_bound", counted_probe_bound)
-    return calls
+    return blocks
 
 
 @pytest.mark.parametrize("mode", ["quasi", "p"])
@@ -881,12 +879,14 @@ def test_each_probe_gets_one_bound_evaluation(direction, control, mode, monkeypa
                              probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9,
                              series_tol=1e-13)
     K, p = cfg.route
-    calls = count_bound_calls(monkeypatch)
+    blocks = count_bound_calls(monkeypatch)
     got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
     monkeypatch.undo()
+    # one call on the whole probe block
+    assert len(blocks) == 1
+    assert np.array_equal(blocks[0], np.stack([f._coerce(x) for x in cfg.probes]))
     # the exact sum for power and constant budgets, the monitored series for a custom control
     series_tol = cfg.series_tol if control == "custom" else None
-    assert calls == {"probe_bound": len(cfg.probes), "series_tol": [series_tol] * len(cfg.probes)}
     for probe in got:
         want = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=series_tol)
         assert same(probe.bound, want)
@@ -903,6 +903,18 @@ def test_each_probe_gets_one_bound_evaluation(direction, control, mode, monkeypa
         r = phi.r if control == "power" else 0.0
         decay = 2.0 ** ((r - 2.0) if direction == "forward" else (2.0 - r))
         assert same(probe.tail_bound, probe.bound * decay**probe.iterations)
+
+
+def test_an_overflowing_probe_warns_nothing_in_stabilize():
+    # at x = 10 the product eps |x|^50 overflows, and at x = 1e120 the power |x|^50 itself
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), direction="backward",
+                             probes=(np.array([0.5]), np.array([10.0]), np.array([1e120])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qs.stabilize(qs.QuadraticForm([[1.0]]), qs.power(1e300, 50.0), cfg,
+                           check_consistency=False).probes
+    assert [(p.status, p.reason) for p in got] == [("pass", None)] + [("fail", "bound is not finite")] * 2
+    assert [p.bound for p in got[1:]] == [np.inf, np.inf]
 
 
 def test_a_probe_whose_bound_is_not_finite_fails_with_that_reason():
