@@ -9,8 +9,11 @@ every later row is verified against the candidate nullspace, since over a
 field a row annihilates null(B) exactly when it lies in rowspace(B).
 Violating rows are folded into the basis, so the result equals full
 elimination of the stream, which stops once the nullspace is empty.
-Verification checks at most 2^22 row x candidate entries at a time, so the
-oracle's peak memory does not grow with the candidate count.
+A check after a violation takes at most one merge of rows, and one after a
+clean check up to 2^22 row x candidate entries, so the oracle's peak memory
+does not grow with the candidate count.  Rows are checked and
+densified by one table kernel: a term's column is read from per-system
+lookup tables, and each check reduces mod q once.
 Each equation's constraints are streamed once; two solution spaces are
 compared as the column spans of their nullspace matrices.  Groups over the
 dense-elimination column cap are refused when the group or system is built.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,20 +126,6 @@ def _digits(start: int, stop: int, base: int, width: int, dtype=np.int64) -> np.
     return out
 
 
-def _term_columns(group: GroupSpec, coords: np.ndarray, weights) -> np.ndarray:
-    """Column indices of sum_l w_l x_l given pre-decoded coords (B, arity, d)."""
-    combo = None
-    for l, wl in enumerate(weights):
-        if wl == 0:
-            continue
-        part = coords[:, l, :] * np.int32(wl)
-        combo = part if combo is None else combo + part
-    if combo is None:
-        return np.zeros(coords.shape[0], dtype=np.int64)
-    combo %= np.int32(group.q)
-    return combo @ _powers(group.q, group.d)
-
-
 @lru_cache(maxsize=None)
 def _powers(q: int, d: int):
     p = q ** np.arange(d, dtype=np.int64)
@@ -218,13 +207,13 @@ class ConstraintMatrix:
         if q ** min(d, MAX_COLUMNS.bit_length()) > MAX_COLUMNS:
             raise _over_cap(q, d)
         terms, self.arity = equation_terms(eq)
-        # reduced once, coefficients into [0, q) and weights into (-q/2, q/2): a column
-        # index sum is then at most arity (q-1) q/2 and a residual sum len(terms) (q-1)^2
-        # in size, for any integer parameters; int32 holds both unless `wide`
+        # reduced once, coefficients into [0, q) and weights into (-q/2, q/2), for any
+        # integer parameters: a term's exact argument is then at most arity (q-1) q/2 and
+        # a row's exact residual len(terms) (q-1)^2 in size; int32 holds both unless
+        # `wide`, and with them the residual check's sums of len(terms) entries below q
         self.terms = tuple((c % q, tuple((w + q // 2) % q - q // 2 for w in ws)) for c, ws in terms)
         wide = max(self.arity * (q // 2), len(terms) * (q - 1)) * (q - 1) >= 2**31
         self.dtype = np.int64 if wide else np.int32
-        self.decode = group.decode_table().astype(self.dtype, copy=False)
         self.group = group
         size = group.size
         total = size**self.arity
@@ -258,12 +247,64 @@ class ConstraintMatrix:
                 take = min(_CHUNK, SAMPLE_TUPLES - start)
                 yield rng.integers(0, size, size=(take, self.arity), dtype=np.int64)
 
+    @cached_property
+    def _tables(self):
+        """The row kernel's tables, built on the first check rather than with the
+        system, since a query may build systems it never checks:
+
+          digits  (d, size): the coordinates of every group element;
+          place   (d, 2 arity (q-1) + 1): P_j[s] = (s mod q) q^j;
+          scaled  w -> the length-q table of w x mod q, for each weight w not 0, +-1;
+          groups  coefficient -> its terms' nonzero (slot, weight) pairs, -1 weights
+                  last so that only an all -1 term negates; coefficient 0 is dropped.
+
+        A coordinate sum s adds x for a weight +1, subtracts it for -1 and adds
+        (w x mod q) otherwise, so |s| <= arity (q-1): P_j holds s >= 0 at its
+        front and s < 0 at its back, where numpy reads a negative index.
+        """
+        q = self.group.q
+        digits = np.ascontiguousarray(self.group.decode_table().T, dtype=np.intp)
+        reach = self.arity * (q - 1)
+        sums = np.concatenate([np.arange(reach + 1), np.arange(-reach, 0)]) % q
+        place = _powers(q, self.group.d)[:, None].astype(np.intp) * sums
+        scaled = {w: (w * np.arange(q, dtype=np.intp)) % q
+                  for _, ws in self.terms for w in ws if w not in (0, 1, -1)}
+        groups = {}
+        for coeff, ws in self.terms:
+            if coeff:
+                slots = sorted(((l, w) for l, w in enumerate(ws) if w), key=lambda lw: lw[1] == -1)
+                groups.setdefault(coeff, []).append(slots)
+        return digits, place, scaled, groups
+
+    def _coords(self, tuples: np.ndarray) -> np.ndarray:
+        """Digits of each tuple's arguments, laid out (d, arity, rows)."""
+        digits, *_ = self._tables
+        return np.take(digits, tuples.T, axis=1)
+
+    def _columns(self, coords: np.ndarray, slots) -> np.ndarray:
+        """Column index of the argument sum_l w_l x_l for each row of coords."""
+        _, place, scaled, _ = self._tables
+        s = None
+        for l, w in slots:
+            x = coords[:, l] if w in (1, -1) else scaled[w][coords[:, l]]
+            s = (-x if w == -1 else x) if s is None else s - x if w == -1 else s + x
+        if s is None:
+            return np.zeros(coords.shape[2], dtype=np.intp)
+        col = place[0][s[0]]
+        for j in range(1, s.shape[0]):
+            col += place[j][s[j]]
+        return col
+
     def densify(self, tuples: np.ndarray) -> np.ndarray:
-        coords = self.decode[tuples]
+        """Dense GF(q) rows of a batch of tuples; a term adds its coefficient once per
+        row, so `rows[ar, col] += coeff` never meets a repeated (row, column) pair."""
+        coords = self._coords(tuples)
         rows = np.zeros((tuples.shape[0], self.group.size), dtype=np.int64)
         ar = np.arange(tuples.shape[0])
-        for coeff, w in self.terms:
-            np.add.at(rows, (ar, _term_columns(self.group, coords, w)), coeff)
+        *_, groups = self._tables
+        for coeff, group in groups.items():
+            for slots in group:
+                rows[ar, self._columns(coords, slots)] += coeff
         return rows % self.group.q
 
 
@@ -346,16 +387,24 @@ def _check_rows(candidates: int) -> int:
 def _residual_nonzero(M: ConstraintMatrix, tuples: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Boolean matrix: does the row for tuple b fail to annihilate candidate column j?
 
-    Sums run in M.dtype, which holds them (see ConstraintMatrix).  Callers
-    pass at most _check_rows(candidates) tuples, which bounds the
+    Each coefficient group gathers its terms' entries from (coeff * candidates)
+    mod q, so every summand lies in [0, q) and one reduction ends the check.
+    Callers pass at most _check_rows(candidates) tuples, which bounds the
     accumulator and its temporaries.
     """
-    cand = np.ascontiguousarray(candidates.astype(M.dtype, copy=False))
-    coords = M.decode[tuples]
-    acc = np.zeros((tuples.shape[0], cand.shape[1]), dtype=M.dtype)
-    for coeff, w in M.terms:
-        acc += np.int32(coeff) * cand[_term_columns(M.group, coords, w), :]
-    acc %= np.int32(M.group.q)
+    q = M.group.q
+    cand = candidates.astype(M.dtype, copy=False)
+    coords = M._coords(tuples)
+    *_, groups = M._tables
+    acc = None
+    for coeff, group in groups.items():
+        table = (cand * coeff) % q
+        for slots in group:
+            part = np.take(table, M._columns(coords, slots), axis=0)
+            acc = part if acc is None else np.add(acc, part, out=acc)
+    if acc is None:
+        return np.zeros((tuples.shape[0], cand.shape[1]), dtype=bool)
+    acc %= M.dtype(q)
     return acc != 0
 
 
@@ -364,11 +413,14 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
 
     Works because over a field a row annihilates null(B) iff it lies in
     rowspace(B): verified rows are provably redundant, violating rows are
-    folded into the basis in bounded merges.  Rows are checked in heads of
-    _check_rows(candidates); violating rows beyond one merge go back to the
-    front of the pending rows.  A dropped row annihilated a nullspace that
-    only shrinks afterwards, so the final row space is that of the whole
-    stream, and its unique RREF makes the basis independent of merge order.
+    folded into the basis in merges of at most merge_cap rows.  A head that
+    follows the boot rows or a violating check holds at most merge_cap rows,
+    since one merge takes no more; a head that follows a clean check holds
+    _check_rows(candidates).  Violating rows beyond one merge go back to the
+    front of the pending rows.
+    A dropped row annihilated a nullspace that only shrinks afterwards, so the
+    final row space is that of the whole stream, and its unique RREF makes the
+    basis independent of merge order.
     """
     size, q = M.group.size, M.group.q
     stream = M.tuple_batches()
@@ -377,13 +429,17 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
     basis = gf_rref(M.densify(boot[:first]), q)
     null = gf_nullspace(basis, q, size)
     merge_cap = max(4 * size, 512)
+    clean = False
     for pending in itertools.chain([boot[first:]], stream):
         while pending.shape[0] and null.shape[1]:
-            head = pending[:_check_rows(null.shape[1])]
+            rows = _check_rows(null.shape[1])
+            head = pending[:rows if clean else min(rows, merge_cap)]
             pending = pending[head.shape[0]:]
-            bad = head[_residual_nonzero(M, head, null).any(axis=1)]
-            if not bad.shape[0]:
+            nonzero = _residual_nonzero(M, head, null)
+            clean = not nonzero.any()  # a whole-array test costs far less than one per row
+            if clean:
                 continue
+            bad = head[nonzero.any(axis=1)]
             basis = gf_rref(np.vstack([basis, M.densify(bad[:merge_cap])]), q)
             null = gf_nullspace(basis, q, size)
             if bad.shape[0] > merge_cap:
@@ -410,8 +466,15 @@ def nullspace_basis(M, q: int | None = None) -> list[np.ndarray]:
 
 
 def constraints_hold(M: ConstraintMatrix, vectors) -> np.ndarray:
-    """For each function vector, does it satisfy every streamed constraint of M?"""
-    cand = np.stack([np.asarray(v, dtype=np.int64) % M.group.q for v in vectors], axis=1)
+    """For each function vector, does it satisfy every streamed constraint of M?
+    Each vector holds one entry per group element."""
+    vectors = [np.asarray(v, dtype=np.int64) for v in vectors]
+    for i, v in enumerate(vectors):
+        if v.shape != (M.group.size,):
+            raise ValueError(f"vector {i} has shape {v.shape}, the group needs ({M.group.size},)")
+    if not vectors:
+        return np.zeros(0, dtype=bool)
+    cand = np.stack(vectors, axis=1) % M.group.q
     ok = np.ones(cand.shape[1], dtype=bool)
     for batch in M.tuple_batches():
         while batch.shape[0]:

@@ -41,6 +41,16 @@ ZERO_METRICS = {
         "finite.subsample_share", "finite.verify_ns_per_row",
         "mappings.evals_computed", "mappings.residual_us_per_tuple", "mappings.twisted_us_per_tuple",
     },
+    "oracle": {
+        "algebra.norm_eval_us", "algebra.unitary_us",
+        "finite.characterize_us_per_sample",
+        "harness.self_ms", "harness.validate_ms",
+        "mappings.eval_us_per_point", "mappings.evals_computed", "mappings.residual_us_per_tuple",
+        "mappings.twisted_us_per_tuple",
+        "stability.bound_us_per_probe", "stability.converged_ratio", "stability.covariance_ms",
+        "stability.fit_ms", "stability.iterate_us_per_probe", "stability.iterations_per_probe",
+        "stability.stabilize_self_ms",
+    },
     "residual": {
         "algebra.norm_eval_us",
         "finite.densify_us_per_row", "finite.rejected", "finite.rows_planned",

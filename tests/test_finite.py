@@ -467,6 +467,17 @@ def test_constraints_hold():
     assert qs.constraints_hold(m, [np.full(q, q - 1)]).tolist() == [True]
 
 
+def test_constraints_hold_validates_its_vectors():
+    m = qs.enumerate_constraints(EquationSpec("fe1"), GroupSpec(5, 1))
+    sq = [(x * x) % 5 for x in range(5)]
+    # a table of any other length is refused, neither cut to |G| nor read out of range
+    for bad, shape in ((sq + [1, 2, 3], r"\(8,\)"), (sq[:3], r"\(3,\)"), (sq[0], r"\(\)")):
+        with pytest.raises(ValueError, match=rf"vector 1 has shape {shape}.*\(5,\)"):
+            qs.constraints_hold(m, [sq, bad])
+    got = qs.constraints_hold(m, [])
+    assert got.dtype == bool and got.shape == (0,)
+
+
 def test_columns_cap(monkeypatch):
     # dense elimination is capped at 10^4 columns
     g = GroupSpec(101, 2)  # 10201 columns
@@ -481,6 +492,105 @@ def test_columns_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the table kernel against a per-term reference
+
+
+def _per_term_columns(M, coords, weights):
+    """Column of sum_l w_l x_l from coords (rows, arity, d), one product per weight."""
+    combo = None
+    for l, wl in enumerate(weights):
+        if wl == 0:
+            continue
+        part = coords[:, l, :] * np.int32(wl)
+        combo = part if combo is None else combo + part
+    if combo is None:
+        return np.zeros(coords.shape[0], dtype=np.int64)
+    combo %= np.int32(M.group.q)
+    return combo @ (M.group.q ** np.arange(M.group.d, dtype=np.int64))
+
+
+def _per_term_residual_nonzero(M, tuples, candidates):
+    cand = np.ascontiguousarray(candidates.astype(M.dtype, copy=False))
+    coords = M.group.decode_table().astype(M.dtype)[tuples]
+    acc = np.zeros((tuples.shape[0], cand.shape[1]), dtype=M.dtype)
+    for coeff, w in M.terms:
+        acc += np.int32(coeff) * cand[_per_term_columns(M, coords, w), :]
+    acc %= np.int32(M.group.q)
+    return acc != 0
+
+
+def _per_term_densify(M, tuples):
+    coords = M.group.decode_table().astype(M.dtype)[tuples]
+    rows = np.zeros((tuples.shape[0], M.group.size), dtype=np.int64)
+    ar = np.arange(tuples.shape[0])
+    for coeff, w in M.terms:
+        np.add.at(rows, (ar, _per_term_columns(M, coords, w)), coeff)
+    return rows % M.group.q
+
+
+def _random_terms(rng, q, arity):
+    """Coefficients anywhere in (-3q, 3q); weights 0, +-1, small |w| > 1 and far beyond +-q/2."""
+    weights = [0, 0, 1, -1, 2, -3, q // 2 + 1, -(q // 2) - 1, 5 * q + 2, -7 * q - 3]
+    return [(int(rng.integers(-3 * q, 3 * q)), tuple(int(w) for w in rng.choice(weights, arity)))
+            for _ in range(int(rng.integers(1, 7)))]
+
+
+def _assert_kernel_parity(m, tuples, rng):
+    want = _per_term_densify(m, tuples)
+    got = m.densify(tuples)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # candidates from the nullspace of the first rows (at most half), plus random tables, so
+    # both outcomes of the check occur
+    head = want[:min(len(want) // 2, 24)]
+    null = qs.finite.gf_nullspace(qs.finite.gf_rref(head, m.group.q), m.group.q, m.group.size)
+    cols = [null[:, rng.integers(0, null.shape[1], 3)] @ rng.integers(0, m.group.q, 3)
+            if null.shape[1] and k % 2 else rng.integers(0, m.group.q, m.group.size) for k in range(12)]
+    cand = np.stack(cols, axis=1) % m.group.q
+    for count in range(1, 13):
+        want = _per_term_residual_nonzero(m, tuples, cand[:, :count])
+        got = qs.finite._residual_nonzero(m, tuples, cand[:, :count])
+        assert got.dtype == bool and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q,d", [(q, d) for q in (5, 7, 11, 13, 31, 101, 9973) for d in (1, 2, 3)
+                                 if q**d <= qs.finite.MAX_COLUMNS])
+def test_table_kernel_matches_the_per_term_kernel(q, d):
+    rng = np.random.default_rng([q, d])
+    g = GroupSpec(q, d)
+    systems = [_random_terms(rng, q, arity) for arity in (1, 2, 3, 4)]
+    systems.append(_random_terms(rng, q, 3) + [(int(rng.integers(1, q)), (0, 0, 0))])  # all-zero weights
+    systems += [EquationSpec("fe1"), EquationSpec("fe3", n=3)]
+    for eq in systems:
+        m = qs.ConstraintMatrix(eq, g)
+        tuples = rng.integers(0, g.size, size=(int(rng.integers(1, 200)), m.arity))
+        _assert_kernel_parity(m, tuples, rng)
+
+
+def test_table_kernel_matches_the_per_term_kernel_in_int64():
+    # the reduced coefficients sum to 22q: int32 would not hold the per-term reference's sums
+    q = 9973
+    m = qs.ConstraintMatrix([(-1, (k,)) for k in range(1, 23)] + [(22, (23,))], GroupSpec(q))
+    assert m.dtype == np.int64
+    rng = np.random.default_rng(5)
+    _assert_kernel_parity(m, rng.integers(0, q, size=(300, 1)), rng)
+    const = np.full((q, 1), q - 1)
+    assert not qs.finite._residual_nonzero(m, np.arange(q)[:, None], const).any()
+
+
+def test_kernel_tables_are_built_on_the_first_check_and_stay_small():
+    q, a = 9973, 10**6 + 7  # shift far beyond q
+    m = qs.ConstraintMatrix(EquationSpec("fe3_0", a=a), GroupSpec(q))
+    assert "_tables" not in vars(m)  # building a system builds no table
+    qs.finite._residual_nonzero(m, np.array([[1, 2]]), np.ones((q, 1), dtype=np.int64))
+    digits, place, scaled, groups = vars(m)["_tables"]
+    assert digits.shape == (1, q)
+    assert place.shape == (1, 2 * m.arity * (q - 1) + 1)
+    assert scaled and all(t.shape == (q,) for t in scaled.values())
+    assert len(scaled) <= m.arity * len(m.terms)
+    assert sum(len(group) for group in groups.values()) <= len(m.terms)
+
+
+# ---------------------------------------------------------------------------
 # bounded verification and column-restricted elimination
 
 FE1_F23_2_BASIS_SHA256 = "05d6d0a4b1ef1f1a1cbf980440c279105e3f16686f090092fa93b099444da751"
@@ -490,14 +600,18 @@ def _basis_sha256(basis):
     return hashlib.sha256(np.stack(basis, axis=1).astype(np.int64).tobytes()).hexdigest()
 
 
-def _record_checks(monkeypatch):
-    """Wrap the residual check; the returned list gets (rows, candidates) per call."""
+def _record_checks(monkeypatch, found=None):
+    """Wrap the residual check; the returned list gets (rows, candidates) per call,
+    and `found`, when given, whether that call found a violating row."""
     sizes = []
     inner = qs.finite._residual_nonzero
 
     def recorded(M, tuples, candidates):
         sizes.append((tuples.shape[0], candidates.shape[1]))
-        return inner(M, tuples, candidates)
+        out = inner(M, tuples, candidates)
+        if found is not None:
+            found.append(bool(out.any()))
+        return out
 
     monkeypatch.setattr("quadstab.finite._residual_nonzero", recorded)
     return sizes
@@ -521,6 +635,21 @@ def test_residual_checks_stay_within_the_budget(monkeypatch):
     ok = qs.constraints_hold(m, held + broken)
     assert ok.tolist() == [True] * 40 + [False] * 4
     assert sizes and max(r * c for r, c in sizes) <= budget
+
+
+def test_checks_take_one_merge_of_rows_until_one_comes_back_clean(monkeypatch):
+    found = []
+    sizes = _record_checks(monkeypatch, found)
+    g = GroupSpec(23, 2)
+    m = qs.enumerate_constraints(EquationSpec("fe1"), g)
+    assert _basis_sha256(qs.nullspace_basis(m)) == FE1_F23_2_BASIS_SHA256
+    merge_cap = max(4 * g.size, 512)
+    assert merge_cap == 2116 and sizes[0][0] <= merge_cap
+    assert found[0]  # the boot rows leave candidates that the first head violates
+    # a head longer than one merge follows a clean check, and such heads do occur
+    longer = [i for i, (rows, _) in enumerate(sizes) if rows > merge_cap]
+    assert longer and all(i > 0 and not found[i - 1] for i in longer)
+    assert sum(r for r, _ in sizes) < 1.5 * m.n_rows
 
 
 def test_nullspace_memory_does_not_grow_with_candidates():
