@@ -12,9 +12,9 @@ The library has four layers:
   finite      exact solution-space oracles over (Z/q)^d: GF(q) nullspaces,
               equation equivalence certificates, polarization, and the
               inner-product-space characterization of real norms
-  stability   control functions, truncated-series and closed-form error
-              bounds (quasi-norm and p-norm), the forward/backward direct
-              method iteration, and bound audits
+  stability   power and constant control budgets, closed-form and
+              truncated-series error bounds (quasi-norm and p-norm), the
+              forward/backward direct method iteration, and bound audits
 
 The harness module adds JSON scenario configs, preset experiments, CSV
 emission, and the `quadstab` command line tool.
@@ -95,17 +95,13 @@ from .stability import (
     StabilityConfig,
     StabilityReport,
     bound,
-    cap_weights,
     closed_form_bounds,
     constant,
-    custom_control,
     fit_constant_level,
     fit_power_amplitude,
     hyers_iterate,
     iterate_gap_bound,
     phi_cap,
-    phi_component,
-    phi_tilde,
     point_norm,
     power,
     power_regime,

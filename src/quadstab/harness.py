@@ -47,6 +47,7 @@ from . import algebra, finite
 from .equations import EquationSpec, parse_equation
 from .mappings import Mapping, Tabulated, mapping_from_config
 from .stability import (
+    CONTROL_VARIANTS,
     ControlFunction,
     DivergenceError,
     OpenProblemError,
@@ -551,7 +552,7 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "required": ["variant"],
             "properties": {
-                "variant": {"enum": ["power", "constant"]},
+                "variant": {"enum": list(CONTROL_VARIANTS)},
                 "epsilon": {"type": ["number", "null"], "minimum": 0},
                 "r": {"type": "number", "exclusiveMinimum": 0},
                 "theta": {"type": ["number", "null"], "minimum": 0},

@@ -2,19 +2,20 @@
 
 If the twisted residual of f is dominated by a control phi, the direct
 method builds the nearby exact solution as a limit of rescaled iterates,
-with an a-priori error bound built from phi.  Norms are QuasiNormSpec values;
-None means `point_norm` on the domain and `value_norm` on the codomain.  The
-power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
+with an a-priori error bound built from phi.  The library audits two controls
+only: the power budget eps sum_i ||x_i||^r and the constant budget theta.
+Norms are QuasiNormSpec values; None means `point_norm` on the domain and
+`value_norm` on the codomain.  The power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
 bound, the fit of eps and the consistency check, and the fits and the check
 reduce whole blocks of `mappings._residual_blocks`.  One bound engine on
 blocks of points, `_bounds`, sits under `bound` (a block of one),
-`series_bound_*`, `closed_form_bounds` and `probe_bound`, and of phi's slot
-values only `phi_cap` has closed forms.  `probe_bound` gives power and
-constant budgets their exact sum; the truncated series is its test reference.
-`stabilize` makes one `probe_bound` call on its probe block, and it and `verify_unitary_covariance` (under its fitted constant budget)
-make one `hyers_iterate` call per level of probes or block of unitaries x
-probes.  `_check_scheme` checks n >= 3 and the direction for all of them, and
-`_check_origin` f(0) = 0 for the backward scheme.
+`series_bound_*`, `closed_form_bounds` and `probe_bound`, and phi enters it
+through the closed form `phi_cap`.  `probe_bound` gives each probe the exact
+sum; the truncated series is its test reference.  `stabilize` makes one
+`probe_bound` call on its probe block, and it and `verify_unitary_covariance`
+(under its fitted constant budget) make one `hyers_iterate` call per level of
+probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the
+direction for all of them, and `_check_origin` f(0) = 0 for the backward scheme.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -39,6 +40,7 @@ from .mappings import (Mapping, NonFiniteResidualError, _draw_unitaries, _residu
                        approximate_remainder, empirical_sup_residual)
 
 MAX_SERIES_TERMS = 100_000
+CONTROL_VARIANTS = ("power", "constant")  # the control families, also the schema's control.variant enum
 SCALE_GUARD = 1e100
 
 
@@ -80,7 +82,6 @@ class ControlFunction:
 
     power    phi(xs) = epsilon * sum_i ||x_i||^r
     constant phi(xs) = theta
-    custom   phi(xs) = fn(xs)   (tests and ad-hoc experiments)
 
     Only a power budget measures points, so only it takes a `norm`.
     """
@@ -89,18 +90,15 @@ class ControlFunction:
     epsilon: float = 0.0
     r: float = 1.0
     theta: float = 0.0
-    fn: object = None
     norm: QuasiNormSpec | None = None  # domain norm of the power budget; None is point_norm
 
     def __post_init__(self):
-        if self.variant not in ("power", "constant", "custom"):
+        if self.variant not in CONTROL_VARIANTS:
             raise ValueError(f"unknown control variant {self.variant!r}")
         if self.variant == "power" and (self.epsilon < 0 or self.r <= 0):
             raise ValueError("power control needs epsilon >= 0 and r > 0")
         if self.variant == "constant" and self.theta < 0:
             raise ValueError("constant control needs theta >= 0")
-        if self.variant == "custom" and not callable(self.fn):
-            raise ValueError("custom control needs a callable")
         if self.norm is not None and not isinstance(self.norm, QuasiNormSpec):
             raise TypeError("the control's norm is a QuasiNormSpec or None")
         if self.norm is not None and self.variant != "power":
@@ -112,11 +110,7 @@ class ControlFunction:
         return float(_power_weights(self.norm, mags, self.r)[0])
 
     def evaluate(self, xs) -> float:
-        if self.variant == "power":
-            return self.epsilon * self._weight(xs)
-        if self.variant == "constant":
-            return self.theta
-        return float(self.fn(xs))
+        return self.epsilon * self._weight(xs) if self.variant == "power" else self.theta
 
     __call__ = evaluate
 
@@ -124,9 +118,7 @@ class ControlFunction:
         """The variant and the parameters that a run reports."""
         if self.variant == "power":
             return {"variant": "power", "epsilon": self.epsilon, "r": self.r}
-        if self.variant == "constant":
-            return {"variant": "constant", "theta": self.theta}
-        return {"variant": "custom"}
+        return {"variant": "constant", "theta": self.theta}
 
 
 def power(epsilon: float, r: float, norm: QuasiNormSpec | None = None) -> ControlFunction:
@@ -137,55 +129,23 @@ def constant(theta: float) -> ControlFunction:
     return ControlFunction("constant", theta=float(theta))
 
 
-def custom_control(fn) -> ControlFunction:
-    return ControlFunction("custom", fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # derived control quantities
 
 
-def phi_component(phi: ControlFunction, n: int, i: int, x) -> float:
-    """phi on the one-hot tuple with x in slot i (1-indexed)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"slot index {i} out of range 1..{n}")
-    x = np.asarray(x)
-    zero = np.zeros_like(x)
-    return phi.evaluate([x if j == i else zero for j in range(1, n + 1)])
-
-
-def phi_tilde(phi: ControlFunction, n: int, x) -> float:
-    """min over adjacent slot pairs of phi_i(x) + phi_{i+1}(x)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    comps = [phi_component(phi, n, i, x) for i in range(1, n + 1)]
-    return min(comps[i] + comps[i + 1] for i in range(n - 1))
-
-
-def cap_weights(n: int) -> list[float]:
-    """The slot weights |(n^2+1)-(i+1)n| / n for i = 1..n."""
-    return [abs((n * n + 1) - (i + 1) * n) / n for i in range(1, n + 1)]
-
-
 def phi_cap(phi: ControlFunction, n: int, x) -> float:
-    """min over slots of phi_i(-x) + |(n^2+1)-(i+1)n|/n * phi_tilde(x).
+    """Phi(x) = min over slots of phi_i(-x) + |(n^2+1)-(i+1)n|/n * phi_tilde(x).
 
-    The weight at slot i = n-1 equals 1/n, which is minimal, so symmetric
-    control families reduce to phi_1(x) + (2/n) phi_1(x)-type closed forms.
+    phi_i is phi on the one-hot tuple with x in slot i, and phi_tilde the least
+    phi_i(x) + phi_{i+1}(x).  For a power or constant budget every phi_i is phi
+    of x alone and phi_tilde twice that, and the weight is least, 1/n, at slot
+    i = n-1, so Phi = (1 + 2/n) phi(x).
     """
     if n < 3:
         raise ValueError("n must be >= 3")
     if phi.variant == "power":
         return (1.0 + 2.0 / n) * phi.epsilon * phi._weight([x])
-    if phi.variant == "constant":
-        return (1.0 + 2.0 / n) * phi.theta
-    x = np.asarray(x)
-    tilde = phi_tilde(phi, n, x)
-    weights = cap_weights(n)
-    return min(
-        phi_component(phi, n, i, -x) + weights[i - 1] * tilde
-        for i in range(1, n + 1)
-    )
+    return (1.0 + 2.0 / n) * phi.theta
 
 
 # ---------------------------------------------------------------------------
@@ -249,29 +209,6 @@ def _truncate_geometric(first_term: float, ratio: float, series_tol: float, tran
     raise DivergenceError("series truncation cap reached", diagnosis=f"ratio={ratio}")
 
 
-def _truncate_monitored(term_at, series_tol: float, transform) -> float:
-    """Sum term_at(i) for i = 0, 1, ... with empirical ratio monitoring."""
-    total = 0.0
-    prev = None
-    for i in range(MAX_SERIES_TERMS):
-        term = term_at(i)
-        total += term
-        if prev is not None and prev > 0.0:
-            ratio = term / prev
-            if ratio >= 1.0 and i > 4 and transform(total + term) - transform(total) > series_tol:
-                raise DivergenceError(
-                    "series terms stopped decreasing", diagnosis=f"term[{i}]={term:.3e}"
-                )
-            if ratio < 1.0:
-                tail = term * ratio / (1.0 - ratio)
-                if transform(total + tail) - transform(total) < series_tol:
-                    return transform(total)
-        elif term == 0.0:
-            return transform(total)
-        prev = term
-    raise DivergenceError("series truncation cap reached", diagnosis="slow convergence")
-
-
 def _degree(phi: ControlFunction) -> float:
     """Homogeneity degree of Phi: r for a power budget, 0 for a constant one."""
     return phi.r if phi.variant == "power" else 0.0
@@ -297,14 +234,14 @@ def bound(phi: ControlFunction, n: int, x, direction: str = "forward", K: float 
           p: float = 1.0, series_tol: float | None = None) -> float:
     """The a-priori error bound (n-1)^-2 [sum_{i>=0} (K^(i+1) a_i)^p]^(1/p), a_i as in _term.
 
+    phi is a power or a constant budget, the only controls the library audits.
     K > 1 is the quasi-norm route (modulus K) and p < 1 the p-norm route;
     both are this one series, and K = 1, p = 1 is the normed bound.  With
-    series_tol None, power and constant budgets give the closed form
+    series_tol None, the bound is the closed form
     (n+2) K eps ||x||^r / (n [(n-1)^{2p} - K^p (n-1)^{rp}]^{1/p}), a constant
     budget being r = 0 with eps = theta, and the two powers of (n-1) swapped
     for the backward scheme.  With series_tol set, the series is summed until
-    the estimated tail moves the bound by less than series_tol; custom controls
-    are always summed that way, under empirical ratio monitoring.  The stop
+    the estimated tail moves the bound by less than series_tol.  The stop
     rule compares rounded values and each partial sum rounds, so the truncated
     bound lies below the exact sum by at most series_tol plus about one ulp per
     term summed, and above it by that rounding alone (measured: up to 66 ulps
@@ -332,11 +269,6 @@ def _bounds(phi: ControlFunction, n: int, X, direction: str, K: float, p: float,
     lam = float(n - 1)
     pref = 1.0 / lam**2
     root = lambda s: pref * s ** (1.0 / p)
-    if phi.variant == "custom":
-        if series_tol is None:
-            raise ValueError("a custom control has no closed form; pass series_tol")
-        return np.array([_truncate_monitored(
-            lambda i: (K ** (i + 1) * _term(phi, n, x, i, direction)) ** p, series_tol, root) for x in X])
     if phi.variant == "constant" and direction == "backward":
         raise DivergenceError("no backward scheme for a constant budget")
     r = _degree(phi)
@@ -458,7 +390,8 @@ class StabilityConfig:
 
     norm_spec, the codomain quasi-norm, supplies K (bound_mode "quasi") or p
     (bound_mode "p"; p = 1 for genuine norms); domain_norm measures the probes.
-    series_tol truncates the series of a custom control, the only one read.
+    The control is a power or a constant budget, whose bound at each probe is
+    the exact sum, so the config sets no series tolerance.
     """
 
     n: int
@@ -467,7 +400,6 @@ class StabilityConfig:
     m_max: int = 40
     tol: float = 1e-9
     probes: tuple = ()
-    series_tol: float = 1e-12
     bound_mode: str = "quasi"
     domain_norm: QuasiNormSpec | None = None
 
@@ -475,8 +407,8 @@ class StabilityConfig:
         _check_scheme(self.n, self.direction)
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        if self.tol <= 0 or self.series_tol <= 0:
-            raise ValueError("tol and series_tol must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.bound_mode not in ("quasi", "p"):
             raise ValueError("bound_mode must be quasi or p")
 
@@ -518,19 +450,15 @@ class StabilityReport:
 
 
 def probe_bound(phi: ControlFunction, cfg: StabilityConfig, X) -> np.ndarray:
-    """The bound at each point of the block X: the exact sum for power and constant budgets, else
-    the monitored series."""
-    return _bounds(phi, cfg.n, np.asarray(X), cfg.direction, *cfg.route,
-                   cfg.series_tol if phi.variant == "custom" else None)
+    """The bound at each point of the block X: the exact sum, one array expression."""
+    return _bounds(phi, cfg.n, np.asarray(X), cfg.direction, *cfg.route, None)
 
 
 def _budgets(phi: ControlFunction, P, matrix: bool) -> np.ndarray:
     """phi of each tuple stacked in P, shape (B, n, *point)."""
     if phi.variant == "power":
         return phi.epsilon * _power_weights(phi.norm, _magnitudes(P, matrix), phi.r)
-    if phi.variant == "constant":
-        return np.full(len(P), phi.theta)
-    return np.array([phi.evaluate(tuple(xs)) for xs in P], dtype=float)
+    return np.full(len(P), phi.theta)
 
 
 def _consistency_warn(f: Mapping, phi: ControlFunction, cfg: StabilityConfig, seed: int = 0):
@@ -571,7 +499,7 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
         _consistency_warn(f, phi, cfg)
     lam = float(cfg.n - 1)
     # the exact sum is homogeneous of degree r in x, so the distance left to
-    # the limit after iterate m is bound(x) * decay**m; a custom control has no tail
+    # the limit after iterate m is bound(x) * decay**m
     r = _degree(phi)
     decay = lam ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
     iterations, converged, tails = np.zeros(len(X), int), np.zeros(len(X), bool), np.full(len(X), np.nan)
@@ -590,16 +518,14 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
         last[active] = V
         iterations[active] = m
         with np.errstate(over="ignore", invalid="ignore"):  # a bound out of range has its own reason
-            done = gaps < cfg.tol
-            if phi.variant != "custom":
-                tails[active] = bounds[active] * decay**m
-                done &= tails[active] < cfg.tol
+            tails[active] = bounds[active] * decay**m
+            done = (gaps < cfg.tol) & (tails[active] < cfg.tol)
         converged[active] = done
         active = active[~done]
     deviations = codomain_norms(cfg.norm_spec, first - last).tolist()
     norms = _norms(cfg.domain_norm, _magnitudes(X, f.domain.matrix)).tolist()
     bounds, iterations, converged = bounds.tolist(), iterations.tolist(), converged.tolist()
-    tails = [None if phi.variant == "custom" or not it else t for t, it in zip(tails.tolist(), iterations)]
+    tails = [t if it else None for t, it in zip(tails.tolist(), iterations)]
     report = StabilityReport()
     for i, (x, deviation) in enumerate(zip(probes, deviations)):
         margin = bounds[i] - deviation

@@ -68,7 +68,7 @@ def budget_reference(phi, pts):
     if phi.variant == "power":
         dnorm = domain_norm_reference(phi.norm)
         return phi.epsilon * sum(dnorm(x) ** phi.r for x in pts)
-    return phi.theta if phi.variant == "constant" else float(phi.fn(pts))
+    return phi.theta
 
 
 def consistency_reference(f, phi, cfg, seed=0):
@@ -164,13 +164,13 @@ def _cap_before_record(values, start):
 
 
 def _controls(f, cfg):
-    """A power, a constant and a custom control that the first offending sampled tuple
-    exceeds only after the first block."""
+    """A power and a constant control that the first offending sampled tuple exceeds
+    only after the first block."""
     samples = list(qs.sample_residuals(f, EquationSpec("fe3", n=cfg.n), 48, 0))
     res = np.array([qs.codomain_norm(cfg.norm_spec, val) for _, val in samples])
     weights = np.array([sum(point_norm_reference(x) for x in pts) for pts, _ in samples])
     eps, theta = _cap_before_record(res / weights, B + 1), _cap_before_record(res, B + 1)
-    return qs.power(eps, 1.0), qs.constant(theta), qs.custom_control(lambda xs: theta)
+    return qs.power(eps, 1.0), qs.constant(theta)
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))

@@ -41,43 +41,16 @@ def phi_cap_enumerated(phi, n, x):
 
     comps = [component(i, x) for i in range(1, n + 1)]
     tilde = min(comps[i] + comps[i + 1] for i in range(n - 1))
-    weights = qs.cap_weights(n)
+    weights = [abs((n * n + 1) - (i + 1) * n) / n for i in range(1, n + 1)]
     return min(component(i, -x) + weights[i - 1] * tilde for i in range(1, n + 1))
-
-
-def test_phi_component_values():
-    phi = qs.power(2.0, 1.5)
-    x = np.array([2.0])
-    for i in (1, 2, 3):
-        assert qs.phi_component(phi, 3, i, x) == pytest.approx(2.0 * 2.0**1.5)
-    assert qs.phi_component(qs.constant(0.7), 4, 2, x) == pytest.approx(0.7)
-    assert qs.phi_component(phi, 3, 1, np.array([0.0])) == 0.0
-    with pytest.raises(ValueError):
-        qs.phi_component(phi, 3, 4, x)
-    with pytest.raises(ValueError):
-        qs.phi_component(phi, 3, 0, x)
-
-
-def test_phi_tilde_values():
-    x = np.array([1.0])
-    assert qs.phi_tilde(qs.power(1.0, 1.0), 3, x) == pytest.approx(2.0)
-    assert qs.phi_tilde(qs.constant(0.5), 5, x) == pytest.approx(1.0)
-
-    # custom control: zero whenever only slot 1 is active, large otherwise
-    def fn(xs):
-        active = [i for i, p in enumerate(xs) if np.any(np.asarray(p) != 0)]
-        return 0.0 if active == [0] else 7.0
-
-    phi = qs.custom_control(fn)
-    assert qs.phi_tilde(phi, 3, x) == pytest.approx(7.0)  # phi_1 + phi_2 = 0 + 7
 
 
 def test_phi_cap_values():
     x = np.array([1.0])
     n = 3
     # enumerated weights |(n^2+1)-(i+1)n| for i=1..n are {4,1,2}; min at i = 2
-    weights = [w * n for w in qs.cap_weights(n)]
-    assert weights == pytest.approx([4.0, 1.0, 2.0])
+    weights = [abs((n * n + 1) - (i + 1) * n) for i in range(1, n + 1)]
+    assert weights == [4, 1, 2]
     assert int(np.argmin(weights)) + 1 == n - 1
     assert qs.phi_cap(qs.power(1.0, 1.0), 3, x) == pytest.approx(1.0 + 2.0 / 3.0)
     assert qs.phi_cap(qs.constant(1.0), 3, x) == pytest.approx(5.0 / 3.0)
@@ -149,17 +122,6 @@ def test_series_bounds_vanish_at_zero():
     assert qs.series_bound_forward_p(qs.power(1.0, 1.0), 3, 0.5, zero) == 0.0
     # a constant budget does not vanish at the origin
     assert qs.series_bound_forward(qs.constant(1.0), 3, 1.0, zero) > 0.0
-
-
-def test_custom_control_series_matches_power():
-    x = np.array([1.0])
-    fn = lambda xs: sum(float(np.abs(np.asarray(p)).sum()) for p in xs)  # eps=1, r=1 on d=1
-    phi = qs.custom_control(fn)
-    got = qs.series_bound_forward(phi, 3, 1.0, x, series_tol=1e-13)
-    assert got == pytest.approx(5.0 / 6.0, rel=1e-10)
-    diverging = qs.custom_control(lambda xs: 1.0)  # constant 1, backward diverges
-    with pytest.raises(qs.DivergenceError):
-        qs.series_bound_backward(diverging, 3, 1.0, x)
 
 
 def test_closed_form_bounds_values():
@@ -493,11 +455,6 @@ def test_bound_engine(direction, route, variant):
         remainder = sum((K ** (j + 1) * term(m + j)) ** p for j in range(300)) ** (1 / p) / lam**2
         assert closed * lam ** (degree * m) == pytest.approx(remainder, rel=1e-12)
 
-    # a custom control is summed term by term with ratio monitoring
-    custom = qs.custom_control(phi.evaluate)
-    assert qs.bound(custom, n, x, direction, K=K, p=p, series_tol=1e-14) == pytest.approx(
-        closed, rel=1e-10)
-
     # stabilize scales the closed form by decay^m instead of re-summing the tail
     if route == "K=1":
         f, spec = qs.QuadraticForm([[1.0]]), qs.euclidean(1)
@@ -542,9 +499,7 @@ def stabilize_per_probe(f, phi, cfg):
     out = []
     for x in cfg.probes:
         x = np.asarray(x)
-        b = qs.bound(phi, cfg.n, x, cfg.direction, K, p,
-                     series_tol=cfg.series_tol if phi.variant == "custom" else None)
-        tail0 = None if phi.variant == "custom" else qs.bound(phi, cfg.n, x, cfg.direction, K, p)
+        b = qs.bound(phi, cfg.n, x, cfg.direction, K, p)
         converged, iterations, tail, first, prev, bad, guard = False, 0, None, None, None, None, None
         for m in range(cfg.m_max + 1):
             if float(lam) ** m > qs.stability.SCALE_GUARD:
@@ -557,9 +512,9 @@ def stabilize_per_probe(f, phi, cfg):
                 first = val
             else:
                 gap = value_norm_point(cfg.norm_spec, val - prev)
-                tail = None if tail0 is None else tail0 * decay**m
+                tail = b * decay**m
                 iterations = m
-                if gap < cfg.tol and (tail is None or tail < cfg.tol):
+                if gap < cfg.tol and tail < cfg.tol:
                     converged = True
                     break
             prev = val
@@ -665,15 +620,14 @@ def test_hyers_iterate_block_rows_equal_points(kind, direction):
 
 @pytest.mark.parametrize("mode", ["quasi", "p"])
 @pytest.mark.parametrize("direction, control", [
-    ("forward", "power"), ("forward", "constant"), ("forward", "custom"),
-    ("backward", "power"), ("backward", "custom"),  # a constant budget has no backward scheme
+    ("forward", "power"), ("forward", "constant"),
+    ("backward", "power"),  # a constant budget has no backward scheme
 ])
 def test_stabilize_matches_per_probe_reference(direction, control, mode, monkeypatch):
     f = _stack_plane(direction)
     # outside the K = 2 dead zone r in [1, 3] of the l^1/2 plane in quasi mode
     power = qs.power(0.5, 0.5 if direction == "forward" else 3.5)
-    phi = {"power": power, "constant": qs.constant(0.4),
-           "custom": qs.custom_control(power.evaluate)}[control]
+    phi = {"power": power, "constant": qs.constant(0.4)}[control]
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.lp_quasi(0.5, 2), direction=direction,
                              probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9)
     calls = count_iterate_calls(monkeypatch)
@@ -684,8 +638,6 @@ def test_stabilize_matches_per_probe_reference(direction, control, mode, monkeyp
     assert [len(x) for x in calls] == [sum(p.iterations >= m for p in got)
                                        for m in range(max(p.iterations for p in got) + 1)]
     assert len(set(len(x) for x in calls)) > 1
-    if control == "custom":
-        assert all(p.tail_bound is None for p in got)
 
 
 @pytest.mark.parametrize("kind", list(BATCH_CASES))
@@ -765,7 +717,8 @@ def test_control_norm_is_a_spec():
     x = np.array([3.0, -4.0])
     assert qs.power(2.0, 1.0).evaluate([x, x]) == 2.0 * (5.0 + 5.0)
     assert qs.power(1.0, 1.0, norm=qs.l1(2)).evaluate([x, 2 * x]) == 7.0 + 14.0
-    assert qs.phi_component(qs.power(1.0, 2.0, norm=qs.l1(2)), 3, 2, x) == 49.0
+    # a one-hot tuple weighs its one point: zero points add exact zeros
+    assert qs.power(1.0, 2.0, norm=qs.l1(2)).evaluate([np.zeros(2), x, np.zeros(2)]) == 49.0
     # the closed form reads |norm_x| as an l1 norm, with no square that could overflow
     got = qs.closed_form_bounds(3, "power", "forward", norm_x=1e200, K=1.0, epsilon=1.0, r=1.0)
     assert got == pytest.approx(1e200 * qs.closed_form_bounds(3, "power", "forward", norm_x=1.0, K=1.0,
@@ -796,16 +749,14 @@ def test_scheme_entry_points_refuse_a_bad_direction_and_n_below_3(entry):
 def test_control_summary_reports_each_variant():
     assert qs.power(0.5, 3.0).summary() == {"variant": "power", "epsilon": 0.5, "r": 3.0}
     assert qs.constant(2.0).summary() == {"variant": "constant", "theta": 2.0}
-    assert qs.custom_control(lambda xs: 1.0).summary() == {"variant": "custom"}
 
 
 def test_only_a_power_control_takes_a_norm():
     with pytest.raises(ValueError, match="power"):
         qs.ControlFunction("constant", theta=1.0, norm=qs.l1(1))
-    with pytest.raises(ValueError, match="power"):
-        qs.ControlFunction("custom", fn=lambda xs: 1.0, norm=qs.l1(1))
-    with pytest.raises(TypeError):
-        qs.custom_control(lambda xs: 1.0, norm=qs.l1(1))  # no code would read it
+    # power and constant budgets are the only controls
+    with pytest.raises(ValueError, match="unknown control variant 'custom'"):
+        qs.ControlFunction("custom", theta=1.0)
     assert qs.power(1.0, 1.0, norm=qs.l1(1)).norm == qs.l1(1)
 
 
@@ -817,12 +768,6 @@ def test_power_fit_refuses_an_infinite_weight():
         qs.fit_power_amplitude(qs.Sine(2), 3, 1.0, trials=20, box=1e-320)
 
 
-def _slot_shortcut(phi, n, x):
-    # the closed forms phi_component and phi_tilde once took for power and constant
-    # budgets: phi of x alone for every slot, and twice that for adjacent slots
-    return phi.evaluate([x]), 2.0 * phi.evaluate([x])
-
-
 _SLOT_NORMS = {"none": None, "euclidean": qs.euclidean(2), "l1": qs.l1(2),
                "weighted": qs.weighted([0.5, 3.0]), "lp_quasi": qs.lp_quasi(0.5, 2)}
 
@@ -830,7 +775,9 @@ _SLOT_NORMS = {"none": None, "euclidean": qs.euclidean(2), "l1": qs.l1(2),
 @pytest.mark.parametrize("norm", list(_SLOT_NORMS))
 def test_slot_values_equal_the_old_closed_forms_bit_for_bit(norm):
     # a one-hot tuple's weight adds exact zeros for r > 0, and phi_i + phi_{i+1}
-    # doubles exactly, so the slot enumeration gives the old closed forms
+    # doubles exactly, so the slot enumeration is phi(x) + (1/n) 2 phi(x) bit for
+    # bit; phi_cap's (1 + 2/n) phi(x) rounds in another order, each side at most
+    # 4 times
     rng = np.random.default_rng(11)
     points = [np.zeros(2), np.array([1.0, 0.0]), np.array([1e-100, 3e50])]
     points += [rng.uniform(-10, 10, 2) for _ in range(4)]
@@ -842,11 +789,12 @@ def test_slot_values_equal_the_old_closed_forms_bit_for_bit(norm):
     for phi in budgets:
         for n in (3, 4, 7):
             for x in points:
-                comp, tilde = _slot_shortcut(phi, n, x)
-                assert all(qs.phi_component(phi, n, i, x) == comp for i in range(1, n + 1))
-                assert qs.phi_tilde(phi, n, x) == tilde
-                compared += n + 1
-    assert compared == len(budgets) * len(points) * (4 + 5 + 8)
+                comp = phi.evaluate([x])
+                enumerated = phi_cap_enumerated(phi, n, x)
+                assert enumerated == comp + (1 / n) * (comp + comp)
+                assert abs(qs.phi_cap(phi, n, x) - enumerated) <= 8 * 2.0**-53 * enumerated
+                compared += 1
+    assert compared == len(budgets) * len(points) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -867,38 +815,32 @@ def count_bound_calls(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["quasi", "p"])
 @pytest.mark.parametrize("direction, control", [
-    ("forward", "power"), ("forward", "constant"), ("forward", "custom"),
-    ("backward", "power"), ("backward", "custom"),  # a constant budget has no backward scheme
+    ("forward", "power"), ("forward", "constant"),
+    ("backward", "power"),  # a constant budget has no backward scheme
 ])
 def test_each_probe_gets_one_bound_evaluation(direction, control, mode, monkeypatch):
     f = _stack_plane(direction)
     power = qs.power(0.5, 0.5 if direction == "forward" else 3.5)
-    phi = {"power": power, "constant": qs.constant(0.4),
-           "custom": qs.custom_control(power.evaluate)}[control]
+    phi = {"power": power, "constant": qs.constant(0.4)}[control]
     cfg = qs.StabilityConfig(n=3, norm_spec=qs.lp_quasi(0.5, 2), direction=direction,
-                             probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9,
-                             series_tol=1e-13)
+                             probes=_probes(f, 12, 2), bound_mode=mode, m_max=30, tol=1e-9)
     K, p = cfg.route
+    series_tol = 1e-13
     blocks = count_bound_calls(monkeypatch)
     got = qs.stabilize(f, phi, cfg, check_consistency=False).probes
     monkeypatch.undo()
     # one call on the whole probe block
     assert len(blocks) == 1
     assert np.array_equal(blocks[0], np.stack([f._coerce(x) for x in cfg.probes]))
-    # the exact sum for power and constant budgets, the monitored series for a custom control
-    series_tol = cfg.series_tol if control == "custom" else None
     for probe in got:
-        want = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=series_tol)
-        assert same(probe.bound, want)
-        if control == "custom":
-            assert probe.tail_bound is None
-            continue
+        # the exact sum
+        assert same(probe.bound, qs.bound(phi, cfg.n, probe.probe, direction, K, p))
         # the truncated series stays within series_tol below the exact sum, up to rounding:
         # its partial sum rounds once per term (at most about 100 terms here), and the
         # square root of the p = 1/2 route doubles that relative error
-        truncated = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=cfg.series_tol)
+        truncated = qs.bound(phi, cfg.n, probe.probe, direction, K, p, series_tol=series_tol)
         rounding = 200 * 2.0**-53 * probe.bound
-        assert -rounding <= probe.bound - truncated <= cfg.series_tol + rounding
+        assert -rounding <= probe.bound - truncated <= series_tol + rounding
         # the tail after the last iterate is the same exact sum, scaled
         r = phi.r if control == "power" else 0.0
         decay = 2.0 ** ((r - 2.0) if direction == "forward" else (2.0 - r))
