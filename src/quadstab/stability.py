@@ -549,15 +549,21 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
 def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: int = 0,
                         box: float = 10.0, domain_norm: QuasiNormSpec | None = None,
                         codomain: QuasiNormSpec | None = None) -> float:
-    """Fit epsilon as (sup residual norm) / (sup of sum_i ||x_i||^r) over `_residual_blocks`."""
-    sup_res = sup_weight = 0.0
+    """Fit epsilon as the sup of ||R|| / sum_i ||x_i||^r over the tuples of `_residual_blocks`.
+
+    So the fitted budget dominates every tuple of its sample.  A tuple of weight 0
+    (no ratio) or of a weight out of floating-point range (ratio 0) is skipped, and
+    a sample with no tuple left is refused.
+    """
+    eps, usable = 0.0, False
     for P, R in _residual_blocks(f, EquationSpec("fe3", n=n), trials, seed, box):
-        sup_res = float(np.max(codomain_norms(codomain, R), initial=sup_res))
         weights = _power_weights(domain_norm, _magnitudes(P, f.domain.matrix), r)
-        sup_weight = float(np.max(weights, initial=sup_weight))
-    if not 0.0 < sup_weight < np.inf:  # all zero, or a domain norm out of floating-point range
+        ok = (0.0 < weights) & (weights < np.inf)
+        usable |= bool(ok.any())
+        eps = float(np.max(codomain_norms(codomain, R)[ok] / weights[ok], initial=eps))
+    if not usable:
         raise ValueError("sample produced no usable weight")
-    return sup_res / sup_weight
+    return eps
 
 
 def fit_constant_level(f: Mapping, n: int, trials: int = 400, seed: int = 0,

@@ -49,11 +49,12 @@ def codomain_norm_reference(spec):
 
 def fit_power_reference(f, n, r, trials, seed, domain_norm=None, codomain=None):
     dnorm, cnorm = domain_norm_reference(domain_norm), codomain_norm_reference(codomain)
-    sup_res = sup_weight = 0.0
+    eps = 0.0
     for pts, val in qs.sample_residuals(f, EquationSpec("fe3", n=n), trials, seed):
-        sup_res = max(sup_res, cnorm(val))
-        sup_weight = max(sup_weight, sum(dnorm(pt) ** r for pt in pts))
-    return sup_res / sup_weight
+        weight = sum(dnorm(pt) ** r for pt in pts)
+        if 0.0 < weight < np.inf:
+            eps = max(eps, cnorm(val) / weight)
+    return eps
 
 
 def sup_reference(f, eq, trials, seed, norm=None):

@@ -382,6 +382,24 @@ def test_fit_power_amplitude():
     assert eps <= 0.05 * 12.0 + 1e-9
 
 
+@pytest.mark.parametrize("case", ["odd-bump", "cubic-bump", "lp-plane"])
+def test_a_fitted_power_budget_dominates_every_tuple_of_its_fit_sample(case):
+    # eps is the sup over the sampled tuples of ||R|| / sum_i ||x_i||^r, so eps sum_i ||x_i||^r
+    # is at least every residual it was fitted from, up to one division and one product
+    f, r, codomain = {
+        "odd-bump": (qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.OddGrowth(), 0.05), 1.0, None),
+        "cubic-bump": (qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.Monomial(3), 0.01), 3.0, None),
+        "lp-plane": (qs.Stack([qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.OddGrowth(), 0.04),
+                               qs.Perturbed(qs.QuadraticForm([[2.0]]), qs.OddGrowth(), -0.02)]),
+                     1.0, qs.lp_quasi(0.5, 2)),
+    }[case]
+    eps = qs.fit_power_amplitude(f, 3, r, trials=400, seed=11, codomain=codomain)
+    phi = qs.power(eps, r)
+    for pts, val in qs.sample_residuals(f, qs.EquationSpec("fe3", n=3), 400, 11):
+        res = qs.value_norm(val) if codomain is None else qs.codomain_norm(codomain, val)
+        assert res <= phi.evaluate(pts) * (1.0 + 4 * 2.0**-53)
+
+
 def test_fit_constant_level():
     f = qs.Perturbed(qs.QuadraticForm([[1.0]]), qs.Sine(), 0.1)
     theta = qs.fit_constant_level(f, 3, trials=300, seed=0)
