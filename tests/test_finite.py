@@ -728,3 +728,45 @@ def test_gf_rref_matches_whole_row_reference(q):
         want = _reference_rref(m, q)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# late rows: systems whose constraints only show after the first chunk
+
+# f(x1 + x3) - f(x1) - f(x3) + f(0) = 0: the affine maps, dimension d + 1.  The
+# patterns and the pairs (x1 = 0 there) only give f(2x) = 2 f(x) - f(0), so the
+# rows that pin the space come later in the stream
+AFFINE_RAW = [(1, (1, 0, 1)), (-1, (1, 0, 0)), (-1, (0, 0, 1)), (1, (0, 0, 0))]
+
+
+def brute_force_nullspace(terms, arity, group):
+    """The solution space from every one of the |G|^arity tuples: each row built from
+    the group's coordinates, then one whole-matrix elimination."""
+    q, size = group.q, group.size
+    coords = group.decode_table()[np.array(list(itertools.product(range(size), repeat=arity)))]
+    rows = np.zeros((len(coords), size), dtype=np.int64)
+    for coeff, weights in terms:
+        cols = group.encode(np.einsum("l,tld->td", np.array(weights), coords))
+        np.add.at(rows, (np.arange(len(coords)), cols), coeff)
+    return qs.gf_nullspace(qs.gf_rref(rows % q, q), q, size)
+
+
+def test_late_rows_pin_the_affine_maps_over_f23_squared():
+    m = qs.ConstraintMatrix(AFFINE_RAW, GroupSpec(23, 2))
+    assert m.plan == "subsample"
+    assert len(qs.nullspace_basis(m)) == 3
+
+
+def test_late_rows_match_brute_force_enumeration(monkeypatch):
+    # at 64 tuples per chunk the 625 pairs take 10 chunks, the first led by the
+    # patterns, and the other 15,000 tuples 235
+    monkeypatch.setattr(qs.finite, "_CHUNK", 64)
+    g = GroupSpec(5, 2)
+    m = qs.ConstraintMatrix(AFFINE_RAW, g)
+    assert m.plan == "full" and sum(1 for _ in m.tuple_batches()) == 10 + 235
+    want = brute_force_nullspace(AFFINE_RAW, 3, g)
+    assert want.shape == (g.size, 3)
+    assert np.array_equal(np.stack(qs.nullspace_basis(m), axis=1), want)
+    # the first chunk alone leaves a larger space, so the late rows decide the answer
+    first = qs.gf_rref(m.densify(next(m.tuple_batches())), g.q)
+    assert g.size - len(first) > 3
