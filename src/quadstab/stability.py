@@ -5,13 +5,14 @@ method builds the nearby exact solution as a limit of rescaled iterates,
 with an a-priori error bound built from phi.  The library audits two controls
 only: the power budget eps sum_i ||x_i||^r and the constant budget theta.
 Norms are QuasiNormSpec values; None means `point_norm` on the domain and
-`value_norm` on the codomain.  The power weight sum_i ||x_i||^r is written once, `_power_weights`, for phi, the
-bound, the fit of eps and the consistency check, and the fits and the check
-reduce whole blocks of `mappings._residual_blocks`.  One bound engine on
-blocks of points, `_bounds`, sits under `bound` (a block of one),
-`series_bound_*`, `closed_form_bounds` and `probe_bound`, and phi enters it
-through the closed form `phi_cap`.  `probe_bound` gives each probe the exact
-sum; the truncated series is its test reference.  `stabilize` makes one
+`value_norm` on the codomain.  The power weight sum_i ||x_i||^r is written
+once, `_power_weights`, for phi, the bound, the fit of eps and the consistency
+check, and the fits and the check reduce whole blocks of
+`mappings._residual_blocks`.  One bound engine on blocks of points, `_bounds`,
+sits under `bound` (a block of one), `series_bound_*`, `closed_form_bounds`
+and `probe_bound`; its series terms read phi through the closed form
+`phi_cap`.  `probe_bound` gives each probe the exact sum; the truncated
+series is its test reference.  `stabilize` makes one
 `probe_bound` call on its probe block, and it and `verify_unitary_covariance`
 (under its fitted constant budget) make one `hyers_iterate` call per level of
 probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the
@@ -40,7 +41,7 @@ from .mappings import (Mapping, NonFiniteResidualError, _draw_unitaries, _residu
                        approximate_remainder, empirical_sup_residual)
 
 MAX_SERIES_TERMS = 100_000
-CONTROL_VARIANTS = ("power", "constant")  # the control families, also the schema's control.variant enum
+CONTROL_VARIANTS = ("power", "constant")  # also the scenario schema's control.variant enum
 SCALE_GUARD = 1e100
 
 
@@ -549,12 +550,9 @@ def stabilize(f: Mapping, phi: ControlFunction, cfg: StabilityConfig,
 def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: int = 0,
                         box: float = 10.0, domain_norm: QuasiNormSpec | None = None,
                         codomain: QuasiNormSpec | None = None) -> float:
-    """Fit epsilon as the sup of ||R|| / sum_i ||x_i||^r over the tuples of `_residual_blocks`.
-
-    So the fitted budget dominates every tuple of its sample.  A tuple of weight 0
-    (no ratio) or of a weight out of floating-point range (ratio 0) is skipped, and
-    a sample with no tuple left is refused.
-    """
+    """Fit epsilon as the sup of ||R|| / sum_i ||x_i||^r over the tuples of `_residual_blocks`, so the
+    fitted budget dominates its whole sample.  Tuples of weight 0 (no ratio) or out of floating-point
+    range (ratio 0) are skipped, and a sample with none left is refused."""
     eps, usable = 0.0, False
     for P, R in _residual_blocks(f, EquationSpec("fe3", n=n), trials, seed, box):
         weights = _power_weights(domain_norm, _magnitudes(P, f.domain.matrix), r)

@@ -557,7 +557,8 @@ def test_schema_kinds_come_from_the_runner_table():
     assert [block["then"]["required"] for block in schema["allOf"]] == [s for _, s in h._KINDS.values()]
     assert schema["properties"]["norm"]["properties"]["kind"]["enum"] == list(h._NORMS)
     # the control variants have one owner too, the one list ControlFunction accepts
-    assert schema["properties"]["control"]["properties"]["variant"]["enum"] == list(qs.stability.CONTROL_VARIANTS)
+    variants = schema["properties"]["control"]["properties"]["variant"]["enum"]
+    assert variants == list(qs.stability.CONTROL_VARIANTS)
 
 
 def test_every_row_carries_the_run_name(tmp_path):
