@@ -203,7 +203,12 @@ def concavity_modulus_estimate(spec: QuasiNormSpec, sampler=None, trials: int = 
 
 def _ginibre(rng: np.random.Generator, k: int) -> np.ndarray:
     """A k x k complex Ginibre matrix, the raw draw behind one Haar unitary."""
-    return (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
+    return _ginibre_from_normals(rng.standard_normal((2, k, k)))
+
+
+def _ginibre_from_normals(z) -> np.ndarray:
+    """Ginibre matrices from normals of shape (..., 2, k, k): the real parts, then the imaginary parts."""
+    return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def _haar_from_ginibre(z) -> np.ndarray:

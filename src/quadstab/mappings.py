@@ -11,10 +11,11 @@ shape (B, *domain.shape), from one formula, so the two agree bit for bit.
 `f.batch` call, twisted by the algebra's block action and conjugation;
 `equation_residual` and `approximate_remainder` run it on one tuple.
 `_residual_blocks`, the one seeded sampler, decodes a block of fe3 tuples on
-scalars from one raw draw, draws other points with `algebra._draw_points`
-tuple by tuple, and yields blocks of tuples and residuals that the
-empirical sup, the control fits and the consistency check reduce whole;
-`sample_residuals` is its per-tuple view.
+scalars from one raw draw, fills a block of matrix fe3 tuples into
+preallocated arrays with one Haar QR, draws other points with
+`algebra._draw_points` tuple by tuple, and yields blocks of tuples and
+residuals that the empirical sup, the control fits and the consistency check
+reduce whole; `sample_residuals` is its per-tuple view.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (QuasiNormSpec, _draw_points, _ginibre, _haar_from_ginibre, _haar_unitary, act_block,
-                      codomain_norm, codomain_norms, conjugate_block, hat, multiply_block, random_point)
+from .algebra import (QuasiNormSpec, _draw_points, _ginibre_from_normals, _haar_from_ginibre, _haar_unitary,
+                      act_block, codomain_norm, codomain_norms, conjugate_block, hat, multiply_block,
+                      random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
@@ -460,15 +462,21 @@ def draw_unitary(rng: np.random.Generator, domain: Domain):
 
 
 def _draw_unitaries(rng: np.random.Generator, domain: Domain, count: int) -> np.ndarray:
-    """`count` draws of `draw_unitary` from its stream, stacked; matrix unitaries take one QR."""
+    """`count` draws of `draw_unitary` from its stream, stacked; on M_k(C), one normal draw and one QR."""
     if domain.matrix:
-        return _haar_from_ginibre(np.stack([_ginibre(rng, domain.k) for _ in range(count)]))
+        z = rng.standard_normal((count, 2, domain.k, domain.k))  # count _ginibre draws
+        return _haar_from_ginibre(_ginibre_from_normals(z))
     return np.array([draw_unitary(rng, domain) for _ in range(count)])
 
 
 def _raw_doubles(words: np.ndarray) -> np.ndarray:
     """PCG64's next_double of each raw 64-bit word: its top 53 bits times 2**-53."""
     return (words >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _to_box(u, box: float):
+    """Doubles in [0, 1) scaled to [-box, box) as `rng.uniform(-box, box)` scales them, bit for bit."""
+    return -box + (2.0 * box) * u
 
 
 def _scalar_fe3_block(rng: np.random.Generator, domain: Domain, n: int, start: int, count: int,
@@ -485,18 +493,36 @@ def _scalar_fe3_block(rng: np.random.Generator, domain: Domain, n: int, start: i
     `carry` is the last word drawn before the block.  Returns (P, U, carry).
     """
     width = n * domain.d * (2 if domain.complex_scalars else 1)  # doubles in one tuple's points
-    scale = lambda u: -box + (2.0 * box) * u
     if domain.complex_scalars:
         u = _raw_doubles(rng.bit_generator.random_raw(count * (width + 1))).reshape(count, width + 1)
-        xy = scale(u[:, :width]).reshape(count, n, 2, domain.d)
+        xy = _to_box(u[:, :width], box).reshape(count, n, 2, domain.d)
         return xy[:, :, 0] + 1j * xy[:, :, 1], np.exp(1j * ((2.0 * np.pi) * u[:, width])), carry
     fresh = (start + np.arange(count)) % 2 == 0  # the tuple draws a word for its sign
     ends = np.cumsum(width + fresh)
     starts = ends - width - fresh
     words = np.concatenate(([carry], rng.bit_generator.random_raw(int(ends[-1]))))  # shifted by one
-    P = scale(_raw_doubles(words[1 + starts[:, np.newaxis] + np.arange(width)]))
+    P = _to_box(_raw_doubles(words[1 + starts[:, np.newaxis] + np.arange(width)]), box)
     signs = words[np.where(fresh, ends, starts)] >> np.where(fresh, 31, 63).astype(np.uint64) & 1
     return P.reshape(count, n, domain.d), np.where(signs == 1, 1.0, -1.0), words[-1]
+
+
+def _matrix_fe3_block(rng: np.random.Generator, domain: Domain, n: int, count: int, box: float):
+    """`count` fe3 tuples on a matrix domain, filled tuple by tuple in stream order; returns (P, U).
+
+    Each tuple draws the doubles of its n points, laid out (slot, re/im, *shape)
+    as `_draw_points` draws them, and then the 2k^2 normals of one `_ginibre`.
+    A normal takes a variable number of words, so the draws stay per tuple; the
+    scaling, the complex points, the Ginibre matrices and one Haar QR are done
+    once per block.
+    """
+    k = domain.k
+    u = np.empty((count, n, 2) + domain.shape)
+    z = np.empty((count, 2, k, k))
+    for i in range(count):
+        rng.random(out=u[i])
+        rng.standard_normal(out=z[i])
+    xy = _to_box(u, box)
+    return xy[:, :, 0] + 1j * xy[:, :, 1], _haar_from_ginibre(_ginibre_from_normals(z))
 
 
 class NonFiniteResidualError(ValueError):
@@ -511,9 +537,10 @@ def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
     seed the samples form a prefix chain in `trials`.  A block of `block_length`
     tuples is one `_residuals` call.  fe3 on scalars decodes each block from one
     raw draw (`_scalar_fe3_block`); matrix fe3, whose Ginibre draw takes a
-    variable number of words, and the other equations draw tuple by tuple.  At
-    the first non-finite residual the finite rows of its block are yielded, then
-    NonFiniteResidualError names that sample.
+    variable number of words, fills each block tuple by tuple and takes one QR
+    per block (`_matrix_fe3_block`); the other equations draw their points
+    tuple by tuple.  At the first non-finite residual the finite rows of its
+    block are yielded, then NonFiniteResidualError names that sample.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -527,15 +554,12 @@ def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
         count = min(step, trials - start)
         if twisted and not domain.matrix:
             P, U, carry = _scalar_fe3_block(rng, domain, eq.arity, start, count, box, carry)
+        elif twisted:
+            P, U = _matrix_fe3_block(rng, domain, eq.arity, count, box)
         else:
-            points, draws = [], []
-            for _ in range(count):
-                points.append(_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
-                                           eq.arity, box))
-                if twisted:
-                    draws.append(_ginibre(rng, domain.k))
-            P = np.stack(points)
-            U = _haar_from_ginibre(np.stack(draws)) if twisted else None
+            P = np.stack([_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
+                                       eq.arity, box) for _ in range(count)])
+            U = None
         R = _residuals(f, P, terms, U)
         finite = np.isfinite(R.reshape(count, -1)).all(axis=1)
         if not finite.all():

@@ -113,8 +113,6 @@ class ControlFunction:
     def evaluate(self, xs) -> float:
         return self.epsilon * self._weight(xs) if self.variant == "power" else self.theta
 
-    __call__ = evaluate
-
     def summary(self) -> dict:
         """The variant and the parameters that a run reports."""
         if self.variant == "power":

@@ -74,6 +74,28 @@ def phi_cap_without_its_2_over_n(monkeypatch):
         monkeypatch.setattr(namespace, "phi_cap", bare)
 
 
+def matrix_points_before_normals(monkeypatch):
+    # _matrix_fe3_block draws the points of all its tuples, then all their normals
+    def points_first(rng, domain, n, count, box):
+        xy = -box + (2.0 * box) * rng.random((count, n, 2) + domain.shape)
+        z = rng.standard_normal((count, 2, domain.k, domain.k))
+        U = qs.algebra._haar_from_ginibre(qs.algebra._ginibre_from_normals(z))
+        return xy[:, :, 0] + 1j * xy[:, :, 1], U
+
+    monkeypatch.setattr(qs.mappings, "_matrix_fe3_block", points_first)
+
+
+def ginibre_parts_swapped(monkeypatch):
+    # the Ginibre matrices take their real parts from the imaginary-part normals and back
+    ginibre = qs.algebra._ginibre_from_normals
+
+    def swapped(z):
+        return ginibre(z[..., ::-1, :, :])
+
+    for namespace in (qs.algebra, qs.mappings):
+        monkeypatch.setattr(namespace, "_ginibre_from_normals", swapped)
+
+
 # mutant -> (apply it, the check that must fail under it)
 MUTANTS = {
     "closed form doubled in _bounds": (
@@ -94,6 +116,14 @@ MUTANTS = {
     "phi_cap without its 2/n term": (
         phi_cap_without_its_2_over_n,
         lambda mp: stability_checks.test_phi_cap_fast_path_matches_enumeration()),
+    "matrix fe3 block draws all its points before its normals": (
+        matrix_points_before_normals,
+        lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
+            "matrix", "fe3:4", mp)),
+    "Ginibre real and imaginary normals swapped": (
+        ginibre_parts_swapped,
+        lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
+            "matrix", "fe3:4", mp)),
 }
 
 

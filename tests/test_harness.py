@@ -216,6 +216,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert h.main(["run", str(tmp_path / "missing.json")]) == h.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("section, key", [("control", "epsilonn"), (None, "seeed")])
+def test_an_unknown_config_key_is_refused_by_name(section, key, tmp_path, capsys):
+    cfg = h.preset_config("power-forward")
+    (cfg[section] if section else cfg)[key] = 5
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{section or '<root>'}: " in err and repr(key) in err
+    assert not (tmp_path / "power-forward.csv").exists()
+
+
 def test_cli_preset(tmp_path, capsys):
     assert h.main(["preset", "open-problem-deadzone", "--outdir", str(tmp_path)]) == 4
     capsys.readouterr()
@@ -530,6 +542,22 @@ def test_covariance_honours_bound_mode():
     res = h.run_scenario(p_mode, write_csv=False)
     assert [r.status for r in res.rows] == ["pass"]
     assert res.exit_code == h.EXIT_OK
+
+
+@pytest.mark.parametrize("domain", [qs.Domain(2), qs.Domain(2, complex_scalars=True), qs.Domain(1, k=2)])
+def test_drawn_probes_are_the_stream_of_per_probe_draws(domain, monkeypatch):
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append((seed, default_rng(seed))) or made[-1][1])
+    probes = h._probes_from_config({"count": 7, "box": 2.5}, 11, domain, "probes")
+    (seed, used), = made
+    rng = default_rng(seed)
+    want = [domain.random(rng, box=2.5) for _ in range(7)]
+    assert len(probes) == len(want)
+    for got, ref in zip(probes, want):
+        assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+        assert got.tobytes() == ref.tobytes()
+    assert used.random() == rng.random()  # the stream goes on in step
 
 
 def test_worst_margin_keeps_a_nan_margin_whatever_the_probe_order():

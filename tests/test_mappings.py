@@ -606,6 +606,20 @@ def test_each_scalar_fe3_block_is_one_raw_draw(complex_scalars, monkeypatch):
         np.testing.assert_array_equal(R, want_R)
 
 
+def test_each_matrix_fe3_block_takes_one_qr(monkeypatch):
+    f = _SAMPLER_MAPPINGS["matrix"]()
+    eq = EquationSpec("fe3", n=4)
+    _set_block(monkeypatch, f, eq, 5)
+    want = list(qs.mappings._residual_blocks(f, eq, 13, 4))
+    shapes, haar = [], qs.mappings._haar_from_ginibre
+    monkeypatch.setattr(qs.mappings, "_haar_from_ginibre", lambda z: shapes.append(z.shape) or haar(z))
+    got = list(qs.mappings._residual_blocks(f, eq, 13, 4))
+    assert shapes == [(5, 2, 2), (5, 2, 2), (3, 2, 2)]  # blocks of 5, 5 and 3 tuples
+    for (P, R), (want_P, want_R) in zip(got, want, strict=True):
+        np.testing.assert_array_equal(P, want_P)
+        np.testing.assert_array_equal(R, want_R)
+
+
 @pytest.mark.parametrize("pending", [False, True])
 def test_numpy_stream_is_the_one_the_sampler_decodes(pending):
     # the two facts `_scalar_fe3_block` rests on: random() is the top 53 bits of a
