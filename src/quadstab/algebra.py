@@ -201,11 +201,6 @@ def concavity_modulus_estimate(spec: QuasiNormSpec, sampler=None, trials: int = 
     return float(np.fmax.reduce(total[keep] / denom[keep], initial=0.0))
 
 
-def _ginibre(rng: np.random.Generator, k: int) -> np.ndarray:
-    """A k x k complex Ginibre matrix, the raw draw behind one Haar unitary."""
-    return _ginibre_from_normals(rng.standard_normal((2, k, k)))
-
-
 def _ginibre_from_normals(z) -> np.ndarray:
     """Ginibre matrices from normals of shape (..., 2, k, k): the real parts, then the imaginary parts."""
     return (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2.0)
@@ -219,17 +214,12 @@ def _haar_from_ginibre(z) -> np.ndarray:
     return q * (safe / np.abs(safe))[..., np.newaxis, :]
 
 
-def _haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Haar-distributed k x k unitary: QR of a complex Ginibre matrix, phases fixed."""
-    return _haar_from_ginibre(_ginibre(rng, k))
-
-
 def sample_unitary(k: int, seed: int = 0) -> np.ndarray:
     """Deterministic Haar-random unitary in M_k(C) for the given seed."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _haar_unitary(rng, k)
+    normals = np.random.default_rng(seed).standard_normal((2, k, k))
+    return _haar_from_ginibre(_ginibre_from_normals(normals))
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:

@@ -130,19 +130,17 @@ _GROUP_SCHEMA = {
     },
 }
 
+# a list of probes, or `count` drawn ones; minItems binds only the list and the rest only the
+# object, so an error names its own field, and the count cap refuses before any draw
 _PROBES_SCHEMA = {
-    "oneOf": [
-        {"type": "array", "minItems": 1},
-        {
-            "type": "object",
-            "required": ["count"],
-            "additionalProperties": False,
-            "properties": {
-                "count": {"type": "integer", "minimum": 1},
-                "box": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    ]
+    "type": ["array", "object"],
+    "minItems": 1,
+    "required": ["count"],
+    "additionalProperties": False,
+    "properties": {
+        "count": {"type": "integer", "minimum": 1, "maximum": 10_000},
+        "box": {"type": "number", "exclusiveMinimum": 0},
+    },
 }
 
 

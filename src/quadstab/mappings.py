@@ -10,12 +10,13 @@ shape (B, *domain.shape), from one formula, so the two agree bit for bit.
 `_residuals` evaluates all term arguments of a block of tuples in one
 `f.batch` call, twisted by the algebra's block action and conjugation;
 `equation_residual` and `approximate_remainder` run it on one tuple.
-`_residual_blocks`, the one seeded sampler, decodes a block of fe3 tuples on
-scalars from one raw draw, fills a block of matrix fe3 tuples into
-preallocated arrays with one Haar QR, draws other points with
-`algebra._draw_points` tuple by tuple, and yields blocks of tuples and
-residuals that the empirical sup, the control fits and the consistency check
-reduce whole; `sample_residuals` is its per-tuple view.
+`_residual_blocks`, the one seeded sampler, draws every block of tuples the
+same way, for every equation and domain: its points in one
+`algebra._draw_points` call on default_rng(seed) and, for fe3 only, its
+unitaries in one `_draw_unitaries` call on a child stream of that seed.  It
+yields blocks of tuples and residuals that the empirical sup, the control fits
+and the consistency check reduce whole; `sample_residuals` is its per-tuple
+view.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (QuasiNormSpec, _draw_points, _ginibre_from_normals, _haar_from_ginibre, _haar_unitary,
-                      act_block, codomain_norm, codomain_norms, conjugate_block, hat, multiply_block,
-                      random_point)
+from .algebra import (QuasiNormSpec, _draw_points, _ginibre_from_normals, _haar_from_ginibre, act_block,
+                      codomain_norm, codomain_norms, conjugate_block, hat, multiply_block, random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
@@ -453,76 +453,22 @@ def value_norm(v) -> float:
 
 
 def draw_unitary(rng: np.random.Generator, domain: Domain):
-    """Sample from the unitary group matching a module's scalar algebra."""
-    if domain.matrix:
-        return _haar_unitary(rng, domain.k)
-    if domain.complex_scalars:
-        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return (-1.0, 1.0)[int(rng.integers(2))]  # rng.choice((-1.0, 1.0))'s stream at a third of its cost
+    """Sample from the unitary group matching a module's scalar algebra; `_draw_unitaries` of one."""
+    return _draw_unitaries(rng, domain, 1)[0]
 
 
 def _draw_unitaries(rng: np.random.Generator, domain: Domain, count: int) -> np.ndarray:
-    """`count` draws of `draw_unitary` from its stream, stacked; on M_k(C), one normal draw and one QR."""
+    """`count` unitaries of the module's scalar algebra, stacked, from one draw.
+
+    On M_k(C) one normal draw and one QR (Haar), on complex scalars exp(2 pi i u),
+    on real scalars the sign 1 if u < 1/2 else -1, with u one double per unitary.
+    """
     if domain.matrix:
-        z = rng.standard_normal((count, 2, domain.k, domain.k))  # count _ginibre draws
+        z = rng.standard_normal((count, 2, domain.k, domain.k))  # the normals of count Ginibre matrices
         return _haar_from_ginibre(_ginibre_from_normals(z))
-    return np.array([draw_unitary(rng, domain) for _ in range(count)])
-
-
-def _raw_doubles(words: np.ndarray) -> np.ndarray:
-    """PCG64's next_double of each raw 64-bit word: its top 53 bits times 2**-53."""
-    return (words >> np.uint64(11)).astype(float) * 2.0**-53
-
-
-def _to_box(u, box: float):
-    """Doubles in [0, 1) scaled to [-box, box) as `rng.uniform(-box, box)` scales them, bit for bit."""
-    return -box + (2.0 * box) * u
-
-
-def _scalar_fe3_block(rng: np.random.Generator, domain: Domain, n: int, start: int, count: int,
-                      box: float, carry: np.uint64):
-    """Tuples start .. start+count-1 of the fe3 stream on a scalar domain, from one random_raw call.
-
-    Tuple by tuple the stream holds n box points and then one unitary, as
-    `_draw_points` and `draw_unitary` draw them, and this decodes it bit for bit.
-    A point is d doubles, or for complex scalars its d real parts and then its d
-    imaginary parts, scaled as `uniform` scales them; a complex unitary is
-    exp(i 2 pi u) of one more double.  A real unitary is the sign `rng.integers(2)` reads from bit 31 of a
-    buffered 32-bit half: an even tuple draws one more word for it and reads its
-    low half, the odd tuple after it reads that word's stored high half (bit 63).
-    `carry` is the last word drawn before the block.  Returns (P, U, carry).
-    """
-    width = n * domain.d * (2 if domain.complex_scalars else 1)  # doubles in one tuple's points
     if domain.complex_scalars:
-        u = _raw_doubles(rng.bit_generator.random_raw(count * (width + 1))).reshape(count, width + 1)
-        xy = _to_box(u[:, :width], box).reshape(count, n, 2, domain.d)
-        return xy[:, :, 0] + 1j * xy[:, :, 1], np.exp(1j * ((2.0 * np.pi) * u[:, width])), carry
-    fresh = (start + np.arange(count)) % 2 == 0  # the tuple draws a word for its sign
-    ends = np.cumsum(width + fresh)
-    starts = ends - width - fresh
-    words = np.concatenate(([carry], rng.bit_generator.random_raw(int(ends[-1]))))  # shifted by one
-    P = _to_box(_raw_doubles(words[1 + starts[:, np.newaxis] + np.arange(width)]), box)
-    signs = words[np.where(fresh, ends, starts)] >> np.where(fresh, 31, 63).astype(np.uint64) & 1
-    return P.reshape(count, n, domain.d), np.where(signs == 1, 1.0, -1.0), words[-1]
-
-
-def _matrix_fe3_block(rng: np.random.Generator, domain: Domain, n: int, count: int, box: float):
-    """`count` fe3 tuples on a matrix domain, filled tuple by tuple in stream order; returns (P, U).
-
-    Each tuple draws the doubles of its n points, laid out (slot, re/im, *shape)
-    as `_draw_points` draws them, and then the 2k^2 normals of one `_ginibre`.
-    A normal takes a variable number of words, so the draws stay per tuple; the
-    scaling, the complex points, the Ginibre matrices and one Haar QR are done
-    once per block.
-    """
-    k = domain.k
-    u = np.empty((count, n, 2) + domain.shape)
-    z = np.empty((count, 2, k, k))
-    for i in range(count):
-        rng.random(out=u[i])
-        rng.standard_normal(out=z[i])
-    xy = _to_box(u, box)
-    return xy[:, :, 0] + 1j * xy[:, :, 1], _haar_from_ginibre(_ginibre_from_normals(z))
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+    return np.where(rng.random(count) < 0.5, 1.0, -1.0)
 
 
 class NonFiniteResidualError(ValueError):
@@ -532,34 +478,26 @@ class NonFiniteResidualError(ValueError):
 def _residual_blocks(f, eq, trials: int, seed: int, box: float = 10.0):
     """Yield blocks (P, R): tuples of shape (B, eq.arity, *domain.shape) and their B residuals.
 
-    One default_rng(seed) draws, per tuple, eq.arity box points and then, for fe3
-    only, one unitary; fits and preset CSVs depend on this order, and with a fixed
-    seed the samples form a prefix chain in `trials`.  A block of `block_length`
-    tuples is one `_residuals` call.  fe3 on scalars decodes each block from one
-    raw draw (`_scalar_fe3_block`); matrix fe3, whose Ginibre draw takes a
-    variable number of words, fills each block tuple by tuple and takes one QR
-    per block (`_matrix_fe3_block`); the other equations draw their points
-    tuple by tuple.  At the first non-finite residual the finite rows of its
+    Every block takes the same draws: its B * eq.arity box points from one
+    `_draw_points` call on default_rng(seed), and for fe3 only its B unitaries
+    from one `_draw_unitaries` call on that generator's spawned child.  Each
+    stream is read in tuple order, so with a fixed seed the samples form a
+    prefix chain in `trials`.  A block of `block_length` tuples is one
+    `_residuals` call.  At the first non-finite residual the finite rows of its
     block are yielded, then NonFiniteResidualError names that sample.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
+    unitaries = rng.spawn(1)[0] if eq.id == "fe3" else None
     domain = f.domain
-    twisted = eq.id == "fe3"
     terms = term_arrays(eq)
     step = block_length(len(terms[0]) * int(np.prod(domain.shape)))
-    carry = np.uint64(0)
     for start in range(0, trials, step):
         count = min(step, trials - start)
-        if twisted and not domain.matrix:
-            P, U, carry = _scalar_fe3_block(rng, domain, eq.arity, start, count, box, carry)
-        elif twisted:
-            P, U = _matrix_fe3_block(rng, domain, eq.arity, count, box)
-        else:
-            P = np.stack([_draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix,
-                                       eq.arity, box) for _ in range(count)])
-            U = None
+        P = _draw_points(rng, domain.shape, domain.complex_scalars or domain.matrix, count * eq.arity, box)
+        P = P.reshape((count, eq.arity) + domain.shape)
+        U = None if unitaries is None else _draw_unitaries(unitaries, domain, count)
         R = _residuals(f, P, terms, U)
         finite = np.isfinite(R.reshape(count, -1)).all(axis=1)
         if not finite.all():

@@ -8,11 +8,13 @@ Norms are QuasiNormSpec values; None means `point_norm` on the domain and
 `value_norm` on the codomain.  The power weight sum_i ||x_i||^r is written
 once, `_power_weights`, for phi, the bound, the fit of eps and the consistency
 check, and the fits and the check reduce whole blocks of
-`mappings._residual_blocks`.  One bound engine on blocks of points, `_bounds`,
-sits under `bound` (a block of one), `series_bound_*`, `closed_form_bounds`
-and `probe_bound`; its series terms read phi through the closed form
-`phi_cap`.  `probe_bound` gives each probe the exact sum; the truncated
-series is its test reference.  `stabilize` makes one
+`mappings._residual_blocks`.  That sampler reads two streams: a block's
+points from default_rng(seed), and its fe3 unitaries from a child stream of
+that seed.  One bound engine on blocks of points, `_bounds`, sits under
+`bound` (a block of one), `series_bound_*`, `closed_form_bounds` and
+`probe_bound`; its series terms read phi through the closed form `phi_cap`.
+`probe_bound` gives each probe the exact sum; the truncated series is its test
+reference.  `stabilize` makes one
 `probe_bound` call on its probe block, and it and `verify_unitary_covariance`
 (under its fitted constant budget) make one `hyers_iterate` call per level of
 probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the

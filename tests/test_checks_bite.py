@@ -7,9 +7,9 @@ mutant that survives is a finding that needs a new check, not a reason to
 drop the mutant.
 """
 
+import copy
 import types
 
-import numpy as np
 import pytest
 
 import quadstab as qs
@@ -33,16 +33,6 @@ def stream_first_chunk_only(monkeypatch):
     # _stream_nullspace verifies its first chunk and drops the rest of the stream:
     # its `itertools.chain([boot[first:]], stream)` reads as `chain([boot[first:]], [])`
     monkeypatch.setattr(qs.finite, "itertools", types.SimpleNamespace(chain=lambda head, rest: iter(head)))
-
-
-def fe3_carry_dropped(monkeypatch):
-    # each scalar fe3 block decodes as if no word were carried over from the block before
-    block = qs.mappings._scalar_fe3_block
-
-    def no_carry(rng, domain, n, start, count, box, carry):
-        return block(rng, domain, n, start, count, box, np.uint64(0))
-
-    monkeypatch.setattr(qs.mappings, "_scalar_fe3_block", no_carry)
 
 
 def iterate_off_by_one(monkeypatch):
@@ -74,15 +64,24 @@ def phi_cap_without_its_2_over_n(monkeypatch):
         monkeypatch.setattr(namespace, "phi_cap", bare)
 
 
-def matrix_points_before_normals(monkeypatch):
-    # _matrix_fe3_block draws the points of all its tuples, then all their normals
-    def points_first(rng, domain, n, count, box):
-        xy = -box + (2.0 * box) * rng.random((count, n, 2) + domain.shape)
-        z = rng.standard_normal((count, 2, domain.k, domain.k))
-        U = qs.algebra._haar_from_ginibre(qs.algebra._ginibre_from_normals(z))
-        return xy[:, :, 0] + 1j * xy[:, :, 1], U
+def unitaries_from_the_point_generator(monkeypatch):
+    # _residual_blocks draws each block's unitaries from the generator of its points
+    draw_points, draw_unitaries, seen = qs.mappings._draw_points, qs.mappings._draw_unitaries, []
 
-    monkeypatch.setattr(qs.mappings, "_matrix_fe3_block", points_first)
+    def points(rng, *args):
+        seen.append(rng)
+        return draw_points(rng, *args)
+
+    monkeypatch.setattr(qs.mappings, "_draw_points", points)
+    monkeypatch.setattr(qs.mappings, "_draw_unitaries", lambda rng, domain, count:
+                        draw_unitaries(seen[-1], domain, count))
+
+
+def unitaries_reseeded_per_block(monkeypatch):
+    # every block draws its unitaries from a fresh copy of the seeded unitary stream
+    draw_unitaries = qs.mappings._draw_unitaries
+    monkeypatch.setattr(qs.mappings, "_draw_unitaries", lambda rng, domain, count:
+                        draw_unitaries(copy.deepcopy(rng), domain, count))
 
 
 def ginibre_parts_swapped(monkeypatch):
@@ -104,9 +103,6 @@ MUTANTS = {
     "_stream_nullspace verifies its first chunk only": (
         stream_first_chunk_only,
         finite_checks.test_late_rows_match_brute_force_enumeration),
-    "dropped carry word in _scalar_fe3_block": (
-        fe3_carry_dropped,
-        lambda mp: mapping_checks.test_scalar_fe3_blocks_decode_the_per_tuple_stream(False, 3, 1, mp)),
     "hyers_iterate off by one in m": (
         iterate_off_by_one,
         lambda mp: stability_checks.test_hyers_iterate_sine_perturbation()),
@@ -116,10 +112,14 @@ MUTANTS = {
     "phi_cap without its 2/n term": (
         phi_cap_without_its_2_over_n,
         lambda mp: stability_checks.test_phi_cap_fast_path_matches_enumeration()),
-    "matrix fe3 block draws all its points before its normals": (
-        matrix_points_before_normals,
+    "fe3 unitaries drawn from the point generator": (
+        unitaries_from_the_point_generator,
         lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
-            "matrix", "fe3:4", mp)),
+            "real", "fe3:4", mp)),
+    "fe3 unitary generator re-seeded in every block": (
+        unitaries_reseeded_per_block,
+        lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
+            "complex", "fe3:4", mp)),
     "Ginibre real and imaginary normals swapped": (
         ginibre_parts_swapped,
         lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(

@@ -631,6 +631,23 @@ def test_non_finite_probe_entries_are_refused_on_their_probe(entries, preset, ke
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("preset, key", [("power-forward", "stability.probes"),
+                                         ("unitary-covariance", "probes")])
+def test_an_oversized_probe_count_is_refused_before_any_draw(preset, key, tmp_path, capsys,
+                                                             monkeypatch):
+    cfg = h.preset_config(preset)
+    section, _, field = key.rpartition(".")
+    probes = (cfg[section] if section else cfg)[field]
+    probes["count"] = 10_000
+    h.validate_config(cfg)  # the cap itself is allowed
+    probes["count"] = 10**13  # about 73 TiB of points
+    monkeypatch.setattr(qs.algebra, "_draw_points", lambda *args: pytest.fail("probes were drawn"))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+    assert f"{key}.count" in capsys.readouterr().err
+
+
 def test_a_finite_probe_whose_run_overflows_fails_and_is_not_refused():
     cfg = h.preset_config("power-forward")
     cfg["stability"]["probes"] = [[1e300]]

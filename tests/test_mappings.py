@@ -416,7 +416,7 @@ def test_batch_refuses_points_off_the_domain():
 
 
 def _reference_unitary(rng, domain):
-    """Per-tuple unitary draw, with its own per-matrix QR."""
+    """One unitary from the unitary stream, with its own per-matrix QR."""
     if domain.matrix:
         k = domain.k
         z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
@@ -425,17 +425,19 @@ def _reference_unitary(rng, domain):
         return q * (d / np.abs(d))
     if domain.complex_scalars:
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return float(rng.choice((-1.0, 1.0)))
+    return 1.0 if rng.random() < 0.5 else -1.0
 
 
 def _reference_samples(f, eq, trials, seed, box=10.0):
-    """The sampler one tuple at a time: its points and unitaries, and the per-tuple residuals."""
-    rng = np.random.default_rng(seed)
+    """The sampler one tuple at a time: points from default_rng(seed), unitaries from its spawned
+    child, and the per-tuple residuals."""
+    points = np.random.default_rng(seed)
+    unitaries = np.random.default_rng(seed).spawn(1)[0]
     out = []
     for _ in range(trials):
-        pts = tuple(f.domain.random(rng, box=box) for _ in range(eq.arity))
+        pts = tuple(f.domain.random(points, box=box) for _ in range(eq.arity))
         if eq.id == "fe3":
-            u = _reference_unitary(rng, f.domain)
+            u = _reference_unitary(unitaries, f.domain)
             out.append((pts, u, qs.approximate_remainder(f, u, eq.n, pts)))
         else:
             out.append((pts, None, qs.equation_residual(f, eq, pts)))
@@ -513,31 +515,23 @@ def test_fe3_64_residual_blocks_stay_small():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-def test_real_sign_draw_keeps_the_stream_of_choice():
-    a, b = np.random.default_rng(11), np.random.default_rng(11)
-    domain = qs.Domain(2)
-    got = [qs.mappings.draw_unitary(a, domain) for _ in range(100_000)]
-    assert got == [float(b.choice((-1.0, 1.0))) for _ in range(100_000)]
-    assert all(type(u) is float for u in got[:100])
-    assert a.random() == b.random()  # the draw after them
-
-
 # ---------------------------------------------------------------------------
-# fe3 blocks on scalars: one raw draw, decoded as the per-tuple stream
+# fe3 blocks: the two streams tuple by tuple, one QR per matrix block
 
 
 def _fe3_stream_reference(domain, n, trials, seed, box):
-    # per tuple: n box points (a complex block draws its real parts first), then one unitary
-    rng = np.random.default_rng(seed)
-    points, unitaries = [], []
+    # per tuple: n box points from default_rng(seed) (a complex block draws its real parts
+    # first), and one unitary from that generator's spawned child
+    points, unitaries = np.random.default_rng(seed), np.random.default_rng(seed).spawn(1)[0]
+    P, U = [], []
     for _ in range(trials):
         if domain.complex_scalars:
-            u = rng.uniform(-box, box, (n, 2, domain.d))
-            points.append(u[:, 0] + 1j * u[:, 1])
+            u = points.uniform(-box, box, (n, 2, domain.d))
+            P.append(u[:, 0] + 1j * u[:, 1])
         else:
-            points.append(rng.uniform(-box, box, (n, domain.d)))
-        unitaries.append(qs.mappings.draw_unitary(rng, domain))
-    return np.stack(points), np.array(unitaries)
+            P.append(points.uniform(-box, box, (n, domain.d)))
+        U.append(_reference_unitary(unitaries, domain))
+    return np.stack(P), np.array(U)
 
 
 def _spy_blocks(monkeypatch):
@@ -565,7 +559,6 @@ def test_scalar_fe3_blocks_decode_the_per_tuple_stream(complex_scalars, n, d, mo
     f = qs.QuadraticForm(np.eye(d), complex_scalars=complex_scalars)
     eq = EquationSpec("fe3", n=n)
     blocks = _spy_blocks(monkeypatch)
-    # odd blocks end on a tuple whose sign word leaves its high half to the next block
     for size in (1, 3, 7):
         _set_block(monkeypatch, f, eq, size)
         for trials in (size, 2 * size + 1, 3 * size):  # one to three blocks
@@ -577,33 +570,6 @@ def test_scalar_fe3_blocks_decode_the_per_tuple_stream(complex_scalars, n, d, mo
             assert (P.dtype, U.dtype) == (want_P.dtype, want_U.dtype)
             np.testing.assert_array_equal(P, want_P)
             np.testing.assert_array_equal(U, want_U)
-
-
-class _RawOnly:
-    """default_rng(seed)'s bit generator, behind a generator that offers only raw words."""
-
-    def __init__(self, seed, calls):
-        self._words, self._calls = np.random.PCG64(seed), calls
-        self.bit_generator = self
-
-    def random_raw(self, size):
-        self._calls.append(size)
-        return self._words.random_raw(size)
-
-
-@pytest.mark.parametrize("complex_scalars", [False, True])
-def test_each_scalar_fe3_block_is_one_raw_draw(complex_scalars, monkeypatch):
-    f = qs.QuadraticForm(np.eye(2), complex_scalars=complex_scalars)
-    eq = EquationSpec("fe3", n=4)
-    _set_block(monkeypatch, f, eq, 5)
-    want = list(qs.mappings._residual_blocks(f, eq, 13, 4))
-    calls = []
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RawOnly(seed, calls))
-    got = list(qs.mappings._residual_blocks(f, eq, 13, 4))
-    assert len(calls) == len(got) == 3  # blocks of 5, 5 and 3 tuples
-    for (P, R), (want_P, want_R) in zip(got, want):
-        np.testing.assert_array_equal(P, want_P)
-        np.testing.assert_array_equal(R, want_R)
 
 
 def test_each_matrix_fe3_block_takes_one_qr(monkeypatch):
@@ -618,35 +584,6 @@ def test_each_matrix_fe3_block_takes_one_qr(monkeypatch):
     for (P, R), (want_P, want_R) in zip(got, want, strict=True):
         np.testing.assert_array_equal(P, want_P)
         np.testing.assert_array_equal(R, want_R)
-
-
-@pytest.mark.parametrize("pending", [False, True])
-def test_numpy_stream_is_the_one_the_sampler_decodes(pending):
-    # the two facts `_scalar_fe3_block` rests on: random() is the top 53 bits of a
-    # raw word, and integers(2) is bit 31 of a buffered 32-bit half, the low half
-    # of a fresh word and then that word's stored high half
-    kinds = np.random.default_rng(3).integers(2, size=100_000).tolist()  # 1 a sign, 0 a double
-    rng = np.random.default_rng(17)
-    words = iter(np.random.default_rng(17).bit_generator.random_raw(len(kinds) + 1).tolist())
-    half = None
-    if pending:  # start with a high half stored
-        rng.integers(2)
-        half = next(words) >> 32
-    got, want = [], []
-    for kind in kinds:
-        if not kind:
-            got.append(rng.random())
-            want.append((next(words) >> 11) * 2.0**-53)
-        elif half is None:
-            got.append(int(rng.integers(2)))
-            word = next(words)
-            want.append(word >> 31 & 1)
-            half = word >> 32
-        else:
-            got.append(int(rng.integers(2)))
-            want.append(half >> 31 & 1)
-            half = None
-    assert got == want
 
 
 @pytest.mark.parametrize("domain", [qs.Domain(2), qs.Domain(2, complex_scalars=True),

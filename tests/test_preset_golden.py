@@ -17,11 +17,11 @@ GOLDEN = {
     "inner-product-pass": "feefa1ca4773a59884e3f4261d0d8515762c2e770af4da595aa69cf63c7aa1af",
     "inner-product-centroid": "c4788c26b935e3be12674b75a3e83244d6c01684be8cf8971b087281a6504e88",
     "inner-product-fail": "3a90add214499bd7dfd2b593618279e1643fc56415fac54cebf1a3ae829aa781",
-    "power-forward": "f9467e98a84a9425800fd2bffc03ffb3fdc2af6d01f4eef60eb8d5e6e0e54539",
-    "power-backward": "d589d6b4fc673f8c24a2533db1f273808a0b96daa13b0d79cfc33a0d3a63b2d7",
+    "power-forward": "45e6f34e74470fd8b1b7214fed6f11e325bc57efd6b0a337999eb05780e5ddff",
+    "power-backward": "7b6f60c4b574b31bb4c4038cb9a23c169ec190cc894995c552b2f7ffe5bc7d77",
     "constant-quasinorm": "109451cd95ab8cce8d5485755f023653645c613f01d36b1019645b102fb09968",
-    "pnorm-p1": "b87228d5d9be5d53d8492fdb6ed3ec5e46d9118a9beff6a6a06461f224120682",
-    "pnorm-phalf": "3598dca6e5df36a4885cec444f4ed72aa0ea0a7d2b30d2cf14e84da5c9d1e19d",
+    "pnorm-p1": "383aaa2d76f121241f41e5f51ac70a556cdbf91f858e1a6e2a425c15ef14450a",
+    "pnorm-phalf": "0614feffa8d08951859c1465a7081725d3d2fa661dc50f11ef7fcdd15b4e682c",
     "k1-equals-p1": "6dcf8316c4524931f6f7d068ed82247d954eb3d3e3f6c56743c69c777c31e86c",
     "unitary-covariance": "12a87b8b5661926699e4412a37b0b88bd9114011b53d6b3149b9fe6a41d99e84",
     "open-problem-deadzone": "d078da93c8aaee9fa8811b84eda41bc8991704ae438bcefc74ca9b9573b366e8",
