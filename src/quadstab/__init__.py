@@ -56,7 +56,6 @@ from .mappings import (
     Sine,
     Stack,
     SumMapping,
-    Tabulated,
     approximate_remainder,
     empirical_sup_residual,
     equation_residual,

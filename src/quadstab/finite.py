@@ -556,16 +556,13 @@ def biadditive_from_quadratic(Q, x, y, group: GroupSpec | None = None):
     return (Q(x + y) - Q(x - y)) / 4.0
 
 
-def check_diagonal(Q, B, samples=None, group: GroupSpec | None = None,
+def check_diagonal(Q, B, group: GroupSpec | None = None,
                    trials: int = 200, seed: int = 0, tol: float = 1e-9) -> bool:
-    """True iff B is symmetric, additive in each slot, and Q(x) = B(x, x) on samples."""
+    """True iff B is symmetric, additive in each slot, and Q(x) = B(x, x) on `trials` drawn triples."""
+    rng = np.random.default_rng(seed)
     if group is not None:
         table = np.asarray(Q, dtype=np.int64) % group.q
-        rng = np.random.default_rng(seed)
-        size = group.size
-        if samples is None:
-            samples = rng.integers(0, size, size=(trials, 3))
-        for x, y, z in np.asarray(samples, dtype=np.int64):
+        for x, y, z in rng.integers(0, group.size, size=(trials, 3)):
             x, y, z = int(x), int(y), int(z)
             if B(x, y) != B(y, x):
                 return False
@@ -574,12 +571,9 @@ def check_diagonal(Q, B, samples=None, group: GroupSpec | None = None,
             if int(table[x]) != B(x, x):
                 return False
         return True
-    rng = np.random.default_rng(seed)
-    if samples is None:
-        d = Q.domain.d if hasattr(Q, "domain") else 1
-        samples = [tuple(rng.uniform(-5.0, 5.0, d) for _ in range(3)) for _ in range(trials)]
-    for x, y, z in samples:
-        x, y, z = np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
+    d = Q.domain.d if hasattr(Q, "domain") else 1
+    for _ in range(trials):
+        x, y, z = (rng.uniform(-5.0, 5.0, d) for _ in range(3))
         scale = 1.0 + abs(B(x, y)) + abs(B(y, z)) + abs(Q(x))
         if abs(B(x, y) - B(y, x)) > tol * scale:
             return False

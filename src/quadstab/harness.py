@@ -45,7 +45,7 @@ import jsonschema
 
 from . import algebra, finite
 from .equations import EquationSpec, parse_equation
-from .mappings import Mapping, Tabulated, mapping_from_config
+from .mappings import Mapping, mapping_from_config
 from .stability import (
     CONTROL_VARIANTS,
     ControlFunction,
@@ -179,15 +179,6 @@ def _mapping_from_config(cfg: dict, path: str) -> tuple[Mapping, object]:
     """The mapping f and its value f(0), evaluated once per run."""
     with _at(path):
         f = mapping_from_config(cfg)
-    # real runs refuse a table over GF(q), also inside a combinator
-    stack = [(path, f)]
-    while stack:
-        at, g = stack.pop(0)
-        if isinstance(g, Tabulated):
-            raise ScenarioValidationError(at, "a tabulated mapping takes values in GF(q), not in a real space")
-        stack += [(f"{at}.{k}", getattr(g, k)) for k in ("base", "bump", "inner") if hasattr(g, k)]
-        stack += [(f"{at}.parts.{i}", h) for i, h in enumerate(getattr(g, "parts", ()))]
-    with _at(path):
         return f, f(f.domain.zero())
 
 

@@ -6,7 +6,8 @@ Residuals come back as codomain values (scalar, vector, or matrix) so real-
 and matrix-valued mappings share one code path; take norms separately.
 
 Every mapping evaluates one point, `f(x)`, or a block, `f.batch(X)` with X of
-shape (B, *domain.shape), from one formula, so the two agree bit for bit.
+shape (B, *domain.shape), through its one `_eval`, so the two agree bit for
+bit; `__call__` and `batch` are defined once, on `Mapping`.
 `_residuals` evaluates all term arguments of a block of tuples in one
 `f.batch` call, twisted by the algebra's block action and conjugation;
 `equation_residual` and `approximate_remainder` run it on one tuple.
@@ -61,29 +62,24 @@ class Mapping:
     `f(x)` evaluates one point; `f.batch(X)` takes B points stacked on a
     leading axis, X of shape (B, *domain.shape), and returns their B values
     stacked the same way, shape (B, *value shape), with `f.batch(X)[i]`
-    equal to `f(X[i])` bit for bit.  A closed-form family writes its formula
-    once, in `_eval`, on either shape: it broadcasts over the leading axis
-    and keeps the per-point reduction order, so a value does not depend on
-    B.  `Custom` and `Tabulated` define `__call__` on one point instead, and
-    the base `_eval` loops over it.
+    equal to `f(X[i])` bit for bit.  Every family writes its formula once,
+    in `_eval`, on either shape: a closed form broadcasts over the leading
+    axis and keeps the per-point reduction order, so a value does not depend
+    on B; `Custom` loops its callable over the points.
     """
 
     domain: Domain
 
     def __call__(self, x):
         v = self._eval(self._coerce(x))
-        return float(v) if v.ndim == 0 else v
+        return v.item() if v.ndim == 0 else v
 
     def batch(self, X):
         return self._eval(self._coerce_batch(X))
 
     def _eval(self, x):
         """The formula on one point (shape domain.shape) or on points stacked on a leading axis."""
-        if type(self).__call__ is Mapping.__call__:
-            raise NotImplementedError(f"{type(self).__name__} defines neither _eval nor __call__")
-        if x.ndim == len(self.domain.shape):
-            return np.asarray(self(x))
-        return np.stack([np.asarray(self(p)) for p in x])
+        raise NotImplementedError(f"{type(self).__name__} defines no _eval")
 
     def _lead(self, x) -> tuple[int, ...]:
         """The leading axes of `x` in front of one point's shape: () or (B,)."""
@@ -286,25 +282,6 @@ class Stack(_Parts):
         return values
 
 
-class Tabulated(Mapping):
-    """Function table over the group (Z/q)^d; arguments are integer coordinate vectors."""
-
-    def __init__(self, table, q: int, d: int = 1):
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (q**d,):
-            raise ValueError(f"table must have q^d = {q**d} entries")
-        self.table = table % q
-        self.q = int(q)
-        self.domain = Domain(d)
-
-    def __call__(self, x):
-        coords = np.asarray(x, dtype=np.int64).reshape(self.domain.d) % self.q
-        idx = 0
-        for j in range(self.domain.d - 1, -1, -1):
-            idx = idx * self.q + int(coords[j])
-        return int(self.table[idx])
-
-
 class Custom(Mapping):
     """Arbitrary callable; test-only, never accepted from configs."""
 
@@ -312,8 +289,10 @@ class Custom(Mapping):
         self.fn = fn
         self.domain = domain
 
-    def __call__(self, x):
-        return self.fn(self._coerce(x))
+    def _eval(self, x):
+        if x.ndim == len(self.domain.shape):
+            return np.asarray(self.fn(x))
+        return np.stack([np.asarray(self.fn(p)) for p in x])
 
 
 # config family -> the coordinatewise bumps that take only `d`
@@ -354,8 +333,6 @@ def mapping_from_config(cfg: dict) -> Mapping:
         return SumMapping([mapping_from_config(c) for c in cfg["parts"]])
     if family == "stack":
         return Stack([mapping_from_config(c) for c in cfg["parts"]])
-    if family == "tabulated":
-        return Tabulated(cfg["table"], q=int(cfg["q"]), d=int(cfg.get("d", 1)))
     raise ValueError(f"unknown or non-serializable mapping family {family!r}")
 
 

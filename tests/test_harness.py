@@ -436,23 +436,27 @@ def test_over_cap_group_is_a_group_error_without_building_rows(tmp_path, capsys)
         assert f"{group['q']}^{group['d']}" in err_text
 
 
-@pytest.mark.parametrize("preset,nest,path", [
-    ("power-forward", lambda t: t, "mapping"),
+@pytest.mark.parametrize("preset,nest", [
+    ("power-forward", lambda t: t),
     ("power-forward", lambda t: {"family": "perturbed", "base": {"family": "monomial", "degree": 2},
-                                 "bump": {"family": "scaled", "inner": t, "factor": 0.1}},
-     "mapping.bump.inner"),
-    ("unitary-covariance", lambda t: {"family": "sum", "parts": [{"family": "sine"}, t]},
-     "mapping.parts.1"),
+                                 "bump": {"family": "scaled", "inner": t, "factor": 0.1}}),
+    ("unitary-covariance", lambda t: {"family": "sum", "parts": [{"family": "sine"}, t]}),
 ], ids=["stability-top", "stability-nested", "covariance-sum"])
-def test_tabulated_mapping_is_refused_by_real_runs(preset, nest, path):
-    # a table over GF(q) has no real values to stabilize, at any depth
+def test_tabulated_mapping_is_refused_by_real_runs(preset, nest, tmp_path, capsys):
+    # a table over GF(q) is no mapping family, at any depth, in the library or on the command line
     table = {"family": "tabulated", "table": [0, 1, 4, 4, 1], "q": 5}
     cfg = h.preset_config(preset)
     cfg["mapping"] = nest(table)
+    message = "mapping: unknown or non-serializable mapping family 'tabulated'"
     with pytest.raises(h.ScenarioValidationError) as err:
         h.run_scenario(cfg, write_csv=False)
-    assert err.value.path == path
-    assert "tabulated" in str(err.value)
+    assert err.value.path == "mapping"
+    assert str(err.value) == message
+    path = tmp_path / "tabulated.json"
+    path.write_text(json.dumps(cfg))
+    assert h.main(["run", str(path), "--outdir", str(tmp_path)]) == h.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def _edit(preset, *path_value):

@@ -253,19 +253,6 @@ def test_mapping_families():
         qs.MatrixSineBump([[1.0]])  # a 1 x 1 h has no matrix coordinate to act on
 
 
-def test_tabulated_mapping():
-    q = 5
-    table = [(x * x) % q for x in range(q)]
-    f = qs.Tabulated(table, q=q)
-    assert f([2]) == 4
-    assert f([7]) == 4  # arguments reduce mod q
-    # integer residual arithmetic: exact quadratic table solves fe1 mod 5
-    for x in range(q):
-        for y in range(q):
-            r = qs.residual_fe1(f, np.array([x]), np.array([y]))
-            assert r % q == 0
-
-
 def test_mapping_from_config_round_trip():
     cfgs = [
         {"family": "quadratic_form", "coefficients": [[1.0, 0.5], [0.5, 2.0]]},
@@ -281,13 +268,13 @@ def test_mapping_from_config_round_trip():
         {"family": "scaled", "factor": 2.0, "inner": {"family": "sine"}},
         {"family": "sum", "parts": [{"family": "sine"}, {"family": "cosine"}]},
         {"family": "stack", "parts": [{"family": "sine"}, {"family": "cosine"}]},
-        {"family": "tabulated", "table": [0, 1, 4, 4, 1], "q": 5},
     ]
     for cfg in cfgs:
         m = qs.mapping_from_config(cfg)
         assert isinstance(m, qs.Mapping)
-    with pytest.raises(ValueError):
-        qs.mapping_from_config({"family": "custom"})
+    for family in ("custom", "tabulated"):
+        with pytest.raises(ValueError, match=f"unknown or non-serializable mapping family '{family}'"):
+            qs.mapping_from_config({"family": family, "table": [0, 1, 4, 4, 1], "q": 5})
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +307,6 @@ _BATCH_CONFIGS = {
     "scaled-complex": {"family": "scaled", "inner": _QF_COMPLEX, "factor": -1.5},
     "sum-matrix": {"family": "sum", "parts": [_MSQ, {"family": "matrix_sine_bump", **_H}]},
     "stack": {"family": "stack", "parts": [_QF_REAL, {"family": "cosine", "d": 2}]},
-    "tabulated": {"family": "tabulated", "table": [(3 * i * i + i) % 7 for i in range(49)],
-                  "q": 7, "d": 2},
 }
 _CUSTOM_DOMAINS = {"custom-real": qs.Domain(2), "custom-complex": qs.Domain(2, complex_scalars=True),
                    "custom-matrix": qs.Domain(1, k=2)}
@@ -363,7 +348,7 @@ def _pointwise(f, x):
         return sum(np.asarray(_pointwise(p, x)) for p in f.parts)
     if isinstance(f, qs.Stack):
         return np.array([float(_pointwise(p, x)) for p in f.parts])
-    return f(x)  # Custom and Tabulated keep their one-point __call__
+    return f.fn(x)  # Custom's callable on one point
 
 
 @pytest.mark.parametrize("B", [1, 7])
@@ -372,18 +357,15 @@ def test_batch_matches_pointwise_calls(name, B):
     """Every kernel keeps the per-point reduction order, so equality is exact (0 ulp)."""
     f = _batch_mapping(name)
     rng = np.random.default_rng(B)
-    if isinstance(f, qs.Tabulated):
-        X = rng.integers(-20, 20, (B, f.domain.d))
-    else:
-        X = np.stack([f.domain.random(rng, box=4.0) for _ in range(B)])
+    X = np.stack([f.domain.random(rng, box=4.0) for _ in range(B)])
     got = f.batch(X)
     assert got.shape[0] == B
     for i in range(B):
         value = f(X[i])
         np.testing.assert_array_equal(got[i], np.asarray(value))
         np.testing.assert_array_equal(got[i], np.asarray(_pointwise(f, X[i])))
-        if np.ndim(value) == 0 and not isinstance(f, qs.Custom):
-            assert isinstance(value, (float, int))
+        if np.ndim(value) == 0:
+            assert isinstance(value, (float, complex))
 
 
 def test_combinators_of_one_point_parts():
@@ -403,8 +385,10 @@ def test_mapping_needs_eval_or_call():
     class Bare(qs.Mapping):
         domain = qs.Domain(1)
 
-    with pytest.raises(NotImplementedError, match="neither _eval nor __call__"):
+    with pytest.raises(NotImplementedError, match="Bare defines no _eval"):
         Bare()(1.0)
+    with pytest.raises(NotImplementedError, match="Bare defines no _eval"):
+        Bare().batch(np.zeros((2, 1)))
 
 
 def test_batch_refuses_points_off_the_domain():
