@@ -10,7 +10,8 @@ once, `_power_weights`, for phi, the bound, the fit of eps and the consistency
 check, and the fits and the check reduce whole blocks of
 `mappings._residual_blocks`.  That sampler reads two streams: a block's
 points from default_rng(seed), and its fe3 unitaries from a child stream of
-that seed.  One bound engine on blocks of points, `_bounds`, sits under
+that seed; `verify_unitary_covariance` draws its own unitaries from a second
+child.  One bound engine on blocks of points, `_bounds`, sits under
 `bound` (a block of one), `series_bound_*`, `closed_form_bounds` and
 `probe_bound`; its series terms read phi through the closed form `phi_cap`.
 `probe_bound` gives each probe the exact sum; the truncated series is its test
@@ -590,8 +591,9 @@ def verify_unitary_covariance(f: Mapping, cfg: StabilityConfig, unitary_count: i
     """Check Q_est(u x) = u Q_est(x) u* for the stabilized limit over sampled unitaries.
 
     m* is the most iterations `stabilize` takes on cfg's probes under the fitted
-    constant budget 1.05 theta + 1e-12.  Relative to 1 + ||Q_est(x)||; for scalar
-    algebras the conjugation degenerates to multiplication by |u|^2.
+    constant budget 1.05 theta + 1e-12.  The unitaries come from the second
+    spawned child of seed, a stream of their own.  Relative to 1 + ||Q_est(x)||;
+    for scalar algebras the conjugation degenerates to multiplication by |u|^2.
     """
     level = fit_constant_level(f, cfg.n, seed=seed, codomain=cfg.norm_spec)
     report = stabilize(f, constant(level * 1.05 + 1e-12), cfg, check_consistency=False)
@@ -600,7 +602,7 @@ def verify_unitary_covariance(f: Mapping, cfg: StabilityConfig, unitary_count: i
     X = np.stack([f._coerce(x) for x in cfg.probes])
     bases = hyers_iterate(f, cfg.n, m_star, X, cfg.direction)  # Q_est(x) does not depend on the unitary
     scales = 1.0 + codomain_norms(cfg.norm_spec, bases)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed).spawn(2)[1]  # apart from the fit's points and its unitaries, child 0
     step = block_length(X.size)  # unitaries per block
     worst = 0.0
     for start in range(0, unitary_count, step):

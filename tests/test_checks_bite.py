@@ -10,6 +10,7 @@ drop the mutant.
 import copy
 import types
 
+import numpy as np
 import pytest
 
 import quadstab as qs
@@ -95,6 +96,20 @@ def ginibre_parts_swapped(monkeypatch):
         monkeypatch.setattr(namespace, "_ginibre_from_normals", swapped)
 
 
+def covariance_unitaries_from_the_seed(monkeypatch):
+    # verify_unitary_covariance draws its unitaries from default_rng(seed), the generator
+    # whose words its fitted constant budget reads as tuple points
+    fit, draw_unitaries, streams = qs.stability.fit_constant_level, qs.stability._draw_unitaries, []
+
+    def fit_and_seed(f, n, seed=0, **kw):
+        streams.append(np.random.default_rng(seed))
+        return fit(f, n, seed=seed, **kw)
+
+    monkeypatch.setattr(qs.stability, "fit_constant_level", fit_and_seed)
+    monkeypatch.setattr(qs.stability, "_draw_unitaries", lambda rng, domain, count:
+                        draw_unitaries(streams[-1], domain, count))
+
+
 # mutant -> (apply it, the check that must fail under it)
 MUTANTS = {
     "closed form doubled in _bounds": (
@@ -120,6 +135,9 @@ MUTANTS = {
         unitaries_reseeded_per_block,
         lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
             "complex", "fe3:4", mp)),
+    "covariance unitaries read from default_rng(seed)": (
+        covariance_unitaries_from_the_seed,
+        stability_checks.test_covariance_unitaries_have_their_own_stream),
     "Ginibre real and imaginary normals swapped": (
         ginibre_parts_swapped,
         lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(

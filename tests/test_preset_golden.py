@@ -23,7 +23,7 @@ GOLDEN = {
     "pnorm-p1": "383aaa2d76f121241f41e5f51ac70a556cdbf91f858e1a6e2a425c15ef14450a",
     "pnorm-phalf": "0614feffa8d08951859c1465a7081725d3d2fa661dc50f11ef7fcdd15b4e682c",
     "k1-equals-p1": "6dcf8316c4524931f6f7d068ed82247d954eb3d3e3f6c56743c69c777c31e86c",
-    "unitary-covariance": "12a87b8b5661926699e4412a37b0b88bd9114011b53d6b3149b9fe6a41d99e84",
+    "unitary-covariance": "d79ea638d4decb0aa5386b0aad3f380d005ca948fe979006e1e292b448f7fa19",
     "open-problem-deadzone": "d078da93c8aaee9fa8811b84eda41bc8991704ae438bcefc74ca9b9573b366e8",
 }
 

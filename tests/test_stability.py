@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -436,6 +437,35 @@ def test_verify_unitary_covariance_scalar_hat_case():
     assert rep.passed
 
 
+def test_covariance_unitaries_have_their_own_stream(monkeypatch):
+    # the fitted budget reads its points from one generator and its fe3 unitaries from another;
+    # the covariance's unitaries come from neither, so they are independent of the fit's sample
+    draw_unitaries, fit_streams, drawn = qs.mappings._draw_unitaries, {}, []
+    for name in ("_draw_points", "_draw_unitaries"):
+        def first_state(rng, *args, name=name, draw=getattr(qs.mappings, name)):
+            if name not in fit_streams:
+                fit_streams[name] = copy.deepcopy(rng)
+            return draw(rng, *args)
+
+        monkeypatch.setattr(qs.mappings, name, first_state)
+    covariance_draw = qs.stability._draw_unitaries
+
+    def kept(rng, domain, count):
+        drawn.append(covariance_draw(rng, domain, count))
+        return drawn[-1]
+
+    monkeypatch.setattr(qs.stability, "_draw_unitaries", kept)
+    f = qs.MatrixSquare(2)
+    probes = tuple(qs.random_point(np.random.default_rng(3), d=1, k=2, box=3.0) for _ in range(2))
+    cfg = qs.StabilityConfig(n=3, norm_spec=qs.euclidean(1), probes=probes, m_max=12, tol=1e-10)
+    qs.verify_unitary_covariance(f, cfg, unitary_count=4, seed=5)
+    assert sorted(fit_streams) == ["_draw_points", "_draw_unitaries"] and drawn
+    U = drawn[0]
+    for name, rng in fit_streams.items():
+        assert not np.array_equal(U, draw_unitaries(rng, f.domain, len(U))), \
+            f"covariance unitaries read the stream of the fit's {name}"
+
+
 ENGINE_ROUTES = {"K=1": {"K": 1.0}, "K=2": {"K": 2.0}, "p=1/2": {"p": 0.5}}
 
 
@@ -564,7 +594,7 @@ def covariance_per_unitary(f, cfg, unitary_count, seed, tol):
     m_star = max(max(p.iterations for p in rep.probes), 1)
     probes = [np.asarray(x) for x in cfg.probes]
     bases = [hyers_point(f, n, m_star, x, cfg.direction) for x in probes]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed).spawn(2)[1]  # the unitaries' own stream
     worst = 0.0
     for _ in range(unitary_count):
         u = qs.mappings.draw_unitary(rng, f.domain)
@@ -722,7 +752,7 @@ def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatc
     # the stabilize levels, the probes' own limit, then one call per block of
     # unitaries, unitary-major: u_0 x_0, u_0 x_1, ..., u_1 x_0, ...
     assert len(calls) == rep.iterations_used + 1 + 1 + 5
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(6).spawn(2)[1]
     unitaries = [qs.mappings.draw_unitary(rng, f.domain) for _ in range(30)]
     for b, block in enumerate(calls[-5:]):
         want_args = [qs.act(u, x) for u in unitaries[7 * b:7 * b + 7] for x in probes]
