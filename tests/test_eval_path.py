@@ -10,34 +10,19 @@ import inspect
 
 import quadstab.mappings as mappings
 
-
-def _families():
-    """Every Mapping subclass defined in quadstab.mappings, base classes first."""
-    found, todo = [], [mappings.Mapping]
-    while todo:
-        for cls in todo.pop(0).__subclasses__():
-            if cls.__module__ == mappings.__name__ and cls not in found:
-                found.append(cls)
-                todo.append(cls)
-    return found
-
-
-def test_the_family_walk_sees_every_mapping_class():
-    defined = {cls for _, cls in inspect.getmembers(mappings, inspect.isclass)
-               if issubclass(cls, mappings.Mapping) and cls is not mappings.Mapping
-               and cls.__module__ == mappings.__name__}
-    assert defined <= set(_families())
+FAMILIES = [cls for _, cls in inspect.getmembers(mappings, inspect.isclass)
+            if issubclass(cls, mappings.Mapping) and cls is not mappings.Mapping]
 
 
 def test_every_family_evaluates_through_its_own_eval():
-    families = _families()
-    leaves = [cls for cls in families if not any(other.__base__ is cls for other in families)]
-    assert leaves
+    # a class that others derive from (`_Parts`) may leave `_eval` to them
+    leaves = [cls for cls in FAMILIES if not any(other.__base__ is cls for other in FAMILIES)]
+    assert len(leaves) >= 10
     missing = [cls.__name__ for cls in leaves if cls._eval is mappings.Mapping._eval]
     assert not missing, "mapping families without an _eval: " + ", ".join(missing)
 
 
 def test_no_family_defines_its_own_call_or_batch():
-    second = [f"{cls.__name__}.{name}" for cls in _families() for name in ("__call__", "batch")
+    second = [f"{cls.__name__}.{name}" for cls in FAMILIES for name in ("__call__", "batch")
               if name in cls.__dict__]
     assert not second, "mapping families with a second evaluation path: " + ", ".join(second)
