@@ -32,7 +32,6 @@ from .algebra import (
     is_unitary,
     l1,
     lp_quasi,
-    module_point,
     norm_eval,
     random_point,
     sample_unitary,

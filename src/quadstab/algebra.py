@@ -18,7 +18,7 @@ coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,34 +31,29 @@ _KINDS = ("lp_quasi", "euclidean", "l1", "weighted")
 class QuasiNormSpec:
     """A norm family together with its exponent p and concavity modulus K.
 
-    For ``lp_quasi`` the modulus is forced to K = 2^(1/p - 1); the other
-    kinds are genuine norms with K = 1.
+    K is derived, not given: 2^(1/p - 1) for ``lp_quasi``, and 1 for the other
+    kinds, which are genuine norms.
     """
 
     kind: str
     dim: int
     p: float = 1.0
-    K: float = 1.0
     weights: tuple[float, ...] | None = None
+    K: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kind == "lp_quasi":
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError("lp_quasi requires 0 < p <= 1")
-            expected = 2.0 ** (1.0 / self.p - 1.0)
-            if abs(self.K - expected) > 1e-9 * expected:
-                raise ValueError("lp_quasi requires K = 2^(1/p - 1)")
-        elif self.K < 1.0:
-            raise ValueError("K must be >= 1")
+        if self.kind == "lp_quasi" and not 0.0 < self.p <= 1.0:
+            raise ValueError("lp_quasi requires 0 < p <= 1")
         if self.kind == "weighted":
             if self.weights is None or len(self.weights) != self.dim:
                 raise ValueError("weighted norm needs one positive weight per coordinate")
             if any(w <= 0.0 for w in self.weights):
                 raise ValueError("weights must be positive")
+        object.__setattr__(self, "K", 2.0 ** (1.0 / self.p - 1.0) if self.kind == "lp_quasi" else 1.0)
 
     def norm(self, x) -> float:
         return norm_eval(self, x)
@@ -73,30 +68,12 @@ def l1(dim: int) -> QuasiNormSpec:
 
 
 def lp_quasi(p: float, dim: int) -> QuasiNormSpec:
-    p = float(p)
-    return QuasiNormSpec("lp_quasi", dim, p=p, K=2.0 ** (1.0 / p - 1.0))
+    return QuasiNormSpec("lp_quasi", dim, p=float(p))
 
 
 def weighted(weights) -> QuasiNormSpec:
     ws = tuple(float(w) for w in weights)
     return QuasiNormSpec("weighted", len(ws), weights=ws)
-
-
-def module_point(coords) -> np.ndarray:
-    """Normalize input into a module point: shape (d,) or (d, k, k)."""
-    x = np.asarray(coords)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim == 2 and x.shape[0] == x.shape[1]:
-        # single matrix coordinate
-        x = x[np.newaxis]
-    if x.ndim not in (1, 3):
-        raise ValueError("module points are 1-d scalar vectors or 3-d stacks of square matrices")
-    if x.ndim == 3 and x.shape[1] != x.shape[2]:
-        raise ValueError("matrix coordinates must be square")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("module point entries must be finite")
-    return x
 
 
 def coordinate_magnitudes(x) -> np.ndarray:

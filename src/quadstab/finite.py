@@ -17,7 +17,8 @@ lookup tables, and each check reduces mod q once.
 Each equation's constraints are streamed once; two solution spaces are
 compared as the column spans of their nullspace matrices.  Groups over the
 dense-elimination column cap are refused when the group or system is built.
-Admissibility reads the equation's shift a from one place, `_shift`.
+Admissibility reads the equation's shift a from one place, `_shift`, and
+the factors where constant or additive maps solve it from its terms.
 
 The codomain is Z/q itself: maps into characteristic-zero groups are
 killed by torsion, which would make the oracle vacuous.
@@ -169,23 +170,36 @@ def obstruction_product(eq: EquationSpec) -> int:
     return out
 
 
+def _derived_factors(eq: EquationSpec) -> list[tuple[str, int]]:
+    """Factors read off the terms: constant maps solve the equation over Z/q iff
+    q | sum_t c_t, and additive maps iff q divides every entry of sum_t c_t w_t."""
+    coeffs, weights = term_arrays(eq)
+    return [("sum c", int(coeffs.sum())), ("gcd sum c w", int(np.gcd.reduce(coeffs @ weights)))]
+
+
 def check_admissible(eq, G: GroupSpec) -> None:
-    """Reject (q, equation) pairs whose derivation is characteristic-sensitive."""
+    """Reject (q, equation) pairs whose derivation is characteristic-sensitive,
+    or over which constant or additive maps solve the equation but not fe1."""
     if not isinstance(eq, EquationSpec):
         return  # raw term lists carry no equivalence claim
-    for name, factor in obstruction_factors(eq):
-        if factor % G.q == 0:
-            raise InadmissibleGroupError(
-                f"q={G.q} divides obstruction factor {name}={factor} for {eq.label()}",
-                factor_name=name,
-                factor=factor,
-            )
+
+    def refuse_divided(factors):
+        for name, factor in factors:
+            if factor % G.q == 0:
+                raise InadmissibleGroupError(
+                    f"q={G.q} divides obstruction factor {name}={factor} for {eq.label()}",
+                    factor_name=name,
+                    factor=factor,
+                )
+
+    refuse_divided(obstruction_factors(eq))
     a = _shift(eq)  # 2 for fe1 and fe2, which no prime q >= 5 reduces to 0 or +-1
     r = a % G.q
     residue = "+-1" if r in (1, G.q - 1) and abs(a) != 1 else "0" if r == 0 and a != 0 else None
     if residue is not None:
         raise InadmissibleGroupError(f"a={a} reduces to {residue} mod q={G.q} for {eq.label()}",
                                      factor_name="a mod q", factor=a)
+    refuse_divided(_derived_factors(eq))
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +463,10 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
     return null
 
 
-def nullspace_basis(M, q: int | None = None) -> list[np.ndarray]:
-    """Basis of {f : Mf = 0}; dimension = columns - rank.
-
-    Accepts a ConstraintMatrix, or a dense integer matrix together with q.
-    """
-    if isinstance(M, ConstraintMatrix):
-        null = _stream_nullspace(M)
-    elif q is None:
-        raise ValueError("dense matrices need the modulus q")
-    else:
-        A = np.asarray(M, dtype=np.int64)
-        R = gf_rref(A, q)
-        null = gf_nullspace(R, q, A.shape[1])
+def nullspace_basis(M: ConstraintMatrix) -> list[np.ndarray]:
+    """Basis of {f : Mf = 0}; dimension = columns - rank.  For a dense matrix
+    A, `gf_nullspace(gf_rref(A, q), q, cols)` gives the basis as columns."""
+    null = _stream_nullspace(M)
     return [null[:, j].copy() for j in range(null.shape[1])]
 
 

@@ -38,7 +38,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import jsonschema
@@ -66,8 +66,6 @@ from .stability import (
     verify_unitary_covariance,
 )
 
-RESULT_HEADERS = ["scenario", "probe", "norm_x", "q_estimate", "deviation",
-                  "bound", "margin", "iterations", "status"]
 PLOTDATA_HEADER = "norm_x,deviation,bound"
 
 STATUS_PASS = "pass"
@@ -250,6 +248,9 @@ class ResultRow:
 
     def csv_fields(self) -> list[str]:
         return [_fmt(getattr(self, h)) for h in RESULT_HEADERS]
+
+
+RESULT_HEADERS = [f.name for f in fields(ResultRow)]
 
 
 def _fmt(v) -> str:
@@ -598,6 +599,8 @@ SCENARIO_SCHEMA = {
                "then": {"required": sections}} for kind, (_, sections) in _KINDS.items()],
 }
 
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
 
 def config_schema() -> dict:
     """The published JSON schema for scenario configs."""
@@ -605,8 +608,7 @@ def config_schema() -> dict:
 
 
 def validate_config(config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"

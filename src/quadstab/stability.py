@@ -108,13 +108,12 @@ class ControlFunction:
         if self.norm is not None and self.variant != "power":
             raise ValueError("only a power control measures points with a norm")
 
-    def _weight(self, xs) -> float:
-        """sum_i ||x_i||^r over one tuple of points."""
-        mags = np.stack([coordinate_magnitudes(x) for x in xs])[np.newaxis]
-        return float(_power_weights(self.norm, mags, self.r)[0])
-
     def evaluate(self, xs) -> float:
-        return self.epsilon * self._weight(xs) if self.variant == "power" else self.theta
+        """phi of one tuple of points."""
+        if self.variant == "constant":
+            return self.theta
+        mags = np.stack([coordinate_magnitudes(x) for x in xs])[np.newaxis]
+        return self.epsilon * float(_power_weights(self.norm, mags, self.r)[0])
 
     def summary(self) -> dict:
         """The variant and the parameters that a run reports."""
@@ -145,9 +144,7 @@ def phi_cap(phi: ControlFunction, n: int, x) -> float:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    if phi.variant == "power":
-        return (1.0 + 2.0 / n) * phi.epsilon * phi._weight([x])
-    return (1.0 + 2.0 / n) * phi.theta
+    return (1.0 + 2.0 / n) * phi.evaluate([x])
 
 
 # ---------------------------------------------------------------------------

@@ -35,17 +35,17 @@ def test_norm_dimension_mismatch():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        qs.QuasiNormSpec("lp_quasi", 2, p=1.5, K=1.0)
-    with pytest.raises(ValueError):
-        qs.QuasiNormSpec("euclidean", 2, K=0.5)
+        qs.QuasiNormSpec("lp_quasi", 2, p=1.5)
     with pytest.raises(ValueError):
         qs.QuasiNormSpec("nosuch", 2)
     with pytest.raises(ValueError):
         qs.weighted([1.0, -1.0])
-    # lp_quasi must carry K = 2^(1/p - 1)
-    with pytest.raises(ValueError):
-        qs.QuasiNormSpec("lp_quasi", 2, p=0.5, K=1.0)
-    assert qs.lp_quasi(0.5, 2).K == pytest.approx(2.0)
+    # K is derived from the kind and p, never given
+    for p in (0.3, 0.5, 0.75, 1.0):
+        assert qs.lp_quasi(p, 2).K == 2 ** (1 / p - 1)
+    assert qs.euclidean(2).K == qs.l1(2).K == qs.weighted([1.0, 2.0]).K == 1.0
+    with pytest.raises(TypeError):
+        qs.QuasiNormSpec("euclidean", 2, K=3.0)
 
 
 def test_axioms_on_random_points():
@@ -143,21 +143,6 @@ def test_hat_bad_mode():
         qs.hat(np.eye(2), "sideways")
     with pytest.raises(ValueError):
         qs.hat(1.0, "sideways")
-
-
-def test_module_point_validation():
-    with pytest.raises(ValueError):
-        qs.module_point([np.inf, 1.0])
-    with pytest.raises(ValueError):
-        qs.module_point(np.zeros((2, 2, 3)))
-    p = qs.module_point(2.5)
-    assert p.shape == (1,)
-    # a transposed complex matrix is not C-contiguous; its entries are checked all the same
-    m = (np.arange(4).reshape(2, 2) + 1j).T
-    np.testing.assert_array_equal(qs.module_point(m), m[np.newaxis])
-    for bad in (np.inf, np.nan, 1j * np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            qs.module_point((np.arange(4).reshape(2, 2) + bad).T)
 
 
 def test_conjugate_value_scalar_degeneration():

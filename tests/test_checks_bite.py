@@ -110,6 +110,40 @@ def covariance_unitaries_from_the_seed(monkeypatch):
                         draw_unitaries(streams[-1], domain, count))
 
 
+def admissibility_without_derived_factors(monkeypatch):
+    # check_admissible keeps its listed factors but no longer reads sum c_t and
+    # sum c_t w_t off the terms, so fe3:6 over F_7 is admitted again
+    monkeypatch.setattr(qs.finite, "_derived_factors", lambda eq: [])
+
+
+def primality_by_floor_division(monkeypatch):
+    # _is_prime tests n // i == 0 where n % i == 0 belongs, so no trial divisor
+    # ever divides and every n >= 2 reads as prime
+    def is_prime(n):
+        if n < 2:
+            return False
+        i = 2
+        while i * i <= n:
+            if n // i == 0:
+                return False
+            i += 1
+        return True
+
+    monkeypatch.setattr(qs.finite, "_is_prime", is_prime)
+
+
+def zero_theta_refused(monkeypatch):
+    # ControlFunction refuses theta <= 0 where only theta < 0 is out of range
+    post_init = qs.stability.ControlFunction.__post_init__
+
+    def refuse_zero(self):
+        if self.variant == "constant" and self.theta <= 0:
+            raise ValueError("constant control needs theta > 0")
+        post_init(self)
+
+    monkeypatch.setattr(qs.stability.ControlFunction, "__post_init__", refuse_zero)
+
+
 # mutant -> (apply it, the check that must fail under it)
 MUTANTS = {
     "closed form doubled in _bounds": (
@@ -142,6 +176,15 @@ MUTANTS = {
         ginibre_parts_swapped,
         lambda mp: mapping_checks.test_sample_residuals_match_per_tuple_reference_across_blocks(
             "matrix", "fe3:4", mp)),
+    "admissibility gate without its derived factors": (
+        admissibility_without_derived_factors,
+        lambda mp: finite_checks.test_every_admitted_member_equals_fe1()),
+    "_is_prime by floor division": (
+        primality_by_floor_division,
+        lambda mp: finite_checks.test_composite_moduli_are_refused()),
+    "zero constant budget refused": (
+        zero_theta_refused,
+        lambda mp: stability_checks.test_zero_budgets_are_accepted()),
 }
 
 

@@ -157,7 +157,7 @@ def test_admissibility():
 # every prime not listed is admissible
 _ADMISSIBLE_REFERENCE = {
     "fe1": {}, "fe2": {}, "fe3:3": {}, "fe3:4": {5: "2a-1", 7: "2a+1"},
-    "fe3:5": {5: "a+1", 7: "2a-1"}, "fe3:6": {5: "a mod q", 11: "2a+1"},
+    "fe3:5": {5: "a+1", 7: "2a-1"}, "fe3:6": {5: "a mod q", 7: "sum c", 11: "2a+1"},
     "fe3_0:-3": {5: "2a-1", 7: "2a+1"}, "fe3_0:0": {}, "fe3_0:2": {},
     "fe3_0:3": {5: "2a-1", 7: "2a+1"}, "fe3_0:4": {5: "a+1", 7: "2a-1"},
 }
@@ -173,6 +173,43 @@ def test_check_admissible_matches_the_reference_table(text):
         except qs.InadmissibleGroupError as e:
             refused[q] = e.factor_name
     assert refused == _ADMISSIBLE_REFERENCE[text]
+
+
+_GATE_SWEEP_MEMBERS = (["fe2"] + [f"fe3:{n}" for n in range(3, 11)]
+                       + [f"fe3_0:{a}" for a in range(-6, 10) if abs(a) != 1])
+
+
+def test_every_admitted_member_equals_fe1():
+    # the oracle trusts an admitted pair to give "spaces equal"; swept at d = 1
+    # over every member whose system streams in full (43 systems)
+    fe1, compared = EquationSpec("fe1"), 0
+    for q in (5, 7, 11, 13):
+        group = GroupSpec(q, 1)
+        for text in _GATE_SWEEP_MEMBERS:
+            eq = qs.parse_equation(text)
+            try:
+                qs.check_admissible(eq, group)
+            except qs.InadmissibleGroupError:
+                continue
+            if qs.ConstraintMatrix(eq, group).plan != "full":
+                continue
+            result = qs.spaces_equal(eq, fe1, group)
+            assert result.equal, f"{text} over F_{q} is admitted but differs from fe1 ({result.side})"
+            compared += 1
+    assert compared == 43
+
+def test_composite_moduli_are_refused():
+    # odd composites pass q >= 5; only the primality test refuses them
+    accepted = []
+    for q in (9, 15, 25, 49):
+        try:
+            GroupSpec(q, 1)
+        except ValueError as e:
+            assert "prime" in str(e)
+        else:
+            accepted.append(q)
+    assert accepted == []
+
 
 def test_obstruction_product():
     assert qs.obstruction_product(EquationSpec("fe1")) == 6
@@ -226,15 +263,19 @@ def test_nullspace_fe1_f5_rank2():
         assert r_span == r_aug == 3
 
 
+def _dense_nullspace(m, q):
+    return qs.gf_nullspace(qs.gf_rref(m, q), q, m.shape[1]).T
+
+
 def test_dense_nullspace_paths():
     # zero matrix: nullspace is everything
-    basis = qs.nullspace_basis(np.zeros((4, 6), dtype=np.int64), q=5)
+    basis = _dense_nullspace(np.zeros((4, 6), dtype=np.int64), 5)
     assert len(basis) == 6
     # random dense systems against exhaustive counting
     rng = np.random.default_rng(0)
     for _ in range(6):
         m = rng.integers(0, 5, size=(3, 5))
-        basis = qs.nullspace_basis(m, q=5)
+        basis = _dense_nullspace(m, 5)
         for b in basis:
             assert np.all((m @ b) % 5 == 0)
         count = 0

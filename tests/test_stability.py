@@ -799,6 +799,17 @@ def test_control_summary_reports_each_variant():
     assert qs.constant(2.0).summary() == {"variant": "constant", "theta": 2.0}
 
 
+def test_zero_budgets_are_accepted():
+    # a zero budget is the exact equation: theta = 0 and epsilon = 0 are in range
+    try:
+        zero_constant, zero_power = qs.constant(0.0), qs.power(0.0, 2.0)
+    except ValueError as e:
+        raise AssertionError(f"a zero budget was refused: {e}") from e
+    assert zero_constant.summary() == {"variant": "constant", "theta": 0.0}
+    assert zero_power.summary() == {"variant": "power", "epsilon": 0.0, "r": 2.0}
+    assert zero_constant.evaluate([np.ones(2)] * 3) == zero_power.evaluate([np.ones(2)] * 3) == 0.0
+
+
 def test_only_a_power_control_takes_a_norm():
     with pytest.raises(ValueError, match="power"):
         qs.ControlFunction("constant", theta=1.0, norm=qs.l1(1))
