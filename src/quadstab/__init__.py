@@ -29,7 +29,6 @@ from .algebra import (
     coordinate_magnitudes,
     euclidean,
     hat,
-    is_unitary,
     l1,
     lp_quasi,
     norm_eval,
@@ -81,7 +80,6 @@ from .finite import (
     gf_rref,
     inner_product_characterization,
     nullspace_basis,
-    obstruction_product,
     spaces_equal,
 )
 from .stability import (

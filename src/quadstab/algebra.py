@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-UNITARY_TOL = 1e-10
-
-_KINDS = ("lp_quasi", "euclidean", "l1", "weighted")
+# the order of the published schema's norm kind enum, which reads this tuple
+_KINDS = ("euclidean", "l1", "lp_quasi", "weighted")
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,8 @@ class QuasiNormSpec:
     """A norm family together with its exponent p and concavity modulus K.
 
     K is derived, not given: 2^(1/p - 1) for ``lp_quasi``, and 1 for the other
-    kinds, which are genuine norms.
+    kinds, which are genuine norms.  A field the kind does not read is refused:
+    p other than 1 off ``lp_quasi``, and weights off ``weighted``.
     """
 
     kind: str
@@ -48,11 +48,15 @@ class QuasiNormSpec:
             raise ValueError("dim must be >= 1")
         if self.kind == "lp_quasi" and not 0.0 < self.p <= 1.0:
             raise ValueError("lp_quasi requires 0 < p <= 1")
+        if self.kind != "lp_quasi" and self.p != 1.0:
+            raise ValueError(f"{self.kind} norm reads no p; only lp_quasi does")
+        if self.kind != "weighted" and self.weights is not None:
+            raise ValueError(f"{self.kind} norm reads no weights; only weighted does")
         if self.kind == "weighted":
             if self.weights is None or len(self.weights) != self.dim:
                 raise ValueError("weighted norm needs one positive weight per coordinate")
-            if any(w <= 0.0 for w in self.weights):
-                raise ValueError("weights must be positive")
+            if not all(0.0 < w < np.inf for w in self.weights):  # a NaN weight fails both
+                raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "K", 2.0 ** (1.0 / self.p - 1.0) if self.kind == "lp_quasi" else 1.0)
 
     def norm(self, x) -> float:
@@ -197,14 +201,6 @@ def sample_unitary(k: int, seed: int = 0) -> np.ndarray:
         raise ValueError("k must be >= 1")
     normals = np.random.default_rng(seed).standard_normal((2, k, k))
     return _haar_from_ginibre(_ginibre_from_normals(normals))
-
-
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim == 0:
-        return abs(abs(complex(u)) - 1.0) <= tol
-    ident = np.eye(u.shape[0])
-    return float(np.linalg.norm(u @ u.conj().T - ident)) <= tol
 
 
 def hat(a, mode: str = "avg"):

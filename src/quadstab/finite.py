@@ -95,12 +95,9 @@ class GroupSpec:
     def decode_table(self) -> np.ndarray:
         return _decode_table(self.q, self.d)
 
-    def encode(self, coords) -> np.ndarray | int:
-        """Index of a coordinate vector (or batch of them), base-q little endian."""
-        c = np.asarray(coords, dtype=np.int64) % self.q
-        if c.ndim == 1 and c.shape[0] == self.d:
-            return int(c @ _powers(self.q, self.d))
-        return c @ _powers(self.q, self.d)
+    def encode(self, coords) -> np.ndarray:
+        """Index of each coordinate vector on the last axis, base-q little endian."""
+        return (np.asarray(coords, dtype=np.int64) % self.q) @ _powers(self.q, self.d)
 
     def add(self, i, j):
         return self.encode(self.decode_table()[np.asarray(i)] + self.decode_table()[np.asarray(j)])
@@ -138,8 +135,14 @@ def _powers(q: int, d: int):
 # admissibility
 
 
-def _obstruction_factors(a: int) -> list[tuple[str, int]]:
-    a = abs(int(a))
+def _shift(eq: EquationSpec) -> int:
+    """The shift a of the equation's derivation: 2 for fe1 and fe2, n-1 for fe3, a for fe3_0."""
+    return 2 if eq.id in ("fe1", "fe2") else int(eq.n) - 1 if eq.id == "fe3" else int(eq.a)
+
+
+def obstruction_factors(eq: EquationSpec) -> list[tuple[str, int]]:
+    """The listed factors of the derivation's shift a that q must not divide."""
+    a = abs(_shift(eq))
     base = [("2", 2), ("3", 3)]
     if a <= 2:
         # covered by the three-variable reduction, whose derivation divides
@@ -152,22 +155,6 @@ def _obstruction_factors(a: int) -> list[tuple[str, int]]:
         ("2a+1", 2 * a + 1),
         ("3a^2-3a+12", 3 * a * a - 3 * a + 12),
     ]
-
-
-def _shift(eq: EquationSpec) -> int:
-    """The shift a of the equation's derivation: 2 for fe1 and fe2, n-1 for fe3, a for fe3_0."""
-    return 2 if eq.id in ("fe1", "fe2") else int(eq.n) - 1 if eq.id == "fe3" else int(eq.a)
-
-
-def obstruction_factors(eq: EquationSpec) -> list[tuple[str, int]]:
-    return _obstruction_factors(_shift(eq))
-
-
-def obstruction_product(eq: EquationSpec) -> int:
-    out = 1
-    for _, f in obstruction_factors(eq):
-        out *= f
-    return out
 
 
 def _derived_factors(eq: EquationSpec) -> list[tuple[str, int]]:

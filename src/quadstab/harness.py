@@ -87,20 +87,12 @@ class ScenarioValidationError(ValueError):
         self.path = path
 
 
-# norm kind -> spec builder; each is called under _at
-_NORMS = {
-    "euclidean": lambda c: algebra.euclidean(c["dim"]),
-    "l1": lambda c: algebra.l1(c["dim"]),
-    "lp_quasi": lambda c: algebra.lp_quasi(c["p"], c["dim"]),
-    "weighted": lambda c: algebra.weighted(c["weights"]),
-}
-
 _NORM_SCHEMA = {
     "type": "object",
     "required": ["kind", "dim"],
     "additionalProperties": False,
     "properties": {
-        "kind": {"enum": list(_NORMS)},
+        "kind": {"enum": list(algebra._KINDS)},
         "dim": {"type": "integer", "minimum": 1},
         "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
@@ -168,9 +160,13 @@ def _equation(config: dict, key: str) -> EquationSpec:
 
 
 def _norm(config: dict, key: str) -> algebra.QuasiNormSpec:
-    """The norm section at `key`; every refusal names `key`."""
+    """The norm section at `key`, read by QuasiNormSpec, which refuses a field its kind
+    does not read; every refusal names `key`."""
     with _at(key):
-        return _NORMS[config[key]["kind"]](config[key])
+        c = config[key]
+        weights = tuple(float(w) for w in c.get("weights", ()))
+        return algebra.QuasiNormSpec(c["kind"], c["dim"], p=float(c.get("p", 1.0)),
+                                     weights=weights or None)
 
 
 def _mapping_from_config(cfg: dict, path: str) -> tuple[Mapping, object]:
@@ -245,9 +241,6 @@ class ResultRow:
     margin: float | None = None
     iterations: int = 0
     status: str
-
-    def csv_fields(self) -> list[str]:
-        return [_fmt(getattr(self, h)) for h in RESULT_HEADERS]
 
 
 RESULT_HEADERS = [f.name for f in fields(ResultRow)]
@@ -615,12 +608,6 @@ def validate_config(config: dict) -> None:
         raise ScenarioValidationError(path, err.message)
 
 
-def _resolve_outdir(outdir: str | None) -> str:
-    if outdir:
-        return outdir
-    return os.environ.get(OUTDIR_ENV, ".")
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text through a temporary file in the target directory, then rename it."""
     directory = os.path.dirname(path) or "."
@@ -641,7 +628,7 @@ def _write_csv(path: str, rows: list[ResultRow]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_HEADERS)
     for row in rows:
-        writer.writerow(row.csv_fields())
+        writer.writerow([_fmt(getattr(row, h)) for h in RESULT_HEADERS])
     _write_atomic(path, buf.getvalue())
 
 
@@ -656,7 +643,7 @@ def run_scenario(config: dict, outdir: str | None = None, write_csv: bool = True
     csv_path = None
     if write_csv:
         filename = config.get("output", {}).get("results_csv", f"{config['name']}.csv")
-        csv_path = os.path.join(_resolve_outdir(outdir), filename)
+        csv_path = os.path.join(outdir or os.environ.get(OUTDIR_ENV, "."), filename)
         _write_csv(csv_path, rows)
     return RunResult(config["name"], rows, summary, exit_code, csv_path)
 
@@ -812,9 +799,7 @@ def run_preset(name: str, outdir: str | None = None, seed: int | None = None,
 
 def _print_result(res: RunResult) -> None:
     print(f"[{res.name}] {res.summary.get('text', '')}")
-    counts: dict[str, int] = {}
-    for row in res.rows:
-        counts[row.status] = counts.get(row.status, 0) + 1
+    counts = Counter(row.status for row in res.rows)
     print("rows: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     if res.csv_path:
         print(f"results: {res.csv_path}")

@@ -15,6 +15,7 @@ import pytest
 
 import quadstab as qs
 import test_finite as finite_checks
+import test_harness as harness_checks
 import test_mappings as mapping_checks
 import test_stability as stability_checks
 
@@ -144,6 +145,39 @@ def zero_theta_refused(monkeypatch):
     monkeypatch.setattr(qs.stability.ControlFunction, "__post_init__", refuse_zero)
 
 
+def norm_fields_unread_by_kind_accepted(monkeypatch):
+    # QuasiNormSpec checks the kind, dim, p's range and the weights, but no longer refuses
+    # a p off lp_quasi or weights off weighted, which its norms then never read
+    def post_init(self):
+        if self.kind not in qs.algebra._KINDS:
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        if self.kind == "lp_quasi" and not 0.0 < self.p <= 1.0:
+            raise ValueError("lp_quasi requires 0 < p <= 1")
+        if self.kind == "weighted":
+            if self.weights is None or len(self.weights) != self.dim:
+                raise ValueError("weighted norm needs one positive weight per coordinate")
+            if any(w <= 0.0 for w in self.weights):
+                raise ValueError("weights must be positive")
+        object.__setattr__(self, "K", 2.0 ** (1.0 / self.p - 1.0) if self.kind == "lp_quasi" else 1.0)
+
+    monkeypatch.setattr(qs.algebra.QuasiNormSpec, "__post_init__", post_init)
+
+
+def unread_norm_fields_are_refused(monkeypatch):
+    # the norm sections of harness_checks._REFUSED that name a field the kind does not read
+    for name in harness_checks.UNREAD_NORM_FIELDS:
+        cfg, path = harness_checks._REFUSED[name]
+        try:
+            with np.errstate(all="ignore"):
+                qs.harness.run_scenario(cfg, write_csv=False)
+        except qs.harness.ScenarioValidationError as err:
+            assert err.path == path, name
+        else:
+            raise AssertionError(f"{name} ran")
+
+
 # mutant -> (apply it, the check that must fail under it)
 MUTANTS = {
     "closed form doubled in _bounds": (
@@ -185,6 +219,9 @@ MUTANTS = {
     "zero constant budget refused": (
         zero_theta_refused,
         lambda mp: stability_checks.test_zero_budgets_are_accepted()),
+    "norm fields unread by their kind accepted": (
+        norm_fields_unread_by_kind_accepted,
+        unread_norm_fields_are_refused),
 }
 
 

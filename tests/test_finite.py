@@ -198,6 +198,42 @@ def test_every_admitted_member_equals_fe1():
             compared += 1
     assert compared == 43
 
+
+# the gate's known conservatism: refused at d = 1, yet their solution space equals
+# fe1's (16 of the 30 refused full-plan systems over F_5 and F_7; 24 over q <= 13)
+_REFUSED_BUT_EQUAL = [
+    ("fe3:6", 5), ("fe3:8", 5), ("fe3_0:-5", 5), ("fe3_0:-3", 5), ("fe3_0:3", 5), ("fe3_0:5", 5),
+    ("fe3_0:7", 5), ("fe3_0:8", 5), ("fe3:4", 7), ("fe3:5", 7), ("fe3:8", 7), ("fe3_0:-4", 7),
+    ("fe3_0:-3", 7), ("fe3_0:3", 7), ("fe3_0:4", 7), ("fe3_0:7", 7),
+]
+
+
+def test_refused_members_equal_to_fe1_are_pinned():
+    def span(M):  # the RREF of the nullspace basis, one row per basis vector
+        basis = np.array(qs.nullspace_basis(M), dtype=np.int64).reshape(-1, M.group.size)
+        return qs.gf_rref(basis, M.group.q)
+
+    equal, compared = [], 0
+    for q in (5, 7):
+        group = GroupSpec(q, 1)
+        fe1 = span(qs.ConstraintMatrix(EquationSpec("fe1"), group))
+        for text in _GATE_SWEEP_MEMBERS:
+            eq = qs.parse_equation(text)
+            try:
+                qs.check_admissible(eq, group)
+                continue
+            except qs.InadmissibleGroupError:
+                pass
+            system = qs.ConstraintMatrix(eq, group)  # built past the gate
+            if system.plan != "full":
+                continue
+            compared += 1
+            if np.array_equal(span(system), fe1):
+                equal.append((text, q))
+    assert compared == 30
+    assert equal == _REFUSED_BUT_EQUAL
+
+
 def test_composite_moduli_are_refused():
     # odd composites pass q >= 5; only the primality test refuses them
     accepted = []
@@ -211,12 +247,12 @@ def test_composite_moduli_are_refused():
     assert accepted == []
 
 
-def test_obstruction_product():
-    assert qs.obstruction_product(EquationSpec("fe1")) == 6
-    assert qs.obstruction_product(EquationSpec("fe3", n=3)) == 6
-    prod = qs.obstruction_product(EquationSpec("fe3", n=4))  # a = 3
-    for factor in (2, 3, 2, 4, 5, 7, 30):
-        assert prod % factor == 0
+def test_obstruction_factors():
+    base = [("2", 2), ("3", 3)]
+    assert qs.finite.obstruction_factors(EquationSpec("fe1")) == base
+    assert qs.finite.obstruction_factors(EquationSpec("fe3", n=3)) == base
+    assert qs.finite.obstruction_factors(EquationSpec("fe3", n=4)) == base + [  # a = 3
+        ("a-1", 2), ("a+1", 4), ("2a-1", 5), ("2a+1", 7), ("3a^2-3a+12", 30)]
 
 
 def test_nullspace_fe1_f5_dimension_and_brute_force():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from collections import Counter
@@ -511,7 +512,24 @@ _REFUSED = {
     "oracle-fe3-arity": (_edit("oracle-fe3-fe1", ("equation_a.n", 65)), "equation_a"),
     "dimension-fe3-arity": (_edit("fe1-dimension", ("equation", {"id": "fe3", "n": 65})), "equation"),
     "covariance-fe3-arity": (_edit("unitary-covariance", ("n", 65)), "n"),
+    # norm sections that ran with a field unread: a dim that the weights fall short of,
+    # and a p or weights that the kind does not read
+    "norm-weights-short-of-dim": (_edit("inner-product-pass", ("norm", {
+        "kind": "weighted", "dim": 3, "weights": [1.0, 2.0]})), "norm"),
+    "norm-p-on-euclidean": (_edit("power-forward", ("norm", {"kind": "euclidean", "dim": 1, "p": 0.5}),
+                                  ("stability.bound_mode", "p")), "norm"),
+    "norm-weights-on-l1": (_edit("inner-product-fail", ("norm", {
+        "kind": "l1", "dim": 2, "weights": [1.0, 1.0]})), "norm"),
+    "domain-norm-p-on-l1": (_edit("power-forward", ("domain_norm", {"kind": "l1", "dim": 1, "p": 0.5})),
+                            "domain_norm"),
+    # a weight that json reads as NaN made every norm NaN, and the identity "held"
+    "norm-weight-nan": (_edit("inner-product-pass", ("norm", {
+        "kind": "weighted", "dim": 2, "weights": [1.0, float("nan")]})), "norm"),
 }
+
+# the rows above whose norm section ran with a field unread
+UNREAD_NORM_FIELDS = ["norm-weights-short-of-dim", "norm-p-on-euclidean", "norm-weights-on-l1",
+                      "domain-norm-p-on-l1"]
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSED))
@@ -587,10 +605,19 @@ def test_schema_kinds_come_from_the_runner_table():
     assert schema["properties"]["kind"]["enum"] == kinds
     assert [block["if"]["properties"]["kind"]["const"] for block in schema["allOf"]] == kinds
     assert [block["then"]["required"] for block in schema["allOf"]] == [s for _, s in h._KINDS.values()]
-    assert schema["properties"]["norm"]["properties"]["kind"]["enum"] == list(h._NORMS)
+    assert schema["properties"]["norm"]["properties"]["kind"]["enum"] == list(qs.algebra._KINDS)
     # the control variants have one owner too, the one list ControlFunction accepts
     variants = schema["properties"]["control"]["properties"]["variant"]["enum"]
     assert variants == list(qs.stability.CONTROL_VARIANTS)
+
+
+# the published schema, byte for byte; the norm kind enum follows the order of algebra._KINDS
+PUBLISHED_SCHEMA_SHA256 = "0e702bbdb0748be70300bc1d6ed1ae0bde76f26e2349c4a533b507dff9263f30"
+
+
+def test_published_schema_is_unchanged():
+    text = json.dumps(h.config_schema(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PUBLISHED_SCHEMA_SHA256
 
 
 def test_every_row_carries_the_run_name(tmp_path):
