@@ -11,7 +11,7 @@ the exact finite-field constraint matrices, so the two never drift apart.
 argument for a block of tuples at once; blocks hold at most `_BLOCK_ENTRIES`
 argument entries, so evaluating any number of tuples takes bounded memory.
 
-Equation ids follow the config wire format:
+Equation ids follow the config wire format; `EQUATION_IDS` owns them:
 
     fe1        f(x+y) + f(x-y) = 2f(x) + 2f(y)
     fe2        3f(x-y) + 3f(y-z) + 3f(x-z)
@@ -32,6 +32,8 @@ import numpy as np
 Term = tuple[int, tuple[int, ...]]
 
 _BLOCK_ENTRIES = 1 << 16  # term-argument entries per evaluated block: bounds a block's memory
+
+EQUATION_IDS = ("fe1", "fe2", "fe3", "fe3_0")  # the config wire ids; the schema's id enum reads them
 
 MAX_FE3_ARITY = 64  # fe3's term list has n(n+1)/2 terms of length n: 2,080 at the cap
 
@@ -86,16 +88,15 @@ class EquationSpec:
     a: int | None = None
 
     def __post_init__(self):
+        if self.id not in EQUATION_IDS:
+            raise ValueError(f"unknown equation id {self.id!r}")
         if self.id == "fe3":
             if self.n is None or int(self.n) < 3:
                 raise ValueError("fe3 requires an arity n >= 3")
             if int(self.n) > MAX_FE3_ARITY:
                 raise ValueError(f"fe3 arity capped at n = {MAX_FE3_ARITY}, got n = {self.n}")
-        elif self.id == "fe3_0":
-            if self.a is None or abs(int(self.a)) == 1:
-                raise ValueError("fe3_0 requires an integer a with |a| != 1")
-        elif self.id not in ("fe1", "fe2"):
-            raise ValueError(f"unknown equation id {self.id!r}")
+        elif self.id == "fe3_0" and (self.a is None or abs(int(self.a)) == 1):
+            raise ValueError("fe3_0 requires an integer a with |a| != 1")
 
     @property
     def arity(self) -> int:

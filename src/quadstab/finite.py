@@ -15,8 +15,9 @@ does not grow with the candidate count.  Rows are checked and
 densified by one table kernel: a term's column is read from per-system
 lookup tables, and each check reduces mod q once.
 Each equation's constraints are streamed once; two solution spaces are
-compared as the column spans of their nullspace matrices.  Groups over the
-dense-elimination column cap are refused when the group or system is built.
+compared through the row basis each stream already holds: a table solves
+the other side's system iff that side's row basis annihilates it.  Groups over the
+dense-elimination column cap are refused when the group is built, by `GroupSpec`.
 Admissibility reads the equation's shift a from one place, `_shift`, and
 the factors where constant or additive maps solve it from its terms.
 
@@ -58,10 +59,6 @@ class InadmissibleGroupError(ValueError):
         self.factor = factor
 
 
-def _over_cap(q: int, d: int) -> ValueError:
-    return ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, group has q^d = {q}^{d}")
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -81,12 +78,15 @@ class GroupSpec:
     d: int = 1
 
     def __post_init__(self):
-        if self.q > MAX_COLUMNS:  # q^d >= q columns; refused before the O(sqrt q) primality test
-            raise _over_cap(self.q, self.d)
-        if not _is_prime(self.q) or self.q < 5:
-            raise ValueError("q must be a prime >= 5")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        # 2^bit_length exceeds the cap, so for q >= 2 this decides q^d > cap without forming
+        # q^d; it runs before the O(sqrt q) primality test and before any table is built
+        if self.q ** min(self.d, MAX_COLUMNS.bit_length()) > MAX_COLUMNS:
+            raise ValueError(f"dense elimination capped at {MAX_COLUMNS} columns, "
+                             f"group has q^d = {self.q}^{self.d}")
+        if not _is_prime(self.q) or self.q < 5:
+            raise ValueError("q must be a prime >= 5")
 
     @property
     def size(self) -> int:
@@ -203,10 +203,7 @@ class ConstraintMatrix:
     """
 
     def __init__(self, eq, group: GroupSpec):
-        q, d = group.q, group.d
-        # 2^bit_length exceeds the cap, so for q >= 2 this decides q^d > cap without forming q^d
-        if q ** min(d, MAX_COLUMNS.bit_length()) > MAX_COLUMNS:
-            raise _over_cap(q, d)
+        q = group.q
         terms, self.arity = equation_terms(eq)
         # reduced once, coefficients into [0, q) and weights into (-q/2, q/2), for any
         # integer parameters: a term's exact argument is then at most arity (q-1) q/2 and
@@ -409,8 +406,8 @@ def _residual_nonzero(M: ConstraintMatrix, tuples: np.ndarray, candidates: np.nd
     return acc != 0
 
 
-def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
-    """Exact nullspace (as columns) of the streamed system.
+def _stream_nullspace(M: ConstraintMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The streamed system's RREF row basis R and its exact nullspace (as columns) null(R).
 
     Works because over a field a row annihilates null(B) iff it lies in
     rowspace(B): verified rows are provably redundant, violating rows are
@@ -447,13 +444,13 @@ def _stream_nullspace(M: ConstraintMatrix) -> np.ndarray:
                 pending = np.concatenate([bad[merge_cap:], pending])
         if not null.shape[1]:
             break  # an empty nullspace stays empty: draw no more rows
-    return null
+    return basis, null
 
 
 def nullspace_basis(M: ConstraintMatrix) -> list[np.ndarray]:
     """Basis of {f : Mf = 0}; dimension = columns - rank.  For a dense matrix
     A, `gf_nullspace(gf_rref(A, q), q, cols)` gives the basis as columns."""
-    null = _stream_nullspace(M)
+    _, null = _stream_nullspace(M)
     return [null[:, j].copy() for j in range(null.shape[1])]
 
 
@@ -479,13 +476,6 @@ def constraints_hold(M: ConstraintMatrix, vectors) -> np.ndarray:
     return ok
 
 
-def _outside_span(V: np.ndarray, N: np.ndarray, q: int) -> np.ndarray:
-    """Columns of V (entries reduced mod q) outside the column span of N over
-    GF(q): a row v lies in the row space of R = rref(N^T) iff v = v[pivots] @ R."""
-    R = gf_rref(N.T, q)
-    return np.nonzero(((V.T[:, _pivot_columns(R)] @ R - V.T) % q).any(axis=1))[0]
-
-
 @dataclass
 class SpaceComparison:
     equal: bool
@@ -501,18 +491,20 @@ class SpaceComparison:
 def spaces_equal(eqA, eqB, G: GroupSpec) -> SpaceComparison:
     """Do the two equations have the same solution space over the group?
 
-    Both nullspaces are exact for their streamed systems, so the spaces are
-    compared as column spans.  When they differ, the certificate is the first
-    basis column of one side outside the other's span: a function table
-    solving one equation but not the other.
+    Both nullspaces are exact for their streamed systems, and over a field the
+    span of one side's nullspace is exactly null(R) of its row basis R.  So a
+    basis column v of one side lies outside the other side's span iff
+    R_other v != 0 mod q; the first such column is the certificate, a function
+    table solving one equation but not the other.  Entries are below q <= 10^4
+    and rows at most 10^4 long, so R v stays below 2^63.
     """
     MA = enumerate_constraints(eqA, G)
     MB = enumerate_constraints(eqB, G)
-    NB = _stream_nullspace(MB)
-    NA = _stream_nullspace(MA)
+    RB, NB = _stream_nullspace(MB)
+    RA, NA = _stream_nullspace(MA)
     dims = (NA.shape[1], NB.shape[1])
-    for side, N, V in (("right-only", NA, NB), ("left-only", NB, NA)):
-        outside = _outside_span(V, N, G.q)
+    for side, R, V in (("right-only", RA, NB), ("left-only", RB, NA)):
+        outside = np.flatnonzero(((R @ V) % G.q).any(axis=0))
         if outside.size:
             return SpaceComparison(False, *dims, certificate=V[:, outside[0]].copy(), side=side)
     return SpaceComparison(True, *dims)
@@ -625,9 +617,10 @@ def inner_product_characterization(spec: QuasiNormSpec, mode: str, param: int,
         # res starts at 0.0 and scale at 1.0, and both add the terms in order
         res = term_sum(np.concatenate([np.zeros((len(P), 1)), terms], axis=1))
         scale = term_sum(np.concatenate([np.ones((len(P), 1)), np.abs(terms)], axis=1))
-        hits = np.flatnonzero(np.abs(res) > _IDENTITY_RTOL * scale)
+        # a residual that is not finite is a violation, also inf against an inf scale
+        hits = np.flatnonzero((np.abs(res) > _IDENTITY_RTOL * scale) | ~np.isfinite(res))
         seen = np.abs(res[:hits[0] + 1] if hits.size else res)
-        sup = max(sup, float(np.fmax.reduce(seen)))  # fmax and max both pass over NaN
+        sup = float(np.max(seen, initial=sup))  # np.max keeps a NaN, where fmax drops it
         if hits.size:
             return CharacterizationResult(False, sup, witness=tuple(P[hits[0]].copy()),
                                           witness_residual=float(res[hits[0]]))

@@ -44,7 +44,7 @@ import numpy as np
 import jsonschema
 
 from . import algebra, finite
-from .equations import EquationSpec, parse_equation
+from .equations import EQUATION_IDS, EquationSpec, parse_equation
 from .mappings import Mapping, mapping_from_config
 from .stability import (
     CONTROL_VARIANTS,
@@ -104,7 +104,7 @@ _EQUATION_SCHEMA = {
     "required": ["id"],
     "additionalProperties": False,
     "properties": {
-        "id": {"enum": ["fe1", "fe2", "fe3", "fe3_0"]},
+        "id": {"enum": list(EQUATION_IDS)},
         "n": {"type": "integer", "minimum": 3},
         "a": {"type": "integer"},
     },
@@ -185,8 +185,6 @@ def _probes_from_config(cfg, seed: int, domain, path: str) -> tuple:
                 p = np.asarray(p, dtype=float)
                 if p.size != zero.size:
                     raise ValueError(f"probe has {p.size} entries, domain points have shape {zero.shape}")
-                if not np.isfinite(p).all():  # json reads NaN and Infinity
-                    raise ValueError("probe entries must be finite")
                 probes.append(p.reshape(zero.shape))
         return tuple(probes)
     rng = np.random.default_rng([int(seed), 161803])
@@ -381,16 +379,18 @@ def _run_inner_product(config: dict) -> tuple[list[ResultRow], dict]:
         ok = result.passed
         text = ("identity holds on all samples" if ok
                 else f"identity violated, residual {result.witness_residual}")
-    else:
-        ok = not result.passed
+    else:  # a witness whose residual is not finite is no witness
+        r = result.witness_residual
+        ok = not result.passed and math.isfinite(r)
         if ok and "witness" in config:
             want = config["witness"]
             wx, wy = result.witness[0], result.witness[1]
             with _at("witness"):
                 ok = (np.allclose(wx, want["x"]) and np.allclose(wy, want["y"])
-                      and abs(result.witness_residual - want["residual"]) <= 1e-9)
-        text = (f"witness found, residual {result.witness_residual}" if not result.passed
-                else "expected a witness but the identity held")
+                      and abs(r - want["residual"]) <= 1e-9)
+        text = ("expected a witness but the identity held" if result.passed
+                else f"witness found, residual {r}" if math.isfinite(r)
+                else f"witness residual {r} is not finite")
     probe = "-"
     deviation = result.sup_residual
     if result.witness is not None:
@@ -446,7 +446,7 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
             bound = closed_form_bounds(n, "constant", "forward", K=K, theta=theta)
             entry["bound"] = bound
             rows.append(ResultRow(probe=_fmt(K), q_estimate=f"denominator={_fmt(denom)}", bound=bound,
-                                  status=STATUS_PASS))
+                                  status=STATUS_PASS if math.isfinite(bound) else STATUS_FAIL))
         except DivergenceError as e:
             rows.append(_rejected(_fmt(K), e, f"denominator={_fmt(denom)}"))
         sweep.append(entry)
@@ -454,6 +454,8 @@ def _run_deadzone(config: dict) -> tuple[list[ResultRow], dict]:
     crossing = (min(denoms) <= 0.0) and (max(denoms) > 0.0)
     text = ("denominator (n-1)^2 - K crosses zero across the sweep" if crossing
             else "denominator does not cross zero in this sweep")
+    if overflowed := [r.probe for r in rows if r.status == STATUS_FAIL]:
+        text += f"; bound out of floating-point range at K = {', '.join(overflowed)}"
     return rows, {"text": text, "sweep": sweep, "crosses_zero": crossing}
 
 
@@ -600,12 +602,26 @@ def config_schema() -> dict:
     return json.loads(json.dumps(SCENARIO_SCHEMA))
 
 
+def _non_finite(node, path: str):
+    """The dotted path of the first NaN or infinite float under `node` (json reads both), or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if (found := _non_finite(value, f"{path}.{key}" if path else str(key))) is not None:
+            return found
+    return None
+
+
 def validate_config(config: dict) -> None:
+    """Check the config against the schema, then refuse any number in it that is not finite."""
     errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = ".".join(str(p) for p in err.absolute_path) or "<root>"
         raise ScenarioValidationError(path, err.message)
+    if (path := _non_finite(config, "")) is not None:
+        raise ScenarioValidationError(path, "number must be finite")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -867,16 +883,12 @@ def main(argv=None) -> int:
 
     if args.command == "plotdata":
         try:
-            with open(args.results_csv, newline="") as fh:
-                reader = csv.DictReader(fh)
-                rows = []
-                for rec in reader:
-                    if not (rec.get("norm_x") and rec.get("deviation") and rec.get("bound")):
-                        continue
-                    rows.append(ResultRow(
-                        scenario=rec.get("scenario", ""), probe=rec.get("probe", ""),
-                        norm_x=float(rec["norm_x"]), deviation=float(rec["deviation"]),
-                        bound=float(rec["bound"]), status=rec.get("status", "")))
+            with open(args.results_csv, newline="") as fh:  # an empty cell reads as None
+                rows = [ResultRow(scenario=rec.get("scenario", ""), probe=rec.get("probe", ""),
+                                  status=rec.get("status", ""),
+                                  **{k: float(rec[k]) if rec.get(k) else None
+                                     for k in ("norm_x", "deviation", "bound")})
+                        for rec in csv.DictReader(fh)]
             text = emit_plotdata(rows, path=args.output)
         except (OSError, ValueError, KeyError) as e:
             print(f"error: {e}", file=sys.stderr)

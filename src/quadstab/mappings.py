@@ -295,45 +295,40 @@ class Custom(Mapping):
         return np.stack([np.asarray(self.fn(p)) for p in x])
 
 
-# config family -> the coordinatewise bumps that take only `d`
-_BUMPS = {"sine": Sine, "cosine": Cosine, "odd_growth": OddGrowth}
+def _parts(cfg: dict) -> list[Mapping]:
+    return [mapping_from_config(c) for c in cfg["parts"]]
+
+
+def _matrix_sine_bump(cfg: dict) -> MatrixSineBump:
+    h = np.asarray(cfg["h_real"], dtype=float)
+    return MatrixSineBump(h + 1j * np.asarray(cfg["h_imag"], dtype=float) if "h_imag" in cfg else h)
+
+
+# config family -> the builder that takes its section
+_FAMILIES = {
+    "sine": lambda c: Sine(d=int(c.get("d", 1))),
+    "cosine": lambda c: Cosine(d=int(c.get("d", 1))),
+    "odd_growth": lambda c: OddGrowth(d=int(c.get("d", 1))),
+    "quadratic_form": lambda c: QuadraticForm(c["coefficients"], k=int(c.get("k", 1)),
+                                              complex_scalars=bool(c.get("complex", False))),
+    "matrix_square": lambda c: MatrixSquare(int(c["k"])),
+    "monomial": lambda c: Monomial(int(c["degree"]), d=int(c.get("d", 1))),
+    "constant": lambda c: ConstantMap(c["value"], d=int(c.get("d", 1))),
+    "matrix_sine_bump": _matrix_sine_bump,
+    "perturbed": lambda c: Perturbed(mapping_from_config(c["base"]), mapping_from_config(c["bump"]),
+                                     float(c.get("amplitude", 1.0))),
+    "scaled": lambda c: Scaled(mapping_from_config(c["inner"]), float(c["factor"])),
+    "sum": lambda c: SumMapping(_parts(c)),
+    "stack": lambda c: Stack(_parts(c)),
+}
 
 
 def mapping_from_config(cfg: dict) -> Mapping:
     """Build a mapping from its serialized form (see harness config schema)."""
     family = cfg.get("family")
-    if isinstance(family, str) and family in _BUMPS:
-        return _BUMPS[family](d=int(cfg.get("d", 1)))
-    if family == "quadratic_form":
-        return QuadraticForm(
-            cfg["coefficients"],
-            k=int(cfg.get("k", 1)),
-            complex_scalars=bool(cfg.get("complex", False)),
-        )
-    if family == "matrix_square":
-        return MatrixSquare(int(cfg["k"]))
-    if family == "monomial":
-        return Monomial(int(cfg["degree"]), d=int(cfg.get("d", 1)))
-    if family == "constant":
-        return ConstantMap(cfg["value"], d=int(cfg.get("d", 1)))
-    if family == "matrix_sine_bump":
-        h = np.asarray(cfg["h_real"], dtype=float)
-        if "h_imag" in cfg:
-            h = h + 1j * np.asarray(cfg["h_imag"], dtype=float)
-        return MatrixSineBump(h)
-    if family == "perturbed":
-        return Perturbed(
-            mapping_from_config(cfg["base"]),
-            mapping_from_config(cfg["bump"]),
-            float(cfg.get("amplitude", 1.0)),
-        )
-    if family == "scaled":
-        return Scaled(mapping_from_config(cfg["inner"]), float(cfg["factor"]))
-    if family == "sum":
-        return SumMapping([mapping_from_config(c) for c in cfg["parts"]])
-    if family == "stack":
-        return Stack([mapping_from_config(c) for c in cfg["parts"]])
-    raise ValueError(f"unknown or non-serializable mapping family {family!r}")
+    if not (isinstance(family, str) and family in _FAMILIES):
+        raise ValueError(f"unknown or non-serializable mapping family {family!r}")
+    return _FAMILIES[family](cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -165,17 +165,68 @@ def norm_fields_unread_by_kind_accepted(monkeypatch):
     monkeypatch.setattr(qs.algebra.QuasiNormSpec, "__post_init__", post_init)
 
 
-def unread_norm_fields_are_refused(monkeypatch):
-    # the norm sections of harness_checks._REFUSED that name a field the kind does not read
-    for name in harness_checks.UNREAD_NORM_FIELDS:
-        cfg, path = harness_checks._REFUSED[name]
-        try:
-            with np.errstate(all="ignore"):
-                qs.harness.run_scenario(cfg, write_csv=False)
-        except qs.harness.ScenarioValidationError as err:
-            assert err.path == path, name
-        else:
-            raise AssertionError(f"{name} ran")
+def refused_on_their_field(names):
+    """A check that each named config of harness_checks._REFUSED exits 2 on its own field."""
+    def check(monkeypatch):
+        for name in names:
+            cfg, path = harness_checks._REFUSED[name]
+            try:
+                with np.errstate(all="ignore"):
+                    qs.harness.run_scenario(cfg, write_csv=False)
+            except qs.harness.ScenarioValidationError as err:
+                assert err.path == path, name
+            else:
+                raise AssertionError(f"{name} ran")
+    return check
+
+
+def spaces_against_their_own_basis(monkeypatch):
+    # spaces_equal tests each side's nullspace columns against that side's own row
+    # basis (RA and RB swapped), which every column satisfies
+    finite = qs.finite
+
+    def own_basis(eqA, eqB, G):
+        RB, NB = finite._stream_nullspace(finite.enumerate_constraints(eqB, G))
+        RA, NA = finite._stream_nullspace(finite.enumerate_constraints(eqA, G))
+        dims = (NA.shape[1], NB.shape[1])
+        for side, R, V in (("right-only", RB, NB), ("left-only", RA, NA)):
+            outside = np.flatnonzero(((R @ V) % G.q).any(axis=0))
+            if outside.size:
+                return finite.SpaceComparison(False, *dims, certificate=V[:, outside[0]].copy(), side=side)
+        return finite.SpaceComparison(True, *dims)
+
+    for namespace in (qs, finite):
+        monkeypatch.setattr(namespace, "spaces_equal", own_basis)
+
+
+def group_without_the_column_cap(monkeypatch):
+    # GroupSpec checks d and primality but no longer refuses q^d over the column cap
+    def post_init(self):
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
+        if not qs.finite._is_prime(self.q) or self.q < 5:
+            raise ValueError("q must be a prime >= 5")
+
+    monkeypatch.setattr(qs.finite.GroupSpec, "__post_init__", post_init)
+
+
+def config_numbers_unwalked(monkeypatch):
+    # validate_config checks the schema but no longer refuses a NaN or infinite number
+    monkeypatch.setattr(qs.harness, "_non_finite", lambda node, path: None)
+
+
+def deadzone_passes_any_bound(monkeypatch):
+    # _run_deadzone marks every computed bound pass, also one that is not finite
+    run, sections = qs.harness._KINDS["deadzone"]
+
+    def passing(config):
+        rows, summary = run(config)
+        for row in rows:
+            if row.status == qs.harness.STATUS_FAIL:
+                row.status = qs.harness.STATUS_PASS
+        return rows, summary
+
+    monkeypatch.setitem(qs.harness._KINDS, "deadzone", (passing, sections))
 
 
 # mutant -> (apply it, the check that must fail under it)
@@ -221,7 +272,19 @@ MUTANTS = {
         lambda mp: stability_checks.test_zero_budgets_are_accepted()),
     "norm fields unread by their kind accepted": (
         norm_fields_unread_by_kind_accepted,
-        unread_norm_fields_are_refused),
+        refused_on_their_field(harness_checks.UNREAD_NORM_FIELDS)),
+    "spaces_equal tests each side against its own basis": (
+        spaces_against_their_own_basis,
+        lambda mp: finite_checks.test_spaces_differ_with_certificate()),
+    "GroupSpec without the column cap": (
+        group_without_the_column_cap,
+        finite_checks.test_group_validation),
+    "validate_config without the finiteness walk": (
+        config_numbers_unwalked,
+        refused_on_their_field(harness_checks.NON_FINITE_NUMBERS)),
+    "_run_deadzone passing a bound that is not finite": (
+        deadzone_passes_any_bound,
+        lambda mp: harness_checks.test_a_deadzone_bound_out_of_range_is_no_pass()),
 }
 
 

@@ -62,7 +62,9 @@ def test_group_validation(monkeypatch):
         GroupSpec(5, 0)
     assert GroupSpec(5, 2).size == 25
     # a prime over the column cap is refused before its O(sqrt q) primality test
-    monkeypatch.setattr("quadstab.finite._is_prime", lambda n: pytest.fail("primality tested"))
+    def primality_tested(n):
+        raise AssertionError("primality tested")
+    monkeypatch.setattr("quadstab.finite._is_prime", primality_tested)
     with pytest.raises(ValueError, match="capped at 10000 columns.*10000000000037"):
         GroupSpec(10**13 + 37)
 
@@ -445,6 +447,18 @@ def test_inner_product_characterization_l1_witness():
     assert res.witness_residual == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [qs.QuasiNormSpec("lp_quasi", 2, p=0.001), qs.weighted([1e308, 1.0])],
+                         ids=["lp-tiny-p", "weighted-huge"])
+def test_a_non_finite_identity_residual_is_a_violation(spec):
+    # the squared norms overflow, so the residual is NaN: a violation at the first
+    # tuple, which the sup keeps rather than dropping
+    with np.errstate(all="ignore"):
+        res = qs.inner_product_characterization(spec, "b", 2, trials=50, seed=0)
+    assert not res.passed
+    assert res.witness is not None and np.isnan(res.witness_residual)
+    assert np.isnan(res.sup_residual)
+
+
 def _reference_characterization(spec, mode, param, trials, seed):
     """The characterization one tuple at a time: per-point norms and a running max."""
     eq = EquationSpec("fe3_0", a=param) if mode == "b" else EquationSpec("fe3", n=param)
@@ -556,16 +570,17 @@ def test_constraints_hold_validates_its_vectors():
 
 
 def test_columns_cap(monkeypatch):
-    # dense elimination is capped at 10^4 columns
-    g = GroupSpec(101, 2)  # 10201 columns
-    with pytest.raises(ValueError, match="capped"):
-        qs.nullspace_basis(qs.enumerate_constraints(EquationSpec("fe1"), g))
-    # the cap is checked when the system is built, before any tuple exists
-    def no_tuples(*args):
-        raise AssertionError("substitution tuples built for an over-cap group")
-    monkeypatch.setattr("quadstab.finite.structured_tuples", no_tuples)
-    with pytest.raises(ValueError, match="capped"):
-        qs.ConstraintMatrix(EquationSpec("fe3", n=4), g)
+    # dense elimination is capped at 10^4 columns, and the cap is checked when the
+    # group is built, before any decode table or substitution tuple exists
+    def nothing_built(*args):
+        raise AssertionError("a table built for an over-cap group")
+    monkeypatch.setattr("quadstab.finite._decode_table", nothing_built)
+    monkeypatch.setattr("quadstab.finite.structured_tuples", nothing_built)
+    with pytest.raises(ValueError, match="capped at 10000 columns.*101\\^2"):
+        GroupSpec(101, 2)  # 10201 columns
+    # 5^30 columns: a decode table numpy could not allocate, refused with the group
+    with pytest.raises(ValueError, match="capped at 10000 columns.*5\\^30"):
+        GroupSpec(5, 30)
 
 
 # ---------------------------------------------------------------------------

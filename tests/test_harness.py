@@ -84,6 +84,32 @@ def test_deadzone_preset(tmp_path):
         assert (row.status == "rejected-open-problem") == (K >= 4.0)
 
 
+def test_a_deadzone_bound_out_of_range_is_no_pass():
+    # a finite theta of 1e308 overflows the closed form: its row has bound inf and fails
+    cfg = _edit("open-problem-deadzone", ("theta", 1e308), ("K_sweep", [3.0]), ("expected_status", None))
+    res = h.run_scenario(cfg, write_csv=False)
+    assert [(r.status, r.bound) for r in res.rows] == [(h.STATUS_FAIL, float("inf"))]
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert res.summary["text"] == ("denominator does not cross zero in this sweep; "
+                                   "bound out of floating-point range at K = 3.0")
+
+
+@pytest.mark.parametrize("norm", [{"kind": "lp_quasi", "dim": 2, "p": 0.001},
+                                  {"kind": "weighted", "dim": 2, "weights": [1e308, 1.0]}],
+                         ids=["lp-tiny-p", "weighted-huge"])
+@pytest.mark.parametrize("expect, text", [("pass", "identity violated, residual nan"),
+                                          ("witness", "witness residual nan is not finite")])
+def test_a_non_finite_identity_residual_fails_the_run(norm, expect, text):
+    # the squared norms overflow: the identity does not "hold", and a witness
+    # whose residual is not finite is no witness
+    cfg = _edit("inner-product-pass", ("norm", norm), ("expect", expect))
+    with np.errstate(all="ignore"):
+        res = h.run_scenario(cfg, write_csv=False)
+    assert [r.status for r in res.rows] == [h.STATUS_FAIL]
+    assert res.exit_code == h.EXIT_BOUND_VIOLATION
+    assert res.summary["text"] == text
+
+
 def test_determinism_byte_identical_csv(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -461,14 +487,17 @@ def test_tabulated_mapping_is_refused_by_real_runs(preset, nest, tmp_path, capsy
 
 
 def _edit(preset, *path_value):
-    """A preset config with each (dotted path, value) pair set."""
+    """A preset config with each (dotted path, value) pair set; a value of None drops the field."""
     cfg = h.preset_config(preset)
     for path, value in path_value:
         *keys, last = path.split(".")
         node = cfg
         for k in keys:
             node = node[k]
-        node[last] = value
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
     return cfg
 
 
@@ -522,14 +551,31 @@ _REFUSED = {
         "kind": "l1", "dim": 2, "weights": [1.0, 1.0]})), "norm"),
     "domain-norm-p-on-l1": (_edit("power-forward", ("domain_norm", {"kind": "l1", "dim": 1, "p": 0.5})),
                             "domain_norm"),
-    # a weight that json reads as NaN made every norm NaN, and the identity "held"
+    # a weight that json reads as NaN made every norm NaN, and the identity "held";
+    # the config's finiteness walk names the weight itself
     "norm-weight-nan": (_edit("inner-product-pass", ("norm", {
-        "kind": "weighted", "dim": 2, "weights": [1.0, float("nan")]})), "norm"),
+        "kind": "weighted", "dim": 2, "weights": [1.0, float("nan")]})), "norm.weights.1"),
+    # numbers that json reads as NaN or Infinity, which ran: an infinite tolerance passed
+    # every probe or row whatever its deviation, and a non-finite theta or K passed a
+    # dead-zone row with bound nan or inf, or marked it rejected-open-problem
+    "stability-tol-inf": (_edit("power-forward", ("mapping", {"family": "monomial", "degree": 3}),
+                                ("control", {"variant": "power", "epsilon": 1e-6, "r": 1.0}),
+                                ("stability.tol", float("inf"))), "stability.tol"),
+    "bound-equality-tol-inf": (_edit("k1-equals-p1", ("tol", float("inf"))), "tol"),
+    "covariance-tol-inf": (_edit("unitary-covariance", ("tol", float("inf"))), "tol"),
+    "deadzone-theta-nan": (_edit("open-problem-deadzone", ("theta", float("nan")), ("K_sweep", [3.0]),
+                                 ("expected_status", None)), "theta"),
+    "deadzone-theta-inf": (_edit("open-problem-deadzone", ("theta", float("inf")), ("K_sweep", [3.0]),
+                                 ("expected_status", None)), "theta"),
+    "deadzone-K-nan": (_edit("open-problem-deadzone", ("K_sweep", [3.0, float("nan")])), "K_sweep.1"),
 }
 
 # the rows above whose norm section ran with a field unread
 UNREAD_NORM_FIELDS = ["norm-weights-short-of-dim", "norm-p-on-euclidean", "norm-weights-on-l1",
                       "domain-norm-p-on-l1"]
+# the rows above refused for a number that is not finite
+NON_FINITE_NUMBERS = ["norm-weight-nan", "stability-tol-inf", "bound-equality-tol-inf",
+                      "covariance-tol-inf", "deadzone-theta-nan", "deadzone-theta-inf", "deadzone-K-nan"]
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSED))
@@ -609,6 +655,8 @@ def test_schema_kinds_come_from_the_runner_table():
     # the control variants have one owner too, the one list ControlFunction accepts
     variants = schema["properties"]["control"]["properties"]["variant"]["enum"]
     assert variants == list(qs.stability.CONTROL_VARIANTS)
+    # and the equation ids, the ones EquationSpec accepts
+    assert schema["properties"]["equation"]["properties"]["id"]["enum"] == list(qs.equations.EQUATION_IDS)
 
 
 # the published schema, byte for byte; the norm kind enum follows the order of algebra._KINDS
@@ -650,6 +698,7 @@ def test_power_fit_with_an_overflowing_weight_is_a_control_error(tmp_path):
 @pytest.mark.parametrize("preset, key", [("power-forward", "stability.probes"),
                                          ("unitary-covariance", "probes")])
 def test_non_finite_probe_entries_are_refused_on_their_probe(entries, preset, key):
+    # the config's finiteness walk names the entry inside the last probe
     cfg = h.preset_config(preset)
     probes = json.loads(entries)  # json reads NaN and Infinity
     if preset == "unitary-covariance":  # points of M_2(C), written as their 4 entries
@@ -658,8 +707,9 @@ def test_non_finite_probe_entries_are_refused_on_their_probe(entries, preset, ke
     (cfg[section] if section else cfg)[field] = probes
     with pytest.raises(h.ScenarioValidationError) as err:
         h.run_scenario(cfg, write_csv=False)
-    assert err.value.path == f"{key}.{len(probes) - 1}"
-    assert "finite" in str(err.value)
+    entry = ".0" if preset == "power-forward" else ".0.0"
+    assert err.value.path == f"{key}.{len(probes) - 1}{entry}"
+    assert "number must be finite" in str(err.value)
 
 
 @pytest.mark.parametrize("preset, key", [("power-forward", "stability.probes"),
