@@ -37,9 +37,9 @@ vals = [np.linalg.norm(qs.approximate_remainder(ms, qs.sample_unitary(2, seed=s)
         for s in range(20)]
 print(f"twisted residual of x x* over 20 unitaries: max {max(vals):.3e}")
 
-# scalar algebra: hat(u) = |u|^2, and the hermitian square scales accordingly
+# scalar algebra: u Q(t) u* = |u|^2 Q(t), and the hermitian square scales accordingly
 sq = qs.QuadraticForm([[1.0]], complex_scalars=True)
 t = np.array([1.5 + 0.5j])
 u1 = np.exp(0.9j)
 print(f"\nscalar case: |u t|^2 = {sq(qs.act(u1, t)):.6f}, "
-      f"hat(u) |t|^2 = {qs.hat(u1) * sq(t):.6f}")
+      f"|u|^2 |t|^2 = {abs(u1) ** 2 * sq(t):.6f}")

@@ -7,7 +7,7 @@ The library has four layers:
               unitary sampling and the module action
   equations + mappings
               the equation family (fe1, fe2, fe3, fe3_0) as shared term
-              lists, closed-form mapping families, residual evaluators,
+              lists, closed-form mapping families, `equation_residual`,
               and the unitary-twisted approximate remainder
   finite      exact solution-space oracles over (Z/q)^d: GF(q) nullspaces,
               equation equivalence certificates, polarization, and the
@@ -28,7 +28,6 @@ from .algebra import (
     conjugate_value,
     coordinate_magnitudes,
     euclidean,
-    hat,
     l1,
     lp_quasi,
     norm_eval,
@@ -58,12 +57,7 @@ from .mappings import (
     empirical_sup_residual,
     equation_residual,
     mapping_from_config,
-    residual_fe1,
-    residual_fe2,
-    residual_fe3,
-    residual_fe3_0,
     sample_residuals,
-    value_norm,
 )
 from .finite import (
     CharacterizationResult,
@@ -98,7 +92,6 @@ from .stability import (
     hyers_iterate,
     iterate_gap_bound,
     phi_cap,
-    point_norm,
     power,
     power_regime,
     series_bound_backward,

@@ -59,9 +59,6 @@ class QuasiNormSpec:
                 raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "K", 2.0 ** (1.0 / self.p - 1.0) if self.kind == "lp_quasi" else 1.0)
 
-    def norm(self, x) -> float:
-        return norm_eval(self, x)
-
 
 def euclidean(dim: int) -> QuasiNormSpec:
     return QuasiNormSpec("euclidean", dim)
@@ -126,10 +123,11 @@ def _norms(spec: QuasiNormSpec | None, mags) -> np.ndarray:
     return _scalar_pow((mags**spec.p).sum(axis=-1), 1.0 / spec.p)
 
 
-def norm_eval(spec: QuasiNormSpec, x) -> float:
+def norm_eval(spec: QuasiNormSpec | None, x) -> float:
     """The quasi-norm of one module point with spec.dim coordinates; `_norms` on a block of one.
 
-    Matrix coordinates contribute their Frobenius norm before aggregation.
+    Matrix coordinates contribute their Frobenius norm before aggregation.  spec None
+    is the Euclidean aggregate of any number of coordinates, the default domain norm.
     """
     return float(_norms(spec, coordinate_magnitudes(x)))
 
@@ -155,31 +153,19 @@ def codomain_norm(spec: QuasiNormSpec | None, v) -> float:
     return float(codomain_norms(spec, np.asarray(v)[np.newaxis])[0])
 
 
-def concavity_modulus_estimate(spec: QuasiNormSpec, sampler=None, trials: int = 200, seed: int = 0) -> float:
+def concavity_modulus_estimate(spec: QuasiNormSpec, trials: int = 200, seed: int = 0) -> float:
     """Estimate the smallest workable K as sup ||x+y|| / (||x|| + ||y||) over sampled pairs.
 
-    The default sampler draws all pairs as one (trials, 2, dim) block; a given
-    `sampler(rng)` is called once per pair, in order.  Either way the norms are
-    evaluated once over the whole block.
+    All pairs are drawn as one (trials, 2, dim) block of box points, and the norms
+    are evaluated once over the whole block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        pairs = rng.uniform(-10.0, 10.0, (trials, 2, spec.dim))
-    else:
-        pairs = np.stack([np.stack(sampler(rng)) for _ in range(trials)])
-    if pairs.ndim == 2:  # scalar points are one-coordinate points
-        pairs = pairs[..., np.newaxis]
-    if pairs.ndim not in (3, 5):
-        raise ValueError("module points are 1-d (scalars) or 3-d (matrix coordinates)")
-    matrix = pairs.ndim == 5
-    norms = _norms(spec, _magnitudes(pairs, matrix))
-    denom = norms[:, 0] + norms[:, 1]
-    total = _norms(spec, _magnitudes(pairs[:, 0] + pairs[:, 1], matrix))
-    keep = denom > 0.0
-    # fmax skips a NaN ratio, as a running max(best, ratio) does
-    return float(np.fmax.reduce(total[keep] / denom[keep], initial=0.0))
+    pairs = np.random.default_rng(seed).uniform(-10.0, 10.0, (trials, 2, spec.dim))
+    norms = _norms(spec, np.abs(pairs))
+    total = _norms(spec, np.abs(pairs[:, 0] + pairs[:, 1]))
+    # fmax skips a NaN ratio (inf / inf), as a running max(best, ratio) does
+    return float(np.fmax.reduce(total / (norms[:, 0] + norms[:, 1]), initial=0.0))
 
 
 def _ginibre_from_normals(z) -> np.ndarray:
@@ -201,22 +187,6 @@ def sample_unitary(k: int, seed: int = 0) -> np.ndarray:
         raise ValueError("k must be >= 1")
     normals = np.random.default_rng(seed).standard_normal((2, k, k))
     return _haar_from_ginibre(_ginibre_from_normals(normals))
-
-
-def hat(a, mode: str = "avg"):
-    """Self-adjoint companion of an algebra element: aa*, a*a, or their mean."""
-    if mode not in ("left", "right", "avg"):
-        raise ValueError(f"unknown mode {mode!r}, expected left|right|avg")
-    a = np.asarray(a, dtype=complex)
-    if a.ndim == 0:
-        return float((a * np.conj(a)).real)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("algebra elements are scalars or square matrices")
-    if mode == "left":
-        return a @ a.conj().T
-    if mode == "right":
-        return a.conj().T @ a
-    return (a @ a.conj().T + a.conj().T @ a) / 2.0
 
 
 def act(u, x) -> np.ndarray:

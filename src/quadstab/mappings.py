@@ -10,7 +10,9 @@ shape (B, *domain.shape), through its one `_eval`, so the two agree bit for
 bit; `__call__` and `batch` are defined once, on `Mapping`.
 `_residuals` evaluates all term arguments of a block of tuples in one
 `f.batch` call, twisted by the algebra's block action and conjugation;
-`equation_residual` and `approximate_remainder` run it on one tuple.
+`equation_residual(f, EquationSpec(...), points)` and `approximate_remainder`
+run it on one tuple, and `codomain_norm(None, v)` is the default magnitude of
+the value it returns.
 `_residual_blocks`, the one seeded sampler, draws every block of tuples the
 same way, for every equation and domain: its points in one
 `algebra._draw_points` call on default_rng(seed) and, for fe3 only, its
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (QuasiNormSpec, _draw_points, _ginibre_from_normals, _haar_from_ginibre, act_block,
-                      codomain_norm, codomain_norms, conjugate_block, hat, multiply_block, random_point)
+                      codomain_norms, conjugate_block, random_point)
 from .equations import EquationSpec, block_length, term_arguments, term_arrays, term_sum
 
 
@@ -325,6 +327,8 @@ _FAMILIES = {
 
 def mapping_from_config(cfg: dict) -> Mapping:
     """Build a mapping from its serialized form (see harness config schema)."""
+    if not isinstance(cfg, dict):  # a part, base, bump or inner the schema does not type
+        raise ValueError(f"a mapping section must be an object, got {type(cfg).__name__} {cfg!r}")
     family = cfg.get("family")
     if not (isinstance(family, str) and family in _FAMILIES):
         raise ValueError(f"unknown or non-serializable mapping family {family!r}")
@@ -332,16 +336,15 @@ def mapping_from_config(cfg: dict) -> Mapping:
 
 
 # ---------------------------------------------------------------------------
-# residual evaluators: one batched kernel, thin per-tuple wrappers
+# residual evaluators: one batched kernel, run on one tuple or on a block
 
-def _residuals(f, P, terms=None, U=None, hats=None):
+def _residuals(f, P, terms=None, U=None):
     """Residuals of the B tuples stacked in P, shape (B, arity, *domain.shape), in one f.batch call.
 
     With `terms` (coefficients and weights from `term_arrays`) this is the
     signed term sum.  With U, B algebra elements, it is the unitary-twisted fe3
     residual of `approximate_remainder` at n = arity: U acts on the pair
-    arguments (`act_block`) and conjugates the single terms
-    (`conjugate_block`), or `hats` multiplies them from the left when given.
+    arguments (`act_block`) and conjugates the single terms (`conjugate_block`).
     Every argument and every sum is formed in the per-tuple order, so a
     residual does not depend on its block.
     """
@@ -358,8 +361,7 @@ def _residuals(f, P, terms=None, U=None, hats=None):
     V = f.batch(np.concatenate([pairs.reshape((B, -1) + point), singles], axis=1).reshape((-1,) + point))
     V = V.reshape((B, -1) + V.shape[1:])
     singles = V[:, len(I):].reshape((B * n,) + V.shape[2:])
-    twisted = (conjugate_block(np.repeat(U, n, axis=0), singles) if hats is None
-               else multiply_block(np.repeat(hats, n, axis=0), singles))
+    twisted = conjugate_block(np.repeat(U, n, axis=0), singles)
     return n * term_sum(V[:, :len(I)]) - term_sum(twisted.reshape((B, n) + V.shape[2:]))
 
 
@@ -377,56 +379,15 @@ def equation_residual(f, eq, points):
     return _residuals(f, _one_tuple(f, points), terms)[0]
 
 
-def residual_fe1(f, x, y):
-    """f(x+y) + f(x-y) - 2f(x) - 2f(y)."""
-    return equation_residual(f, EquationSpec("fe1"), (x, y))
-
-
-def residual_fe2(f, x, y, z):
-    """3f(x-y) + 3f(y-z) + 3f(x-z) - f(y+z-2x) - f(x+z-2y) - f(x+y-2z)."""
-    return equation_residual(f, EquationSpec("fe2"), (x, y, z))
-
-
-def residual_fe3(f, n: int, xs):
-    """n * sum_{i<j} f(x_i-x_j) - sum_i f(sum_j x_j - n x_i)."""
-    return equation_residual(f, EquationSpec("fe3", n=n), tuple(xs))
-
-
-def residual_fe3_0(f, a: int, x, y):
-    """f(ax+y) + f(x+ay) + (a-1)f(x-y) - (a+1)f(x+y) - (a^2-1)[f(x)+f(y)]."""
-    return equation_residual(f, EquationSpec("fe3_0", a=a), (x, y))
-
-
-def approximate_remainder(f, u, n: int, xs, mode: str | None = None):
-    """Unitary-twisted residual: n sum_{i<j} f(u x_i - u x_j) - sum_i u f(sum_j x_j - n x_i) u*.
-
-    With mode "left", "right" or "avg" the single terms are multiplied by the
-    self-adjoint companion hat(u, mode) instead of conjugated; that variant
-    requires ||u|| = 1 (modulus for scalars, spectral norm for matrices).
-    """
+def approximate_remainder(f, u, n: int, xs):
+    """Unitary-twisted residual: n sum_{i<j} f(u x_i - u x_j) - sum_i u f(sum_j x_j - n x_i) u*."""
     if n < 3:
         raise ValueError("arity n must be >= 3")
     pts = list(xs)
     if len(pts) != n:
         raise ValueError(f"expected {n} points, got {len(pts)}")
-    u_arr = np.asarray(u)  # `act_block` refuses an element that does not act on f's points
-    hats = None
-    if mode is not None:
-        norm_u = abs(complex(u_arr)) if u_arr.ndim == 0 else float(np.linalg.norm(u_arr, 2))
-        if abs(norm_u - 1.0) > 1e-9:
-            raise ValueError(f"element must have unit norm, got {norm_u}")
-        hats = np.asarray(hat(u_arr, mode))[np.newaxis]
-    return _residuals(f, _one_tuple(f, pts), U=u_arr[np.newaxis], hats=hats)[0]
-
-
-def value_norm(v) -> float:
-    """Default codomain magnitude: |.| for scalars, l2 for vectors, Frobenius for matrices."""
-    return codomain_norm(None, v)
-
-
-def draw_unitary(rng: np.random.Generator, domain: Domain):
-    """Sample from the unitary group matching a module's scalar algebra; `_draw_unitaries` of one."""
-    return _draw_unitaries(rng, domain, 1)[0]
+    # `act_block` refuses an element that does not act on f's points
+    return _residuals(f, _one_tuple(f, pts), U=np.asarray(u)[np.newaxis])[0]
 
 
 def _draw_unitaries(rng: np.random.Generator, domain: Domain, count: int) -> np.ndarray:
@@ -488,7 +449,7 @@ def sample_residuals(f, eq, trials: int, seed: int, box: float = 10.0):
 
 def empirical_sup_residual(f, eq, trials: int = 1000, seed: int = 0,
                            norm: QuasiNormSpec | None = None, box: float = 10.0) -> float:
-    """Max residual norm (`value_norm` when norm is None) over the tuples of `_residual_blocks`.
+    """Max residual norm (`codomain_norm(None, v)` when norm is None) over the tuples of `_residual_blocks`.
 
     With a fixed seed the estimate is monotone nondecreasing in `trials`.
     """

@@ -4,22 +4,23 @@ If the twisted residual of f is dominated by a control phi, the direct
 method builds the nearby exact solution as a limit of rescaled iterates,
 with an a-priori error bound built from phi.  The library audits two controls
 only: the power budget eps sum_i ||x_i||^r and the constant budget theta.
-Norms are QuasiNormSpec values; None means `point_norm` on the domain and
-`value_norm` on the codomain.  The power weight sum_i ||x_i||^r is written
-once, `_power_weights`, for phi, the bound, the fit of eps and the consistency
+Norms are QuasiNormSpec values; None means the Euclidean
+`norm_eval(None, x)` on the domain and `codomain_norm(None, v)` (|.|, l2 or
+Frobenius) on the codomain.  The power weight sum_i ||x_i||^r is written once,
+`_power_weights`, for phi, the bound, the fit of eps and the consistency
 check, and the fits and the check reduce whole blocks of
 `mappings._residual_blocks`.  That sampler reads two streams: a block's
 points from default_rng(seed), and its fe3 unitaries from a child stream of
 that seed; `verify_unitary_covariance` draws its own unitaries from a second
-child.  One bound engine on blocks of points, `_bounds`, sits under
-`bound` (a block of one), `series_bound_*`, `closed_form_bounds` and
-`probe_bound`; its series terms read phi through the closed form `phi_cap`.
-`probe_bound` gives each probe the exact sum; the truncated series is its test
-reference.  `stabilize` makes one
-`probe_bound` call on its probe block, and it and `verify_unitary_covariance`
-(under its fitted constant budget) make one `hyers_iterate` call per level of
-probes or block of unitaries x probes.  `_check_scheme` checks n >= 3 and the
-direction for all of them, and `_check_origin` f(0) = 0 for the backward scheme.
+child.  One bound engine on blocks of points, `_bounds`, sits under `bound`
+(a block of one), `series_bound_*`, `closed_form_bounds` and `probe_bound`;
+its series terms read phi through the closed form `phi_cap`.  `probe_bound`
+gives each probe the exact sum; the truncated series is its test reference.
+`stabilize` makes one `probe_bound` call on its probe block, and it and
+`verify_unitary_covariance` (under its fitted constant budget) make one
+`hyers_iterate` call per level of probes or block of unitaries x probes.
+`_check_scheme` checks n >= 3 and the direction for all of them, and
+`_check_origin` f(0) = 0 for the backward scheme.
 
 Conventions:
   forward scheme    iterate_m(x) = g((n-1)^m x) / (n-1)^{2m},
@@ -65,16 +66,11 @@ class OpenProblemError(DivergenceError):
         super().__init__(f"{self.tag}: {message}", diagnosis=diagnosis)
 
 
-def point_norm(x) -> float:
-    """Default domain norm: Euclidean aggregate of coordinate magnitudes."""
-    return float(_norms(None, coordinate_magnitudes(x)))
-
-
 def _power_weights(norm: QuasiNormSpec | None, mags, r: float) -> np.ndarray:
     """sum_i ||x_i||^r of B tuples from their coordinate magnitudes (B, n, d), added in slot order.
 
-    norm None is `point_norm`.  The powers are `_scalar_pow`'s, and a power out of
-    floating-point range is inf.
+    norm None is the Euclidean `norm_eval(None, x)`.  The powers are
+    `_scalar_pow`'s, and a power out of floating-point range is inf.
     """
     with np.errstate(over="ignore"):
         return term_sum(_scalar_pow(_norms(norm, mags), r))
@@ -94,7 +90,7 @@ class ControlFunction:
     epsilon: float = 0.0
     r: float = 1.0
     theta: float = 0.0
-    norm: QuasiNormSpec | None = None  # domain norm of the power budget; None is point_norm
+    norm: QuasiNormSpec | None = None  # domain norm of the power budget; None is Euclidean
 
     def __post_init__(self):
         if self.variant not in CONTROL_VARIANTS:
@@ -564,7 +560,7 @@ def fit_power_amplitude(f: Mapping, n: int, r: float, trials: int = 400, seed: i
 
 def fit_constant_level(f: Mapping, n: int, trials: int = 400, seed: int = 0,
                        box: float = 10.0, codomain: QuasiNormSpec | None = None) -> float:
-    """Fit theta as the sup of the twisted residual norm (`value_norm` when codomain is None)."""
+    """Fit theta as the sup of the twisted residual norm (`codomain_norm(None, v)` when codomain is None)."""
     return empirical_sup_residual(f, EquationSpec("fe3", n=n), trials, seed, norm=codomain, box=box)
 
 

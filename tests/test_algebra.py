@@ -86,17 +86,9 @@ def test_concavity_estimates():
     assert qs.concavity_modulus_estimate(qs.euclidean(2), trials=500, seed=1) <= 1.0 + 1e-12
     assert qs.concavity_modulus_estimate(qs.l1(2), trials=500, seed=1) <= 1.0 + 1e-12
     spec = qs.lp_quasi(0.5, 2)
-
-    def sampler(rng):
-        if not hasattr(sampler, "fired"):
-            sampler.fired = True
-            return np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        return rng.uniform(-10, 10, 2), rng.uniform(-10, 10, 2)
-
-    est = qs.concavity_modulus_estimate(spec, sampler=sampler, trials=300, seed=2)
-    # the injected pair attains the modulus exactly: ||e1+e2|| = 4, sum of norms = 2
-    assert est == pytest.approx(2.0, abs=1e-12)
-    assert est <= spec.K + 1e-12
+    est = qs.concavity_modulus_estimate(spec, trials=300, seed=2)
+    # the sampled pairs see that l^(1/2) is no norm, and never pass its modulus 2
+    assert 1.0 < est <= spec.K + 1e-12
 
 
 def test_concavity_needs_trials():
@@ -129,32 +121,6 @@ def test_act_preserves_coordinate_norms():
         before = qs.coordinate_magnitudes(x)
         after = qs.coordinate_magnitudes(qs.act(u, x))
         assert np.allclose(before, after, atol=1e-10)
-
-
-def test_hat_values():
-    assert qs.hat(3 + 4j) == pytest.approx(25.0, abs=1e-12)
-    ident = np.eye(2, dtype=complex)
-    for mode in ("left", "right", "avg"):
-        assert np.allclose(qs.hat(ident, mode), ident)
-    a = np.diag([1.0, 1.0j])
-    assert np.allclose(qs.hat(a, "avg"), np.eye(2))
-
-
-def test_hat_self_adjoint_psd():
-    rng = np.random.default_rng(6)
-    for mode in ("left", "right", "avg"):
-        for _ in range(25):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            h = qs.hat(a, mode)
-            assert np.linalg.norm(h - h.conj().T) <= 1e-10 * max(1.0, np.linalg.norm(h))
-            assert np.linalg.eigvalsh(h).min() >= -1e-10 * max(1.0, np.linalg.norm(h))
-
-
-def test_hat_bad_mode():
-    with pytest.raises(ValueError):
-        qs.hat(np.eye(2), "sideways")
-    with pytest.raises(ValueError):
-        qs.hat(1.0, "sideways")
 
 
 def test_conjugate_value_scalar_degeneration():
@@ -236,11 +202,12 @@ def test_batched_norms_equal_per_point_norms(spec):
         assert got.tobytes() == np.array([qs.norm_eval(spec, p) for p in pts]).tobytes()
 
 
-def _reference_concavity(spec, sampler, trials, seed):
+def _reference_concavity(spec, trials, seed):
+    # one pair at a time: x, then y, each drawn from the box
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
-        x, y = (np.asarray(v) for v in sampler(rng))
+        x, y = rng.uniform(-10.0, 10.0, spec.dim), rng.uniform(-10.0, 10.0, spec.dim)
         denom = qs.norm_eval(spec, x) + qs.norm_eval(spec, y)
         if denom > 0.0:
             best = max(best, qs.norm_eval(spec, x + y) / denom)
@@ -249,14 +216,7 @@ def _reference_concavity(spec, sampler, trials, seed):
 
 @pytest.mark.parametrize("spec", _NORM_KINDS, ids=lambda s: f"{s.kind}-{s.p}")
 def test_concavity_estimate_matches_per_pair_reference(spec):
-    pairs = lambda r: (r.uniform(-10.0, 10.0, spec.dim), r.uniform(-10.0, 10.0, spec.dim))
-    assert (qs.concavity_modulus_estimate(spec, trials=300, seed=5)
-            == _reference_concavity(spec, pairs, 300, 5))
-    matrices = lambda r: tuple(r.normal(size=(spec.dim, 2, 2)) + 0j for _ in range(2))
-    assert (qs.concavity_modulus_estimate(spec, sampler=matrices, trials=50, seed=6)
-            == _reference_concavity(spec, matrices, 50, 6))
-    zero = lambda r: (np.zeros(spec.dim), np.zeros(spec.dim))  # every pair skipped
-    assert qs.concavity_modulus_estimate(spec, sampler=zero, trials=3) == 0.0
+    assert qs.concavity_modulus_estimate(spec, trials=300, seed=5) == _reference_concavity(spec, 300, 5)
 
 
 def _two_call_point(rng, d, k, box, complex_coords):

@@ -152,7 +152,7 @@ def test_sup_of_vector_values_matches_linalg_norm(small_blocks):
     rng = np.random.default_rng(2)
     for v in (rng.standard_normal(()), rng.standard_normal(5) * 1e3,
               rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), np.array([3, 4])):
-        assert qs.value_norm(v) == value_norm_reference(v)
+        assert qs.codomain_norm(None, v) == value_norm_reference(v)
 
 
 def _cap_before_record(values, start):

@@ -175,9 +175,26 @@ def refused_on_their_field(names):
                     qs.harness.run_scenario(cfg, write_csv=False)
             except qs.harness.ScenarioValidationError as err:
                 assert err.path == path, name
+            except Exception as err:  # any other end is no refusal either
+                raise AssertionError(f"{name} ended in {type(err).__name__}") from err
             else:
                 raise AssertionError(f"{name} ran")
     return check
+
+
+def mapping_parts_unchecked(monkeypatch):
+    # mapping_from_config reads the family of whatever it is given, so a part, base,
+    # bump or inner that is not an object ends in an AttributeError
+    families = qs.mappings._FAMILIES
+
+    def unchecked(cfg):
+        family = cfg.get("family")
+        if not (isinstance(family, str) and family in families):
+            raise ValueError(f"unknown or non-serializable mapping family {family!r}")
+        return families[family](cfg)
+
+    for namespace in (qs.mappings, qs.harness):
+        monkeypatch.setattr(namespace, "mapping_from_config", unchecked)
 
 
 def spaces_against_their_own_basis(monkeypatch):
@@ -285,6 +302,9 @@ MUTANTS = {
     "_run_deadzone passing a bound that is not finite": (
         deadzone_passes_any_bound,
         lambda mp: harness_checks.test_a_deadzone_bound_out_of_range_is_no_pass()),
+    "mapping_from_config without the object check": (
+        mapping_parts_unchecked,
+        refused_on_their_field(harness_checks.NON_OBJECT_MAPPINGS)),
 }
 
 

@@ -68,17 +68,24 @@ leaves = st.one_of(
     _obj(family=st.sampled_from(["nope", "custom"])),
 )
 
+# values that are not objects, where a part, base, bump or inner belongs
+not_objects = st.sampled_from([1, -2.5, True, "x", "ab", [1], []])
 
 
-def _combined(base):
-    return st.recursive(base, lambda inner: st.one_of(
-        _obj(family=st.just("perturbed"), base=inner, bump=inner, amplitude=_maybe(small)),
-        _obj(family=st.just("scaled"), inner=inner, factor=small),
-        _obj(family=st.sampled_from(["sum", "stack"]), parts=st.lists(inner, min_size=1, max_size=2)),
-    ), max_leaves=3)
+def _combined(base, junk=st.nothing()):
+    """Perturbed, scaled, sum and stack mappings over `base`, each part possibly drawn from `junk`."""
+    def extend(inner):
+        part = st.one_of(inner, junk)
+        return st.one_of(
+            _obj(family=st.just("perturbed"), base=part, bump=part, amplitude=_maybe(small)),
+            _obj(family=st.just("scaled"), inner=part, factor=small),
+            _obj(family=st.sampled_from(["sum", "stack"]),
+                 parts=st.one_of(st.lists(part, min_size=1, max_size=2), junk)),
+        )
+    return st.recursive(base, extend, max_leaves=3)
 
 
-mappings = _combined(leaves)
+mappings = _combined(leaves, not_objects)
 scalar_maps = _combined(st.one_of(
     _obj(family=st.just("quadratic_form"), coefficients=st.just([[1.0]])),
     _obj(family=st.sampled_from(["sine", "cosine", "odd_growth"])),

@@ -568,6 +568,18 @@ _REFUSED = {
     "deadzone-theta-inf": (_edit("open-problem-deadzone", ("theta", float("inf")), ("K_sweep", [3.0]),
                                  ("expected_status", None)), "theta"),
     "deadzone-K-nan": (_edit("open-problem-deadzone", ("K_sweep", [3.0, float("nan")])), "K_sweep.1"),
+    # a part, base, bump or inner that is not an object, which the schema does not type:
+    # building it ended in an AttributeError
+    "mapping-sum-part-number": (_edit("power-forward", ("mapping", {"family": "sum", "parts": [1]})),
+                                "mapping"),
+    "mapping-perturbed-base-string": (_edit("power-forward", ("mapping", {
+        "family": "perturbed", "base": "x", "bump": {"family": "sine"}})), "mapping"),
+    "mapping-stack-parts-string": (_edit("power-forward", ("mapping", {"family": "stack", "parts": "ab"})),
+                                   "mapping"),
+    "mapping-scaled-inner-list": (_edit("power-forward", ("mapping", {
+        "family": "scaled", "inner": [1], "factor": 1.0})), "mapping"),
+    "covariance-mapping-sum-part-number": (_edit("unitary-covariance", ("mapping", {
+        "family": "sum", "parts": [{"family": "matrix_square", "k": 2}, 1]})), "mapping"),
 }
 
 # the rows above whose norm section ran with a field unread
@@ -576,6 +588,10 @@ UNREAD_NORM_FIELDS = ["norm-weights-short-of-dim", "norm-p-on-euclidean", "norm-
 # the rows above refused for a number that is not finite
 NON_FINITE_NUMBERS = ["norm-weight-nan", "stability-tol-inf", "bound-equality-tol-inf",
                       "covariance-tol-inf", "deadzone-theta-nan", "deadzone-theta-inf", "deadzone-K-nan"]
+# the rows above whose mapping section holds a part that is not an object
+NON_OBJECT_MAPPINGS = ["mapping-sum-part-number", "mapping-perturbed-base-string",
+                       "mapping-stack-parts-string", "mapping-scaled-inner-list",
+                       "covariance-mapping-sum-part-number"]
 
 
 @pytest.mark.parametrize("name", sorted(_REFUSED))

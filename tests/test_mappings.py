@@ -13,23 +13,34 @@ def tcube():
     return qs.Monomial(3)
 
 
+FE1, FE2 = EquationSpec("fe1"), EquationSpec("fe2")
+
+
+def fe3(n):
+    return EquationSpec("fe3", n=n)
+
+
+def fe3_0(a):
+    return EquationSpec("fe3_0", a=a)
+
+
 def test_residual_fe1_values():
     rng = np.random.default_rng(0)
     f = tsq()
     for _ in range(50):
         x, y = rng.uniform(-10, 10, 2)
-        assert abs(qs.residual_fe1(f, [x], [y])) <= 1e-10 * (1 + x * x + y * y)
-    assert qs.residual_fe1(tcube(), [1.0], [1.0]) == pytest.approx(4.0)
+        assert abs(qs.equation_residual(f, FE1, ([x], [y]))) <= 1e-10 * (1 + x * x + y * y)
+    assert qs.equation_residual(tcube(), FE1, ([1.0], [1.0])) == pytest.approx(4.0)
     # constant shift: residual at (0,0) is -2 f(0) = -2c
     c = 0.7
     fc = qs.SumMapping([tsq(), qs.ConstantMap(c)])
-    assert qs.residual_fe1(fc, [0.0], [0.0]) == pytest.approx(-2.0 * c)
+    assert qs.equation_residual(fc, FE1, ([0.0], [0.0])) == pytest.approx(-2.0 * c)
 
 
 def test_residual_fe2_values():
-    assert abs(qs.residual_fe2(tsq(), [1.3], [-0.2], [2.4])) <= 1e-9
+    assert abs(qs.equation_residual(tsq(), FE2, ([1.3], [-0.2], [2.4]))) <= 1e-9
     # 3(1+0+1) - ((-2)^3 + 1 + 1) = 6 - (-6)
-    assert qs.residual_fe2(tcube(), [1.0], [0.0], [0.0]) == pytest.approx(12.0)
+    assert qs.equation_residual(tcube(), FE2, ([1.0], [0.0], [0.0])) == pytest.approx(12.0)
 
 
 def test_fe2_equals_fe3_at_three():
@@ -37,31 +48,31 @@ def test_fe2_equals_fe3_at_three():
     for f in (tcube(), qs.Perturbed(tsq(), qs.Sine(), 0.3)):
         for _ in range(100):
             x, y, z = ([v] for v in rng.uniform(-10, 10, 3))
-            a = qs.residual_fe2(f, x, y, z)
-            b = qs.residual_fe3(f, 3, (x, y, z))
+            a = qs.equation_residual(f, FE2, (x, y, z))
+            b = qs.equation_residual(f, fe3(3), (x, y, z))
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
 def test_residual_fe3_values():
-    assert qs.residual_fe3(tsq(), 3, ([1.0], [0.0], [0.0])) == pytest.approx(0.0, abs=1e-12)
-    assert qs.residual_fe3(tcube(), 3, ([1.0], [0.0], [0.0])) == pytest.approx(12.0)
+    assert qs.equation_residual(tsq(), fe3(3), ([1.0], [0.0], [0.0])) == pytest.approx(0.0, abs=1e-12)
+    assert qs.equation_residual(tcube(), fe3(3), ([1.0], [0.0], [0.0])) == pytest.approx(12.0)
     # all-zero tuple evaluates to (n*C(n,2) - n) f(0)
     c = 1.3
     fc = qs.SumMapping([tsq(), qs.ConstantMap(c)])
     for n in (3, 4, 5):
         expect = (n * (n * (n - 1) // 2) - n) * c
-        got = qs.residual_fe3(fc, n, tuple([0.0] for _ in range(n)))
+        got = qs.equation_residual(fc, fe3(n), tuple([0.0] for _ in range(n)))
         assert got == pytest.approx(expect)
     with pytest.raises(ValueError):
-        qs.residual_fe3(tsq(), 2, ([1.0], [0.0]))
+        qs.equation_residual(tsq(), fe3(2), ([1.0], [0.0]))
 
 
 def test_residual_fe3_0_values():
-    assert qs.residual_fe3_0(tsq(), 2, [1.0], [1.0]) == pytest.approx(0.0, abs=1e-12)
+    assert qs.equation_residual(tsq(), fe3_0(2), ([1.0], [1.0])) == pytest.approx(0.0, abs=1e-12)
     # 81 + 81 + 0 - 48 - 6
-    assert qs.residual_fe3_0(qs.Monomial(4), 2, [1.0], [1.0]) == pytest.approx(108.0)
+    assert qs.equation_residual(qs.Monomial(4), fe3_0(2), ([1.0], [1.0])) == pytest.approx(108.0)
     with pytest.raises(ValueError):
-        qs.residual_fe3_0(tsq(), 1, [1.0], [1.0])
+        qs.equation_residual(tsq(), fe3_0(1), ([1.0], [1.0]))
 
 
 def test_fe3_0_at_zero_is_negated_fe1():
@@ -70,8 +81,8 @@ def test_fe3_0_at_zero_is_negated_fe1():
     for f in (tcube(), qs.Perturbed(tsq(), qs.Cosine(), 0.5)):
         for _ in range(100):
             x, y = ([v] for v in rng.uniform(-10, 10, 2))
-            lhs = qs.residual_fe3_0(f, 0, x, y)
-            rhs = -qs.residual_fe1(f, x, y)
+            lhs = qs.equation_residual(f, fe3_0(0), (x, y))
+            rhs = -qs.equation_residual(f, FE1, (x, y))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -108,7 +119,7 @@ def test_approximate_remainder_identity_unitary():
     for _ in range(20):
         xs = tuple(qs.random_point(rng, d=1, k=2, box=4.0) for _ in range(3))
         a = qs.approximate_remainder(f, ident, 3, xs)
-        b = qs.residual_fe3(f, 3, xs)
+        b = qs.equation_residual(f, fe3(3), xs)
         assert np.linalg.norm(a - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
 
 
@@ -144,31 +155,27 @@ def test_approximate_remainder_validation():
         qs.approximate_remainder(f, np.eye(3), 3, tuple(np.zeros((1, 2, 2)) for _ in range(3)))
     with pytest.raises(ValueError):
         qs.approximate_remainder(f, np.eye(2), 2, tuple(np.zeros((1, 2, 2)) for _ in range(2)))
-    # the self-adjoint variant needs a unit-norm element
     xs = tuple(np.zeros((1, 2, 2)) for _ in range(3))
-    assert np.allclose(qs.approximate_remainder(f, np.eye(2), 3, xs, mode="avg"), 0.0)
-    with pytest.raises(ValueError, match="unit norm"):
-        qs.approximate_remainder(f, 2.0 * np.eye(2), 3, xs, mode="avg")
+    assert np.allclose(qs.approximate_remainder(f, np.eye(2), 3, xs), 0.0)
 
 
 def test_approximate_remainder_sa():
+    # a unit scalar u conjugates a scalar value to |u|^2 f = f
     f = qs.QuadraticForm([[1.0]], complex_scalars=True)
     rng = np.random.default_rng(8)
     for theta in rng.uniform(0, 2 * np.pi, 20):
         u = np.exp(1j * theta)
         xs = tuple(rng.uniform(-5, 5, 1) + 0j for _ in range(3))
-        val = qs.approximate_remainder(f, u, 3, xs, mode="avg")
+        val = qs.approximate_remainder(f, u, 3, xs)
         assert abs(val) <= 1e-9 * (1.0 + sum(abs(x[0]) ** 2 for x in xs))
     # u = 1 reduces to the plain residual
     g = tcube()
     xs = ([1.0], [0.0], [0.0])
-    assert qs.approximate_remainder(g, 1.0, 3, xs, mode="avg") == pytest.approx(
-        qs.residual_fe3(g, 3, xs))
+    assert qs.approximate_remainder(g, 1.0, 3, xs) == pytest.approx(
+        qs.equation_residual(g, fe3(3), xs))
     # odd cubic: nonzero at u = +1, and exactly zero at u = -1 by oddness
-    assert qs.approximate_remainder(g, 1.0, 3, xs, mode="avg") == pytest.approx(12.0)
-    assert qs.approximate_remainder(g, -1.0, 3, xs, mode="avg") == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        qs.approximate_remainder(g, 2.0, 3, xs, mode="avg")
+    assert qs.approximate_remainder(g, 1.0, 3, xs) == pytest.approx(12.0)
+    assert qs.approximate_remainder(g, -1.0, 3, xs) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_empirical_sup_residual():
@@ -226,7 +233,7 @@ def test_domain_mismatch_rejected():
     with pytest.raises(ValueError, match="domain mismatch"):
         f([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="domain mismatch"):
-        qs.residual_fe1(f, [1.0], [2.0])
+        qs.equation_residual(f, FE1, ([1.0], [2.0]))
     # a sum or a stack needs parts, all on one domain
     for combinator, name, members in ((qs.SumMapping, "sum", "summands"), (qs.Stack, "stack", "stacked parts")):
         with pytest.raises(ValueError, match=f"^{name} needs at least one part$"):
@@ -447,8 +454,8 @@ def test_sample_residuals_match_per_tuple_reference_across_blocks(kind, eq, monk
     blocks = []
     kernel = qs.mappings._residuals
     monkeypatch.setattr("quadstab.mappings._residuals",
-                        lambda f, P, terms=None, U=None, hats=None:
-                        blocks.append(U) or kernel(f, P, terms, U, hats))
+                        lambda f, P, terms=None, U=None:
+                        blocks.append(U) or kernel(f, P, terms, U))
     for trials in (1, B - 1, B, B + 1, 2 * B + 3):
         want = _reference_samples(f, eq, trials, seed=trials)
         blocks.clear()
@@ -522,9 +529,9 @@ def _spy_blocks(monkeypatch):
     """The list that collects the (P, U) blocks `_residual_blocks` hands to `_residuals`."""
     blocks, residuals = [], qs.mappings._residuals
 
-    def spy(f, P, terms=None, U=None, hats=None):
+    def spy(f, P, terms=None, U=None):
         blocks.append((P, U))
-        return residuals(f, P, terms, U, hats)
+        return residuals(f, P, terms, U)
 
     monkeypatch.setattr(qs.mappings, "_residuals", spy)
     return blocks
@@ -576,7 +583,7 @@ def test_stacked_unitaries_are_the_per_unitary_stream(domain):
     a, b = np.random.default_rng(8), np.random.default_rng(8)
     for count in (1, 4, 7):
         got = qs.mappings._draw_unitaries(a, domain, count)
-        want = np.array([qs.mappings.draw_unitary(b, domain) for _ in range(count)])
+        want = np.array([qs.mappings._draw_unitaries(b, domain, 1)[0] for _ in range(count)])
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert a.random() == b.random()  # the stream goes on in step

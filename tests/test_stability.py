@@ -397,7 +397,7 @@ def test_a_fitted_power_budget_dominates_every_tuple_of_its_fit_sample(case):
     eps = qs.fit_power_amplitude(f, 3, r, trials=400, seed=11, codomain=codomain)
     phi = qs.power(eps, r)
     for pts, val in qs.sample_residuals(f, qs.EquationSpec("fe3", n=3), 400, 11):
-        res = qs.value_norm(val) if codomain is None else qs.codomain_norm(codomain, val)
+        res = qs.codomain_norm(codomain, val)
         assert res <= phi.evaluate(pts) * (1.0 + 4 * 2.0**-53)
 
 
@@ -543,7 +543,6 @@ def stabilize_per_probe(f, phi, cfg):
     K, p = cfg.route
     r = phi.r if phi.variant == "power" else 0.0
     decay = float(lam) ** ((r - 2.0) if cfg.direction == "forward" else (2.0 - r))
-    dnorm = qs.point_norm if cfg.domain_norm is None else cfg.domain_norm.norm
     out = []
     for x in cfg.probes:
         x = np.asarray(x)
@@ -579,9 +578,9 @@ def stabilize_per_probe(f, phi, cfg):
                 reason = f"not converged within m_max={cfg.m_max}"
             else:
                 reason = "deviation above bound + tol"
-        out.append(qs.ProbeResult(probe=x, norm_x=dnorm(x), q_estimate=val, iterations=iterations,
-                                  converged=converged, deviation=deviation, bound=b, margin=margin,
-                                  tail_bound=tail, status="pass" if passed else "fail",
+        out.append(qs.ProbeResult(probe=x, norm_x=qs.norm_eval(cfg.domain_norm, x), q_estimate=val,
+                                  iterations=iterations, converged=converged, deviation=deviation,
+                                  bound=b, margin=margin, tail_bound=tail, status="pass" if passed else "fail",
                                   reason=reason))
     return out
 
@@ -597,7 +596,7 @@ def covariance_per_unitary(f, cfg, unitary_count, seed, tol):
     rng = np.random.default_rng(seed).spawn(2)[1]  # the unitaries' own stream
     worst = 0.0
     for _ in range(unitary_count):
-        u = qs.mappings.draw_unitary(rng, f.domain)
+        u = qs.mappings._draw_unitaries(rng, f.domain, 1)[0]
         for x, base in zip(probes, bases):
             moved = hyers_point(f, n, m_star, qs.act(u, x), cfg.direction)
             dev = value_norm_point(cfg.norm_spec, moved - qs.conjugate_value(u, base))
@@ -753,7 +752,7 @@ def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatc
     # unitaries, unitary-major: u_0 x_0, u_0 x_1, ..., u_1 x_0, ...
     assert len(calls) == rep.iterations_used + 1 + 1 + 5
     rng = np.random.default_rng(6).spawn(2)[1]
-    unitaries = [qs.mappings.draw_unitary(rng, f.domain) for _ in range(30)]
+    unitaries = [qs.mappings._draw_unitaries(rng, f.domain, 1)[0] for _ in range(30)]
     for b, block in enumerate(calls[-5:]):
         want_args = [qs.act(u, x) for u in unitaries[7 * b:7 * b + 7] for x in probes]
         assert np.array_equal(block, np.stack(want_args))
@@ -761,7 +760,7 @@ def test_covariance_matches_per_unitary_reference_across_blocks(kind, monkeypatc
 
 def test_control_norm_is_a_spec():
     with pytest.raises(TypeError, match="QuasiNormSpec"):
-        qs.power(1.0, 1.0, norm=qs.point_norm)  # a norm callable is refused
+        qs.power(1.0, 1.0, norm=lambda x: qs.norm_eval(None, x))  # a norm callable is refused
     x = np.array([3.0, -4.0])
     assert qs.power(2.0, 1.0).evaluate([x, x]) == 2.0 * (5.0 + 5.0)
     assert qs.power(1.0, 1.0, norm=qs.l1(2)).evaluate([x, 2 * x]) == 7.0 + 14.0
